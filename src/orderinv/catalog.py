@@ -15,7 +15,6 @@ from math import gcd
 
 from .groups import (
     FiniteGroup,
-    GroupConstructionError,
     PermutationGenSet,
     cyclic,
     dihedral,
@@ -45,10 +44,9 @@ class UnknownFamily(ValueError):
 
 @dataclass(frozen=True)
 class CatalogSpec:
-    """What to build: named families plus files to ingest, under a cap."""
+    """What to build: named families under an order cap."""
 
     families: tuple[tuple[str, tuple[int, ...]], ...]
-    ingested: tuple[str, ...] = ()
     order_cap: int = DEFAULT_ORDER_CAP
 
 
@@ -144,27 +142,23 @@ def _build_family(name: str, params: tuple[int, ...], cap: int, paranoid: bool):
 def build_catalog(spec: CatalogSpec, paranoid: bool = False) -> list[FiniteGroup]:
     """Resolve a CatalogSpec into concrete groups, unique by label.
 
-    Ingested files are loaded after the families; any validation error
-    they raise propagates (callers wanting isolation load files one by
-    one with load_group_file and hand survivors to the sweep).
+    Every family builder stays within ``spec.order_cap``.  Group files are
+    not loaded here: callers load them one by one with load_group_file, so
+    that a bad file is reported on its own, and hand survivors to the sweep.
     """
     groups: list[FiniteGroup] = []
     for name, params in spec.families:
         groups.extend(_build_family(name, params, spec.order_cap, paranoid))
-    for path in spec.ingested:
-        groups.append(load_group_file(path))
-    seen: dict[str, int] = {}
+    seen: set[str] = set()
     for g in groups:
-        if g.order > spec.order_cap:
-            raise GroupConstructionError(
-                f"{g.label} has order {g.order}, above the catalog cap {spec.order_cap}"
-            )
         if g.label in seen:
             raise ValueError(f"duplicate catalog label {g.label!r}")
-        seen[g.label] = g.order
+        seen.add(g.label)
     groups.sort(key=lambda g: (g.order, g.label))
     return groups
 
+
+_SEMIDIRECT_LABEL = re.compile(r"^C(\d+):C(\d+)$")
 
 _LABEL_PATTERNS: tuple[tuple[re.Pattern, object], ...] = (
     (re.compile(r"^C(\d+)$"), lambda m: cyclic(int(m.group(1)))),
@@ -182,28 +176,33 @@ _LABEL_PATTERNS: tuple[tuple[re.Pattern, object], ...] = (
 )
 
 
-def _semidirect_from_label(text: str) -> FiniteGroup | None:
-    match = re.fullmatch(r"C(\d+):C(\d+)", text)
-    if not match:
+def semidirect_label_parts(label: str) -> tuple[int, int, int] | None:
+    """Split a label of the form C{m}:C{2^u * beta} into (m, beta, u).
+
+    Returns None when the label is not of that form or the acting factor
+    is odd (the construction needs at least one factor of 2).
+    """
+    hit = _SEMIDIRECT_LABEL.match(label)
+    if not hit:
         return None
-    m, alpha = int(match.group(1)), int(match.group(2))
+    m, alpha = int(hit.group(1)), int(hit.group(2))
+    if alpha % 2:
+        return None
     u = 0
     beta = alpha
     while beta % 2 == 0:
         beta //= 2
         u += 1
-    if u == 0:
-        raise ValueError(f"{text}: the acting factor must have even order")
-    return inversion_semidirect(m, beta, u)
+    return m, beta, u
 
 
 def group_from_label(label: str) -> FiniteGroup:
     """Rebuild a catalog group from its label (e.g. C12, D6, Q16, S4,
     E3^2, A5, C3:C10, C2xC3)."""
     text = label.strip()
-    semi = _semidirect_from_label(text)
-    if semi is not None:
-        return semi
+    parts = semidirect_label_parts(text)
+    if parts is not None:
+        return inversion_semidirect(*parts)
     if "x" in text:
         parts = text.split("x")
         group = group_from_label(parts[0])

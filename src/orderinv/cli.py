@@ -25,6 +25,7 @@ from .catalog import (
     default_catalog_spec,
     group_from_label,
     load_group_file,
+    semidirect_label_parts,
 )
 from .numtheory import (
     divisor_count,
@@ -33,28 +34,26 @@ from .numtheory import (
     exact_exponents,
     totient,
 )
-from .matching import find_divisibility_matching, verify_matching
 from .order_stats import (
     FrobeniusViolated,
     cyclic_excess,
-    cyclic_profile,
     cyclic_subgroup_count,
     frobenius_table,
     order_profile,
-    product_of_orders,
     weighted_order_sum,
 )
 from .report import (
     DEFAULT_GRID_BOUND,
+    group_invariants,
+    matching_as_json,
     run_sweep,
-    semidirect_label_parts,
     verdict_as_json,
 )
-from .structure import count_cyclic_subgroups, is_cyclic, is_nilpotent, is_solvable
+from .structure import is_solvable
 from .theorems import (
-    APPROX_SIGN_MARGIN,
     EqualityRouteMismatch,
     check_semidirect_count,
+    sign_of,
 )
 
 
@@ -85,15 +84,6 @@ def _scalar_text(value):
     if isinstance(value, Fraction):
         return str(value)
     return value
-
-
-def _sign_label(value, mode: str) -> str:
-    margin = 0 if mode == "exact" else APPROX_SIGN_MARGIN
-    if value > margin:
-        return "pos"
-    if value < -margin:
-        return "neg"
-    return "zero"
 
 
 def _factored_text(exponents: dict) -> str:
@@ -143,15 +133,11 @@ def _run_compute(args) -> int:
         "weighted_order_sum": _scalar_text(weighted_order_sum(profile, n, r, s)),
         "cyclic_baseline": _scalar_text(divisor_power_sum(n, r, s)),
         "cyclic_excess": _scalar_text(excess),
-        "sign": _sign_label(excess, mode),
+        "sign": sign_of(excess, mode),
         "cyclic_subgroup_count": cyclic_subgroup_count(profile, n),
         "divisor_count": divisor_count(n),
         "solution_counts": {str(m): table.counts[m] for m in divisors(n)},
-        "order_product": product_of_orders(profile).as_json(),
-        "cyclic_order_product": product_of_orders(cyclic_profile(group.order)).as_json(),
-        "is_cyclic": is_cyclic(group),
-        "is_nilpotent": is_nilpotent(group),
-        "is_solvable": is_solvable(group),
+        **group_invariants(group, profile),
     }
     if args.format == "json":
         text = _json_text(payload)
@@ -179,6 +165,11 @@ def _run_compute(args) -> int:
     return 0
 
 
+def _is_int(value) -> bool:
+    # JSON true/false arrive as bool, which is a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _load_catalog_spec(path: str, order_cap: int | None) -> tuple[CatalogSpec, list[str]]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -192,17 +183,21 @@ def _load_catalog_spec(path: str, order_cap: int | None) -> tuple[CatalogSpec, l
     families = data.get("families", {})
     if not isinstance(families, dict):
         raise ValueError(f"{path}: 'families' must map family names to parameter lists")
+    for name, params in families.items():
+        if not isinstance(params, list) or not all(_is_int(p) for p in params):
+            raise ValueError(
+                f"{path}: parameters of family {name!r} must be a list of integers"
+            )
     ingested = data.get("ingested", [])
     if not isinstance(ingested, list) or not all(isinstance(p, str) for p in ingested):
         raise ValueError(f"{path}: 'ingested' must be a list of file paths")
     cap = order_cap if order_cap is not None else data.get("order_cap", DEFAULT_ORDER_CAP)
-    if not isinstance(cap, int) or cap < 1:
+    if not _is_int(cap) or cap < 1:
         raise ValueError(f"{path}: 'order_cap' must be a positive integer")
     base = os.path.dirname(os.path.abspath(path))
     paths = [p if os.path.isabs(p) else os.path.join(base, p) for p in ingested]
     spec = CatalogSpec(
         families=tuple((name, tuple(params)) for name, params in families.items()),
-        ingested=(),
         order_cap=cap,
     )
     return spec, paths
@@ -227,6 +222,12 @@ def _run_verify(args) -> int:
                 )
             if group.label in labels:
                 raise ValueError(f"{path}: duplicate label {group.label!r}")
+            if semidirect_label_parts(group.label) is not None:
+                # inversion-semidirect-count would rebuild the group from its label
+                raise ValueError(
+                    f"{path}: label {group.label!r} is reserved for the inversion"
+                    " semidirect family"
+                )
         except ValueError as exc:
             input_errors.append({"path": path, "error": str(exc)})
             continue
@@ -281,34 +282,28 @@ def _verify_table(report) -> str:
 def _run_match(args) -> int:
     group = _resolve_group(args.group)
     profile = order_profile(group)
-    matching = find_divisibility_matching(profile)
-    found = matching.status == "found"
-    verified = verify_matching(profile, matching) if found else False
+    matching = matching_as_json(profile)
+    found = matching["status"] == "found"
+    verified = matching["verified"]
     solvable = is_solvable(group)
     payload = {
         "group": group.label,
         "order": group.order,
-        "status": matching.status,
-        "assignment": {
-            str(d): {str(e): c for e, c in sorted(row.items())}
-            for d, row in sorted(matching.assignment.items())
-        },
-        "violator": sorted(matching.violator) if matching.violator is not None else None,
-        "verified": verified,
+        **matching,
         "is_solvable": solvable,
     }
     if args.format == "json":
         text = _json_text(payload)
     else:
-        lines = [f"group {group.label} (order {group.order}): {matching.status}\n"]
+        lines = [f"group {group.label} (order {group.order}): {matching['status']}\n"]
         if found:
             lines[0] = lines[0].rstrip("\n") + (" and verified\n" if verified else
                                                 " but FAILED verification\n")
-            for d, row in sorted(matching.assignment.items()):
-                for e, count in sorted(row.items()):
+            for d, row in matching["assignment"].items():
+                for e, count in row.items():
                     lines.append(f"  {count} element(s) of order {d} -> slots of C{e}\n")
         else:
-            blockers = sorted(matching.violator)
+            blockers = matching["violator"]
             demand = sum(profile.counts[d] for d in blockers)
             slots = [e for e in divisors(group.order)
                      if any(e % d == 0 for d in blockers)]

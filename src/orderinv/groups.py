@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 
 from .numtheory import is_prime
 
@@ -284,6 +284,8 @@ def elementary_abelian(
     p: int, k: int, *, label: str | None = None, paranoid: bool = False
 ) -> FiniteGroup:
     """(Z/p)^k with componentwise addition; element index is base-p digits."""
+    if p > DEFAULT_ORDER_CAP:  # before the trial-division primality test
+        raise OrderCapExceeded(f"elementary abelian base {p} exceeds cap")
     if not is_prime(p):
         raise GroupConstructionError(f"elementary abelian base {p} is not prime")
     if k < 1:

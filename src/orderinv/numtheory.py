@@ -21,29 +21,14 @@ from typing import Iterator, Mapping, Union
 
 Scalar = Union[int, Fraction, float]
 
-# Trial division is backed by a fixed sieve; group orders here are tiny, the
-# headroom is for ingested tables and stress tests.
-SIEVE_LIMIT = 10**6
-
-
-@lru_cache(maxsize=1)
-def _primes() -> tuple[int, ...]:
-    """All primes below SIEVE_LIMIT (Eratosthenes on a bytearray)."""
-    flags = bytearray([1]) * SIEVE_LIMIT
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, int(SIEVE_LIMIT**0.5) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(range(p * p, SIEVE_LIMIT, p)))
-    return tuple(i for i in range(SIEVE_LIMIT) if flags[i])
-
-
-def _trial_prime(p: int) -> bool:
-    # standalone so FactoredInteger validation cannot recurse through factorize
-    if p < 2:
+def is_prime(n: int) -> bool:
+    """Primality by trial division; standalone so FactoredInteger validation
+    cannot recurse through factorize."""
+    if n < 2:
         return False
     d = 2
-    while d * d <= p:
-        if p % d == 0:
+    while d * d <= n:
+        if n % d == 0:
             return False
         d += 1
     return True
@@ -64,7 +49,7 @@ class FactoredInteger:
     def __post_init__(self):
         last = 1
         for p, e in self.factors:
-            if p <= last or e < 1 or not _trial_prime(p):
+            if p <= last or e < 1 or not is_prime(p):
                 raise ValueError(f"malformed factorization entry ({p}, {e})")
             last = p
 
@@ -123,23 +108,21 @@ class FactoredInteger:
 
 @lru_cache(maxsize=None)
 def factorize(n: int) -> FactoredInteger:
-    """Prime factorization by trial division over the sieve."""
+    """Prime factorization by trial division up to the square root."""
     if n < 1:
         raise ValueError(f"cannot factor {n}: positive integer required")
     items = []
     rest = n
-    for p in _primes():
-        if p * p > rest:
-            break
+    p = 2
+    while p * p <= rest:
         if rest % p == 0:
             e = 0
             while rest % p == 0:
                 rest //= p
                 e += 1
             items.append((p, e))
+        p += 1
     if rest > 1:
-        if rest >= SIEVE_LIMIT**2:
-            raise ValueError(f"{n} is out of factorization range")
         items.append((rest, 1))
     return FactoredInteger(tuple(items))
 
@@ -175,10 +158,6 @@ def moebius(n: int) -> int:
     if any(e > 1 for _, e in fac.items()):
         return 0
     return -1 if len(fac.factors) % 2 else 1
-
-
-def is_prime(n: int) -> bool:
-    return n >= 2 and factorize(n).factors == ((n, 1),)
 
 
 def moebius_invert(g_values: Mapping[int, Scalar], n: int) -> dict[int, Scalar]:

@@ -39,6 +39,10 @@ class FrobeniusViolated(ValueError):
     """A solution count B(m) not divisible by m: impossible for a group."""
 
 
+class ParameterDomainViolated(ValueError):
+    """n or (r, s) lies outside the domain an invariant or claim is stated for."""
+
+
 @dataclass(frozen=True, eq=False)
 class OrderProfile:
     """Counts of elements by exact order; the sole input to every invariant.
@@ -118,16 +122,16 @@ def frobenius_table(profile: OrderProfile) -> FrobeniusTable:
     return FrobeniusTable(profile.group_order, counts, ratios)
 
 
-def _require_divisor(profile: OrderProfile, n: int) -> None:
+def require_divisor(profile: OrderProfile, n: int) -> None:
     if n < 1 or profile.group_order % n:
-        raise ValueError(
+        raise ParameterDomainViolated(
             f"{n} is not a divisor of the group order {profile.group_order}"
         )
 
 
 def cyclic_subgroup_count(profile: OrderProfile, n: int) -> int:
     """Number of cyclic subgroups whose order divides n."""
-    _require_divisor(profile, n)
+    require_divisor(profile, n)
     return sum(profile.cyclic_count(m) for m in profile.counts if n % m == 0)
 
 
@@ -137,7 +141,7 @@ def weighted_order_sum(profile: OrderProfile, n: int, r, s) -> Scalar:
     Exact Fraction for integer (r, s), float otherwise.  Grouping by order
     class this is sum_{m|n} A(m) m^s / phi(m)^r.
     """
-    _require_divisor(profile, n)
+    require_divisor(profile, n)
     total: Scalar = Fraction(0) if exact_exponents(r, s) else 0.0
     for m, count in profile.counts.items():
         if n % m == 0:
@@ -153,7 +157,7 @@ def cyclic_excess(profile: OrderProfile, n: int, r, s) -> Scalar:
     cyclic subgroup per divisor, so its sum over orders dividing n is
     sum_{m|n} m^s/phi(m)^(r-1).  Vanishes identically at r = s = 0.
     """
-    _require_divisor(profile, n)
+    require_divisor(profile, n)
     total: Scalar = Fraction(0) if exact_exponents(r, s) else 0.0
     for m in divisors(n):
         c = profile.cyclic_count(m)
@@ -170,7 +174,7 @@ def frobenius_expansion(profile: OrderProfile, n: int, r, s) -> Scalar:
     with the Moebius kernel from numtheory.  Algebraically identical to
     weighted_order_sum; kept as a second, structurally different route.
     """
-    _require_divisor(profile, n)
+    require_divisor(profile, n)
     table = frobenius_table(profile)
     total: Scalar = Fraction(0) if exact_exponents(r, s) else 0.0
     for k in divisors(n):

@@ -3,19 +3,17 @@
 The report is plain JSON with sorted keys and no timestamps, so two runs
 over the same catalog are byte-identical.  Exit status is part of the
 payload: 1 means some exact-mode verdict came back inconsistent (or a
-worker crashed), 2 means the only defects were malformed input files.
+claim raised), 2 means the only defects were malformed input files.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .catalog import semidirect_label_parts
 from .groups import FiniteGroup
 from .matching import DivisibilityMatching, find_divisibility_matching, verify_matching
 from .numtheory import divisors
@@ -65,8 +63,6 @@ DEFAULT_GRID_BOUND = 3
 # full-divisor sweeps only below this order; above it n = |G| alone
 DIVISOR_SWEEP_LIMIT = 48
 
-_SEMIDIRECT_LABEL = re.compile(r"^C(\d+):C(\d+)$")
-
 
 def integer_pairs(bound: int) -> list[tuple[int, int]]:
     """All integer exponent pairs (r, s) with |r|, |s| <= bound."""
@@ -89,25 +85,6 @@ def diagonal_exponents(bound: int) -> list[int]:
     return list(range(-1, -bound - 1, -1))
 
 
-def resolve_workers(explicit: int | None = None) -> int:
-    """Worker count: explicit argument, then ORDERINV_WORKERS, then a default."""
-    if explicit is not None:
-        count = explicit
-    else:
-        raw = os.environ.get("ORDERINV_WORKERS")
-        if raw is None:
-            return min(8, os.cpu_count() or 1)
-        try:
-            count = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"ORDERINV_WORKERS must be a positive integer, got {raw!r}"
-            ) from None
-    if count < 1:
-        raise ValueError(f"worker count must be at least 1, got {count}")
-    return count
-
-
 @lru_cache(maxsize=512)
 def _matching_for(profile) -> DivisibilityMatching:
     # profile objects are interned per group by order_profile's cache
@@ -120,42 +97,20 @@ def _sweep_orders(group: FiniteGroup, divisor_limit: int) -> list[int]:
     return [group.order]
 
 
-def semidirect_label_parts(label: str) -> tuple[int, int, int] | None:
-    """Split a label of the form C{m}:C{2^u * beta} into (m, beta, u).
-
-    Returns None when the label is not of that form or the twisting
-    factor is odd (the construction needs at least one factor of 2).
-    """
-    hit = _SEMIDIRECT_LABEL.match(label)
-    if not hit:
-        return None
-    m, alpha = int(hit.group(1)), int(hit.group(2))
-    if alpha % 2:
-        return None
-    u = 0
-    beta = alpha
-    while beta % 2 == 0:
-        beta //= 2
-        u += 1
-    return m, beta, u
-
-
 def _matching_verdict(group: FiniteGroup) -> TheoremVerdict:
     """Solvable groups always admit a divisibility matching.
 
     For non-solvable groups the claim is an open question, so a missing
     matching there is recorded but never counted as an inconsistency.
     """
-    profile = order_profile(group)
-    matching = _matching_for(profile)
-    found = matching.status == "found"
-    verified = verify_matching(profile, matching) if found else False
+    matching = matching_as_json(order_profile(group))
+    found = matching["status"] == "found"
+    verified = matching["verified"]
     solvable = is_solvable(group)
     if found:
         witness = "assignment verified" if verified else "assignment failed check"
     else:
-        assert matching.violator is not None
-        witness = f"no matching, blocking orders {sorted(matching.violator)}"
+        witness = f"no matching, blocking orders {matching['violator']}"
         if not solvable:
             witness += " (non-solvable, conjecture event)"
     return TheoremVerdict(
@@ -243,7 +198,8 @@ def verdict_as_json(verdict: TheoremVerdict) -> dict:
     }
 
 
-def _matching_as_json(profile) -> dict:
+def matching_as_json(profile) -> dict:
+    """The divisibility matching of a profile, and whether it checks out."""
     matching = _matching_for(profile)
     found = matching.status == "found"
     return {
@@ -257,11 +213,22 @@ def _matching_as_json(profile) -> dict:
     }
 
 
+def group_invariants(group: FiniteGroup, profile) -> dict:
+    """The order products and structure flags that both ``compute`` and
+    the report's group records carry."""
+    return {
+        "order_product": product_of_orders(profile).as_json(),
+        "cyclic_order_product": product_of_orders(cyclic_profile(group.order)).as_json(),
+        "is_cyclic": is_cyclic(group),
+        "is_nilpotent": is_nilpotent(group),
+        "is_solvable": is_solvable(group),
+    }
+
+
 def group_record(group: FiniteGroup, bound: int = DEFAULT_GRID_BOUND) -> dict:
     """Static per-group facts: profile, structure flags, invariants, excess grid."""
     profile = order_profile(group)
     table = frobenius_table(profile)
-    baseline = cyclic_profile(group.order)
     grid = [
         [r, s, str(cyclic_excess(profile, group.order, r, s))]
         for r, s in integer_pairs(bound)
@@ -272,14 +239,10 @@ def group_record(group: FiniteGroup, bound: int = DEFAULT_GRID_BOUND) -> dict:
         "profile": {str(d): c for d, c in profile.counts.items()},
         "solution_counts": {str(m): b for m, b in table.counts.items()},
         "solution_ratios": {str(m): q for m, q in table.ratios.items()},
-        "is_cyclic": is_cyclic(group),
-        "is_nilpotent": is_nilpotent(group),
-        "is_solvable": is_solvable(group),
+        **group_invariants(group, profile),
         "cyclic_subgroup_count": count_cyclic_subgroups(group),
-        "order_product": product_of_orders(profile).as_json(),
-        "cyclic_order_product": product_of_orders(baseline).as_json(),
         "excess_grid": grid,
-        "matching": _matching_as_json(profile),
+        "matching": matching_as_json(profile),
     }
 
 
@@ -296,7 +259,6 @@ def run_sweep(
     groups,
     claims=None,
     bound: int = DEFAULT_GRID_BOUND,
-    workers: int | None = None,
     subgroup_cap: int = DEFAULT_SUBGROUP_CAP,
     divisor_limit: int = DIVISOR_SWEEP_LIMIT,
     input_errors=(),
@@ -314,57 +276,40 @@ def run_sweep(
     if len(set(labels)) != len(labels):
         raise ValueError("group labels must be unique within a sweep")
 
-    worker_count = resolve_workers(workers)
     anomalies: list[dict] = []
     records: dict[str, dict] = {}
-    verdicts: dict[str, list[dict]] = {label: [] for label in labels}
-
-    def run_static(group: FiniteGroup):
-        return group_record(group, bound)
-
-    def run_claim(group: FiniteGroup, claim: str):
-        return [
-            verdict_as_json(v)
-            for v in evaluate_claim(
-                group, claim, bound=bound, subgroup_cap=subgroup_cap,
-                divisor_limit=divisor_limit,
-            )
-        ]
-
-    with ThreadPoolExecutor(max_workers=worker_count) as pool:
-        static_futures = [(g, pool.submit(run_static, g)) for g in ordered]
-        claim_futures = [
-            (g, claim, pool.submit(run_claim, g, claim))
-            for g in ordered
-            for claim in selected
-        ]
-        for group, future in static_futures:
+    for group in ordered:
+        try:
+            record = group_record(group, bound)
+        except Exception as exc:  # noqa: BLE001 - report and flag, never hide
+            record = {"label": group.label, "order": group.order}
+            anomalies.append({
+                "group": group.label,
+                "claim": "group-record",
+                "error": f"{type(exc).__name__}: {exc}",
+            })
+        rows: list[dict] = []
+        for claim in selected:
             try:
-                records[group.label] = future.result()
-            except Exception as exc:  # noqa: BLE001 - report and flag, never hide
-                records[group.label] = {"label": group.label, "order": group.order}
-                anomalies.append({
-                    "group": group.label,
-                    "claim": "group-record",
-                    "error": f"{type(exc).__name__}: {exc}",
-                })
-        for group, claim, future in claim_futures:
-            try:
-                verdicts[group.label].extend(future.result())
+                rows.extend([
+                    verdict_as_json(v)
+                    for v in evaluate_claim(
+                        group, claim, bound=bound, subgroup_cap=subgroup_cap,
+                        divisor_limit=divisor_limit,
+                    )
+                ])
             except Exception as exc:  # noqa: BLE001
                 anomalies.append({
                     "group": group.label,
                     "claim": claim,
                     "error": f"{type(exc).__name__}: {exc}",
                 })
-
-    for label in labels:
-        rows = verdicts[label]
         rows.sort(key=lambda v: (v["claim"], json.dumps(v["parameters"], sort_keys=True)))
-        records[label]["verdicts"] = rows
+        record["verdicts"] = rows
+        records[group.label] = record
     anomalies.sort(key=lambda a: (a["group"], a["claim"], a["error"]))
 
-    flat = [v for label in labels for v in verdicts[label]]
+    flat = [v for label in labels for v in records[label]["verdicts"]]
     inconsistent = [v for v in flat if not v["consistent"]]
     inconsistent_exact = [v for v in inconsistent if v["mode"] == "exact"]
     matching_rows = [records[label].get("matching") for label in labels]

@@ -23,12 +23,14 @@ from .numtheory import (
     totient,
 )
 from .order_stats import (
+    ParameterDomainViolated,
     cyclic_excess,
     cyclic_profile,
     cyclic_subgroup_count,
     frobenius_table,
     order_profile,
     product_of_orders,
+    require_divisor,
 )
 from .structure import (
     DEFAULT_SUBGROUP_CAP,
@@ -41,10 +43,6 @@ from .structure import (
 
 # approximate mode asserts strict signs only when they clear this margin
 APPROX_SIGN_MARGIN = 1e-6
-
-
-class ParameterDomainViolated(ValueError):
-    """(r, s) or n lies outside the domain the claim is stated for."""
 
 
 class PreconditionViolated(ValueError):
@@ -80,16 +78,12 @@ def _mode_for(r, s) -> str:
     return "exact" if exact_exponents(r, s) else "approximate"
 
 
-def _sign_of(value, mode: str) -> str:
-    if mode == "exact":
-        if value > 0:
-            return "pos"
-        if value < 0:
-            return "neg"
-        return "zero"
-    if value > APPROX_SIGN_MARGIN:
+def sign_of(value, mode: str) -> str:
+    """"pos", "neg" or "zero"; approximate values within the margin are "zero"."""
+    margin = 0 if mode == "exact" else APPROX_SIGN_MARGIN
+    if value > margin:
         return "pos"
-    if value < -APPROX_SIGN_MARGIN:
+    if value < -margin:
         return "neg"
     return "zero"
 
@@ -105,13 +99,6 @@ def _equality_consistent(sign: str, condition: bool, mode: str) -> bool:
     if mode == "exact":
         return (sign == "zero") == condition
     return not (condition and sign != "zero")
-
-
-def _require_divisor(group: FiniteGroup, n: int) -> None:
-    if n < 1 or group.order % n:
-        raise ParameterDomainViolated(
-            f"n={n} does not divide the group order {group.order}"
-        )
 
 
 def check_frobenius_divisibility(group: FiniteGroup) -> TheoremVerdict:
@@ -142,10 +129,10 @@ def check_nonnegative_gap(group: FiniteGroup, n: int, r, s) -> TheoremVerdict:
     """For s < r, s <= 0: excess >= 0, zero iff one cyclic subgroup per divisor of n."""
     if not (s < r and s <= 0):
         raise ParameterDomainViolated(f"need s < r and s <= 0, got r={r}, s={s}")
-    _require_divisor(group, n)
     profile = order_profile(group)
+    require_divisor(profile, n)
     mode = _mode_for(r, s)
-    sign = _sign_of(cyclic_excess(profile, n, r, s), mode)
+    sign = sign_of(cyclic_excess(profile, n, r, s), mode)
     offending = [m for m in divisors(n) if profile.cyclic_count(m) != 1]
     condition = not offending
     inequality = sign != "neg"
@@ -175,10 +162,10 @@ def check_diagonal_gap(
     """
     if not r < 0:
         raise ParameterDomainViolated(f"need r < 0, got r={r}")
-    _require_divisor(group, n)
     profile = order_profile(group)
+    require_divisor(profile, n)
     mode = _mode_for(r, r)
-    sign = _sign_of(cyclic_excess(profile, n, r, r), mode)
+    sign = sign_of(cyclic_excess(profile, n, r, r), mode)
     inequality = sign != "neg"
     table = frobenius_table(profile)
     condition = all(
@@ -220,7 +207,7 @@ def check_nonpositive_gap(group: FiniteGroup, r, s) -> TheoremVerdict:
         raise ParameterDomainViolated(f"need r <= s-1 and s >= 1, got r={r}, s={s}")
     profile = order_profile(group)
     mode = _mode_for(r, s)
-    sign = _sign_of(cyclic_excess(profile, group.order, r, s), mode)
+    sign = sign_of(cyclic_excess(profile, group.order, r, s), mode)
     condition = is_cyclic(group)
     inequality = sign != "pos"
     return TheoremVerdict(
@@ -245,8 +232,8 @@ def check_nilpotent_sign(group: FiniteGroup, r, s) -> TheoremVerdict:
     profile = order_profile(group)
     mode = _mode_for(r, s)
     t = cyclic_excess(profile, group.order, r, s)
-    sign = _sign_of(t, mode)
-    expected = "pos" if r > s else ("neg" if r < s else "zero")
+    sign = sign_of(t, mode)
+    expected = sign_of(r - s, "exact")
     matches = sign == expected
     return TheoremVerdict(
         claim="nilpotent-sign",
@@ -267,7 +254,7 @@ def check_min_cyclic_subgroups(group: FiniteGroup) -> TheoremVerdict:
     count = cyclic_subgroup_count(profile, group.order)
     floor = divisor_count(group.order)
     diff = count - floor
-    sign = "pos" if diff > 0 else ("neg" if diff < 0 else "zero")
+    sign = sign_of(diff, "exact")
     condition = is_cyclic(group)
     inequality = diff >= 0
     return TheoremVerdict(
@@ -290,8 +277,8 @@ def check_cyclic_part_equivalence(group: FiniteGroup, n: int) -> TheoremVerdict:
     (b) exactly d(n) cyclic subgroups of order dividing n,
     (c) the solution set of x^n = 1 is a cyclic subgroup of order n.
     """
-    _require_divisor(group, n)
     profile = order_profile(group)
+    require_divisor(profile, n)
     table = frobenius_table(profile)
     at_floor = all(table.counts[m] == m for m in divisors(n))
     count_matches = cyclic_subgroup_count(profile, n) == divisor_count(n)

@@ -5,6 +5,7 @@ Everything here uses exact integer or rational arithmetic; there are no
 tolerances anywhere.
 """
 
+import hashlib
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -246,3 +247,7 @@ def test_criterion_11_verify_is_deterministic():
             problems.append("reports differ between runs")
         if not outputs[0]:
             problems.append("empty report")
+        # the default report's SHA-256 pinned in ROADMAP.md
+        digest = hashlib.sha256(outputs[0]).hexdigest()
+        if digest != "898709fe8211c59a64766435e26e81960e22284baa4803d6fc3bacef72338a5d":
+            problems.append(f"report SHA-256 changed: {digest}")

@@ -10,7 +10,7 @@ from orderinv.catalog import (
     group_from_label,
     load_group_file,
 )
-from orderinv.groups import GroupConstructionError
+from orderinv.cli import main
 
 
 def family_key(label: str) -> str:
@@ -86,26 +86,17 @@ def test_bad_labels_rejected(label):
         group_from_label(label)
 
 
-def test_ingested_file_joins_catalog(tmp_path):
-    path = tmp_path / "klein.json"
-    path.write_text(json.dumps({
-        "label": "klein-from-file",
-        "order": 4,
-        "table": [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]],
-    }))
-    spec = CatalogSpec(families=(("cyclic", (1, 3)),), ingested=(str(path),),
-                       order_cap=8)
-    groups = build_catalog(spec)
-    assert [g.label for g in groups] == ["C1", "C2", "C3", "klein-from-file"]
-
-
-def test_ingested_file_above_cap_rejected(tmp_path):
+def test_ingested_file_above_cap_rejected(tmp_path, capsys):
     path = tmp_path / "c6.json"
     table = [[(i + j) % 6 for j in range(6)] for i in range(6)]
     path.write_text(json.dumps({"label": "big", "order": 6, "table": table}))
-    spec = CatalogSpec(families=(), ingested=(str(path),), order_cap=4)
-    with pytest.raises(GroupConstructionError, match="cap"):
-        build_catalog(spec)
+    spec = tmp_path / "cat.json"
+    spec.write_text(json.dumps({"families": {}, "ingested": ["c6.json"], "order_cap": 4}))
+    assert main(["verify", "--catalog", str(spec)]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["groups"] == []
+    [error] = payload["input_errors"]
+    assert "cap" in error["error"]
 
 
 def test_load_group_file_permutations(tmp_path):

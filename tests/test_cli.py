@@ -191,19 +191,39 @@ def test_verify_table_format(tmp_path, capsys):
 def test_verify_rejects_bad_spec_files(tmp_path):
     missing = tmp_path / "none.json"
     assert main(["verify", "--catalog", str(missing)]) == 2
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"families": ["cyclic"]}))
-    assert main(["verify", "--catalog", str(bad)]) == 2
+    for spec in (
+        {"families": ["cyclic"]},
+        {"families": {"cyclic": 5}},
+        {"families": {"cyclic": ["a", "b"]}},
+        {"families": {"cyclic": [1.5, 4]}},
+        {"families": {"cyclic": [True, 4]}},
+        {"families": {"cyclic": [1, 4]}, "order_cap": True},
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec))
+        assert main(["verify", "--catalog", str(bad)]) == 2, spec
 
 
-def test_workers_env_is_honored(tmp_path, monkeypatch, capsys):
+def test_verify_rejects_ingested_semidirect_labels(tmp_path, capsys):
+    # valid cyclic tables whose labels would make inversion-semidirect-count
+    # read (m, beta, u) from the label: C9:C6 has no such group, and C3:C10
+    # is a different group of the same order
+    for label, order in (("C9:C6", 54), ("C3:C10", 30)):
+        table = [[(i + j) % order for j in range(order)] for i in range(order)]
+        (tmp_path / f"c{order}.json").write_text(
+            json.dumps({"label": label, "order": order, "table": table}))
     spec = tmp_path / "cat.json"
-    spec.write_text(json.dumps({"families": {"cyclic": [1, 6]}}))
-    monkeypatch.setenv("ORDERINV_WORKERS", "2")
-    assert main(["verify", "--catalog", str(spec)]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("ORDERINV_WORKERS", "banana")
+    spec.write_text(json.dumps({
+        "families": {"cyclic": [1, 2]}, "ingested": ["c54.json", "c30.json"],
+        "order_cap": 64,
+    }))
     assert main(["verify", "--catalog", str(spec)]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert [g["label"] for g in payload["groups"]] == ["C1", "C2"]
+    assert payload["anomalies"] == []
+    errors = payload["input_errors"]
+    assert len(errors) == 2
+    assert all("semidirect" in e["error"] for e in errors)
 
 
 def test_console_script_smoke():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import factorint
 
 from orderinv.numtheory import (
     FactoredInteger,
@@ -35,7 +36,7 @@ def brute_totient(n):
 
 
 def brute_moebius(n):
-    # factor by naive division, independently of the sieve path
+    # factor by naive division, independently of factorize
     out, d = 1, 2
     while d * d <= n:
         if n % d == 0:
@@ -55,6 +56,17 @@ def test_divisors_against_brute_force():
     for n in range(1, 201):
         assert divisors(n) == brute_divisors(n)
         assert divisor_count(n) == len(divisors(n))
+
+
+def test_factorize_beyond_a_million_squared():
+    p, q = 10**6 + 3, 10**6 + 33
+    assert factorize(p * q).factors == ((p, 1), (q, 1))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=1, max_value=10**10))
+def test_factorize_matches_sympy(n):
+    assert dict(factorize(n).items()) == factorint(n)
 
 
 def test_factorize_rejects_nonpositive():

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 import orderinv.report as report_mod
-from orderinv.catalog import group_from_label
+from orderinv.catalog import group_from_label, semidirect_label_parts
 from orderinv.groups import cyclic
 from orderinv.report import (
     ALL_CLAIMS,
@@ -13,9 +13,7 @@ from orderinv.report import (
     integer_pairs,
     nonneg_pairs,
     nonpos_pairs,
-    resolve_workers,
     run_sweep,
-    semidirect_label_parts,
 )
 from orderinv.theorems import TheoremVerdict
 
@@ -152,20 +150,6 @@ def test_input_errors_alone_exit_two(monkeypatch):
     rep = run_sweep([group_from_label("C4")], claims=["min-cyclic-count"],
                     input_errors=errs)
     assert rep.exit_status == 1
-
-
-def test_resolve_workers(monkeypatch):
-    assert resolve_workers(2) == 2
-    monkeypatch.setenv("ORDERINV_WORKERS", "3")
-    assert resolve_workers() == 3
-    monkeypatch.setenv("ORDERINV_WORKERS", "zero")
-    with pytest.raises(ValueError, match="ORDERINV_WORKERS"):
-        resolve_workers()
-    monkeypatch.setenv("ORDERINV_WORKERS", "0")
-    with pytest.raises(ValueError, match="at least 1"):
-        resolve_workers()
-    monkeypatch.delenv("ORDERINV_WORKERS")
-    assert resolve_workers() >= 1
 
 
 def test_all_claims_registry_is_complete():
