@@ -75,22 +75,20 @@ def _squarefree_composites(cap: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _build_family(name: str, params: tuple[int, ...], cap: int, paranoid: bool):
+def _build_family(name: str, params: tuple[int, ...], cap: int):
     if name == "cyclic":
         lo, hi = params
-        return [cyclic(n, paranoid=paranoid) for n in range(lo, hi + 1) if n <= cap]
+        return [cyclic(n) for n in range(lo, hi + 1) if n <= cap]
     if name == "dihedral":
         lo, hi = params
-        return [
-            dihedral(n, paranoid=paranoid) for n in range(lo, hi + 1) if 2 * n <= cap
-        ]
+        return [dihedral(n) for n in range(lo, hi + 1) if 2 * n <= cap]
     if name == "quaternion":
         lo, hi = params
         out = []
         m = 8
         while m <= hi and m <= cap:
             if m >= lo:
-                out.append(quaternion_generalized(m, paranoid=paranoid))
+                out.append(quaternion_generalized(m))
             m *= 2
         return out
     if name == "elementary_abelian":
@@ -100,7 +98,7 @@ def _build_family(name: str, params: tuple[int, ...], cap: int, paranoid: bool):
                 continue
             k = 1
             while p**k <= cap:
-                out.append(elementary_abelian(p, k, paranoid=paranoid))
+                out.append(elementary_abelian(p, k))
                 k += 1
         return out
     if name == "symmetric":
@@ -110,7 +108,7 @@ def _build_family(name: str, params: tuple[int, ...], cap: int, paranoid: bool):
         for k in range(1, hi + 1):
             order *= k
             if k >= lo and order <= cap:
-                out.append(symmetric(k, paranoid=paranoid))
+                out.append(symmetric(k))
         return out
     if name == "semidirect":
         out = []
@@ -119,14 +117,14 @@ def _build_family(name: str, params: tuple[int, ...], cap: int, paranoid: bool):
                 for u in SEMIDIRECT_U:
                     alpha = 2**u * beta
                     if gcd(m, alpha) == 1 and m * alpha <= cap:
-                        out.append(inversion_semidirect(m, beta, u, paranoid=paranoid))
+                        out.append(inversion_semidirect(m, beta, u))
         return out
     if name == "prime_products":
         out = []
         for primes in _squarefree_composites(cap):
-            group = cyclic(primes[0], paranoid=paranoid)
+            group = cyclic(primes[0])
             for p in primes[1:]:
-                group = direct_product(group, cyclic(p, paranoid=paranoid))
+                group = direct_product(group, cyclic(p))
             out.append(group)
         return out
     if name == "alternating":
@@ -142,13 +140,17 @@ def _build_family(name: str, params: tuple[int, ...], cap: int, paranoid: bool):
 def build_catalog(spec: CatalogSpec, paranoid: bool = False) -> list[FiniteGroup]:
     """Resolve a CatalogSpec into concrete groups, unique by label.
 
-    Every family builder stays within ``spec.order_cap``.  Group files are
-    not loaded here: callers load them one by one with load_group_file, so
-    that a bad file is reported on its own, and hand survivors to the sweep.
+    Every family builder stays within ``spec.order_cap``.  With
+    ``paranoid`` every built table is validated again as if it were
+    untrusted input.  Group files are not loaded here: callers load them one
+    by one with load_group_file, so that a bad file is reported on its own,
+    and hand survivors to the sweep.
     """
     groups: list[FiniteGroup] = []
     for name, params in spec.families:
-        groups.extend(_build_family(name, params, spec.order_cap, paranoid))
+        groups.extend(_build_family(name, params, spec.order_cap))
+    if paranoid:
+        groups = [from_cayley_table(g.mul, g.label) for g in groups]
     seen: set[str] = set()
     for g in groups:
         if g.label in seen:
@@ -244,8 +246,8 @@ def load_group_file(path: str) -> FiniteGroup:
     if "generators" in data:
         degree = data.get("degree")
         gens = data["generators"]
-        if not isinstance(degree, int) or not isinstance(gens, list):
-            raise ValueError(f"{path}: permutation files need 'degree' and 'generators'")
+        if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
+            raise ValueError(f"{path}: 'generators' must be a list of lists")
         genset = PermutationGenSet(degree, tuple(tuple(g) for g in gens))
         return from_permutations(genset, label)
     raise ValueError(f"{path}: neither a Cayley-table nor a permutation-group file")

@@ -27,6 +27,7 @@ from .catalog import (
     load_group_file,
     semidirect_label_parts,
 )
+from .groups import is_int
 from .numtheory import (
     divisor_count,
     divisor_power_sum,
@@ -45,8 +46,10 @@ from .order_stats import (
 from .report import (
     DEFAULT_GRID_BOUND,
     group_invariants,
+    json_text,
     matching_as_json,
     run_sweep,
+    scalar_json,
     verdict_as_json,
 )
 from .structure import is_solvable
@@ -80,12 +83,6 @@ def _exponent(text: str):
     return int(value) if value.denominator == 1 else value
 
 
-def _scalar_text(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    return value
-
-
 def _factored_text(exponents: dict) -> str:
     pairs = sorted(exponents.items(), key=lambda kv: int(kv[0]))
     return " * ".join(f"{p}^{e}" for p, e in pairs) if pairs else "1"
@@ -106,10 +103,6 @@ def _emit(text: str, out: str | None) -> None:
         handle.write(text)
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def _kv_table(rows: list[tuple[str, object]]) -> str:
     width = max(len(key) for key, _ in rows)
     return "".join(f"{key.ljust(width)}  {value}\n" for key, value in rows)
@@ -127,12 +120,12 @@ def _run_compute(args) -> int:
         "group": group.label,
         "order": group.order,
         "n": n,
-        "r": _scalar_text(r),
-        "s": _scalar_text(s),
+        "r": scalar_json(r),
+        "s": scalar_json(s),
         "mode": mode,
-        "weighted_order_sum": _scalar_text(weighted_order_sum(profile, n, r, s)),
-        "cyclic_baseline": _scalar_text(divisor_power_sum(n, r, s)),
-        "cyclic_excess": _scalar_text(excess),
+        "weighted_order_sum": scalar_json(weighted_order_sum(profile, n, r, s)),
+        "cyclic_baseline": scalar_json(divisor_power_sum(n, r, s)),
+        "cyclic_excess": scalar_json(excess),
         "sign": sign_of(excess, mode),
         "cyclic_subgroup_count": cyclic_subgroup_count(profile, n),
         "divisor_count": divisor_count(n),
@@ -140,7 +133,7 @@ def _run_compute(args) -> int:
         **group_invariants(group, profile),
     }
     if args.format == "json":
-        text = _json_text(payload)
+        text = json_text(payload)
     else:
         counts = " ".join(f"{m}={b}" for m, b in sorted(
             payload["solution_counts"].items(), key=lambda kv: int(kv[0])))
@@ -165,11 +158,6 @@ def _run_compute(args) -> int:
     return 0
 
 
-def _is_int(value) -> bool:
-    # JSON true/false arrive as bool, which is a subclass of int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _load_catalog_spec(path: str, order_cap: int | None) -> tuple[CatalogSpec, list[str]]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -184,7 +172,7 @@ def _load_catalog_spec(path: str, order_cap: int | None) -> tuple[CatalogSpec, l
     if not isinstance(families, dict):
         raise ValueError(f"{path}: 'families' must map family names to parameter lists")
     for name, params in families.items():
-        if not isinstance(params, list) or not all(_is_int(p) for p in params):
+        if not isinstance(params, list) or not all(is_int(p) for p in params):
             raise ValueError(
                 f"{path}: parameters of family {name!r} must be a list of integers"
             )
@@ -192,7 +180,7 @@ def _load_catalog_spec(path: str, order_cap: int | None) -> tuple[CatalogSpec, l
     if not isinstance(ingested, list) or not all(isinstance(p, str) for p in ingested):
         raise ValueError(f"{path}: 'ingested' must be a list of file paths")
     cap = order_cap if order_cap is not None else data.get("order_cap", DEFAULT_ORDER_CAP)
-    if not _is_int(cap) or cap < 1:
+    if not is_int(cap) or cap < 1:
         raise ValueError(f"{path}: 'order_cap' must be a positive integer")
     base = os.path.dirname(os.path.abspath(path))
     paths = [p if os.path.isabs(p) else os.path.join(base, p) for p in ingested]
@@ -293,7 +281,7 @@ def _run_match(args) -> int:
         "is_solvable": solvable,
     }
     if args.format == "json":
-        text = _json_text(payload)
+        text = json_text(payload)
     else:
         lines = [f"group {group.label} (order {group.order}): {matching['status']}\n"]
         if found:
@@ -332,7 +320,7 @@ def _run_example(args) -> int:
     order = m * beta * 2**u
     payload = verdict_as_json(verdict)
     if args.format == "json":
-        text = _json_text(payload)
+        text = json_text(payload)
     else:
         surplus = divisor_count(beta) * (m - divisor_count(m))
         text = _kv_table([
@@ -365,7 +353,7 @@ def _run_ingest(args) -> int:
             "profile": {str(d): c for d, c in profile.counts.items()},
         })
     if args.format == "json":
-        text = _json_text({"groups": rows, "errors": errors})
+        text = json_text({"groups": rows, "errors": errors})
     else:
         lines = []
         for row in rows:

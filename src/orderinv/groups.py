@@ -9,8 +9,8 @@ dihedral, generalized quaternion, symmetric, elementary abelian, direct
 products, and the odd-by-inversion semidirect family) whose tables are
 correct by construction, and untrusted ingestion (``from_cayley_table``)
 which validates the full group axioms including the O(n^3) associativity
-scan.  Constructors accept ``paranoid=True`` to re-run that scan on their
-own output.
+scan.  Every constructor checks the order against ``MAX_ORDER`` before it
+allocates anything, so no input can ask for an unbounded table.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from math import gcd
 
 from .numtheory import is_prime
 
-DEFAULT_ORDER_CAP = 5000
+MAX_ORDER = 5000
 
 
 class GroupConstructionError(ValueError):
@@ -54,6 +54,17 @@ class CoprimalityViolated(GroupConstructionError):
 
 class ParityViolated(GroupConstructionError):
     pass
+
+
+def _require_order(n: int, what: str) -> None:
+    """Refuse a group of order n (or at least n) above MAX_ORDER."""
+    if n > MAX_ORDER:
+        raise OrderCapExceeded(f"{what} exceeds the order cap {MAX_ORDER}")
+
+
+def is_int(value) -> bool:
+    # JSON true/false arrive as bool, which is a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,7 +149,7 @@ def _element_orders(mul) -> tuple[int, ...]:
     return tuple(orders)
 
 
-def _build(mul_rows, label: str, *, check_associativity: bool) -> FiniteGroup:
+def _build(mul_rows, label: str, check_associativity: bool = False) -> FiniteGroup:
     mul = tuple(tuple(row) for row in mul_rows)
     if not mul:
         raise NotClosed("empty multiplication table")
@@ -157,6 +168,10 @@ def _build(mul_rows, label: str, *, check_associativity: bool) -> FiniteGroup:
 
 def from_cayley_table(table, label: str) -> FiniteGroup:
     """Validate an untrusted table against the full group axioms."""
+    _require_order(len(table), f"table {label!r} of order {len(table)}")
+    for i, row in enumerate(table):
+        if not isinstance(row, (list, tuple)) or not all(is_int(x) for x in row):
+            raise GroupConstructionError(f"row {i} is not a list of integers")
     return _build(table, label, check_associativity=True)
 
 
@@ -168,21 +183,24 @@ class PermutationGenSet:
     generators: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if not is_int(self.degree) or self.degree < 1:
+            raise GroupConstructionError(
+                f"permutation degree must be a positive integer, got {self.degree!r}"
+            )
+        _require_order(self.degree, f"permutation degree {self.degree}")
         full = frozenset(range(self.degree))
         for g in self.generators:
-            if len(g) != self.degree or frozenset(g) != full:
+            if (
+                len(g) != self.degree
+                or not all(is_int(x) for x in g)
+                or frozenset(g) != full
+            ):
                 raise GroupConstructionError(
                     f"generator {g} is not a permutation of 0..{self.degree - 1}"
                 )
 
 
-def from_permutations(
-    gens: PermutationGenSet,
-    label: str,
-    *,
-    order_cap: int = DEFAULT_ORDER_CAP,
-    paranoid: bool = False,
-) -> FiniteGroup:
+def from_permutations(gens: PermutationGenSet, label: str) -> FiniteGroup:
     """Close a generating set of permutations and index the result.
 
     The identity gets index 0; the remaining elements are numbered in BFS
@@ -198,34 +216,32 @@ def from_permutations(
             for g in gens.generators:
                 q = tuple(p[g[t]] for t in range(gens.degree))
                 if q not in index:
-                    if len(elements) >= order_cap:
-                        raise OrderCapExceeded(
-                            f"closure of {label} exceeds order cap {order_cap}"
-                        )
+                    _require_order(len(elements) + 1, f"closure of {label}")
                     index[q] = len(elements)
                     elements.append(q)
                     nxt.append(q)
         frontier = nxt
-    n = len(elements)
     mul = [
         tuple(index[tuple(a[b[t]] for t in range(gens.degree))] for b in elements)
         for a in elements
     ]
-    return _build(mul, label, check_associativity=paranoid)
+    return _build(mul, label)
 
 
 # ----------------------------------------------------------- families
 
-def cyclic(n: int, *, label: str | None = None, paranoid: bool = False) -> FiniteGroup:
+def cyclic(n: int) -> FiniteGroup:
+    _require_order(n, f"C{n}")
     if n < 1:
         raise GroupConstructionError(f"cyclic group needs order >= 1, got {n}")
     mul = [tuple((i + j) % n for j in range(n)) for i in range(n)]
-    return _build(mul, label or f"C{n}", check_associativity=paranoid)
+    return _build(mul, f"C{n}")
 
 
-def dihedral(n: int, *, label: str | None = None, paranoid: bool = False) -> FiniteGroup:
+def dihedral(n: int) -> FiniteGroup:
     """Symmetries of the regular n-gon, order 2n; element (i, j) is
     rotation^i * flip^j, encoded as i + n*j."""
+    _require_order(2 * n, f"D{n} of order {2 * n}")
     if n < 1:
         raise GroupConstructionError(f"dihedral parameter must be >= 1, got {n}")
 
@@ -238,13 +254,12 @@ def dihedral(n: int, *, label: str | None = None, paranoid: bool = False) -> Fin
         for j1 in range(2)
         for i1 in range(n)
     ]
-    return _build(mul, label or f"D{n}", check_associativity=paranoid)
+    return _build(mul, f"D{n}")
 
 
-def quaternion_generalized(
-    order: int, *, label: str | None = None, paranoid: bool = False
-) -> FiniteGroup:
+def quaternion_generalized(order: int) -> FiniteGroup:
     """Generalized quaternion group of the given 2-power order >= 8."""
+    _require_order(order, f"Q{order}")
     if order < 8 or order & (order - 1):
         raise GroupConstructionError(
             f"generalized quaternion groups exist for 2-power orders >= 8, got {order}"
@@ -264,11 +279,15 @@ def quaternion_generalized(
         for j1 in range(2)
         for i1 in range(m)
     ]
-    return _build(mul, label or f"Q{order}", check_associativity=paranoid)
+    return _build(mul, f"Q{order}")
 
 
-def symmetric(k: int, *, label: str | None = None, paranoid: bool = False) -> FiniteGroup:
+def symmetric(k: int) -> FiniteGroup:
     """All permutations of k points, in lexicographic order (identity first)."""
+    order = 1
+    for j in range(2, k + 1):  # stops at the first factorial above the cap
+        order *= j
+        _require_order(order, f"S{k}")
     if k < 1:
         raise GroupConstructionError(f"symmetric group parameter must be >= 1, got {k}")
     elements = sorted(itertools.permutations(range(k)))
@@ -277,22 +296,20 @@ def symmetric(k: int, *, label: str | None = None, paranoid: bool = False) -> Fi
         tuple(index[tuple(a[b[t]] for t in range(k))] for b in elements)
         for a in elements
     ]
-    return _build(mul, label or f"S{k}", check_associativity=paranoid)
+    return _build(mul, f"S{k}")
 
 
-def elementary_abelian(
-    p: int, k: int, *, label: str | None = None, paranoid: bool = False
-) -> FiniteGroup:
+def elementary_abelian(p: int, k: int) -> FiniteGroup:
     """(Z/p)^k with componentwise addition; element index is base-p digits."""
-    if p > DEFAULT_ORDER_CAP:  # before the trial-division primality test
-        raise OrderCapExceeded(f"elementary abelian base {p} exceeds cap")
+    _require_order(p, f"E{p}^{k}")  # before the trial-division primality test
     if not is_prime(p):
         raise GroupConstructionError(f"elementary abelian base {p} is not prime")
     if k < 1:
         raise GroupConstructionError(f"elementary abelian rank must be >= 1, got {k}")
-    n = p**k
-    if n > DEFAULT_ORDER_CAP:
-        raise OrderCapExceeded(f"elementary abelian order {n} exceeds cap")
+    n = 1
+    for _ in range(k):  # never p**k for an unbounded k
+        n *= p
+        _require_order(n, f"E{p}^{k}")
     digits = [tuple((x // p**t) % p for t in range(k)) for x in range(n)]
 
     def add(a, b):
@@ -302,23 +319,13 @@ def elementary_abelian(
         return out
 
     mul = [tuple(add(digits[x], digits[y]) for y in range(n)) for x in range(n)]
-    return _build(mul, label or f"E{p}^{k}", check_associativity=paranoid)
+    return _build(mul, f"E{p}^{k}")
 
 
-def direct_product(
-    a: FiniteGroup,
-    b: FiniteGroup,
-    *,
-    label: str | None = None,
-    order_cap: int = DEFAULT_ORDER_CAP,
-    paranoid: bool = False,
-) -> FiniteGroup:
+def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """Componentwise product on pairs, indexed as i_a * |b| + i_b."""
-    n = a.order * b.order
-    if n > order_cap:
-        raise OrderCapExceeded(
-            f"direct product order {n} exceeds cap {order_cap}"
-        )
+    label = f"{a.label}x{b.label}"
+    _require_order(a.order * b.order, f"{label} of order {a.order * b.order}")
     nb = b.order
     mul = []
     for xa in range(a.order):
@@ -332,18 +339,10 @@ def direct_product(
                     for yb in range(nb)
                 )
             )
-    return _build(mul, label or f"{a.label}x{b.label}", check_associativity=paranoid)
+    return _build(mul, label)
 
 
-def inversion_semidirect(
-    m: int,
-    beta: int,
-    u: int,
-    *,
-    label: str | None = None,
-    order_cap: int = DEFAULT_ORDER_CAP,
-    paranoid: bool = False,
-) -> FiniteGroup:
+def inversion_semidirect(m: int, beta: int, u: int) -> FiniteGroup:
     """Odd cyclic group of order m extended by a cyclic group of order
     2^u * beta whose odd-index elements act by inversion.
 
@@ -363,9 +362,7 @@ def inversion_semidirect(
         raise ParityViolated(f"m = {m} must be odd")
     if beta % 2 == 0:
         raise ParityViolated(f"beta = {beta} must be odd")
-    n = m * alpha
-    if n > order_cap:
-        raise OrderCapExceeded(f"semidirect order {n} exceeds cap {order_cap}")
+    _require_order(m * alpha, f"C{m}:C{alpha} of order {m * alpha}")
     mul = []
     for i1 in range(m):
         for j1 in range(alpha):
@@ -377,4 +374,4 @@ def inversion_semidirect(
                     for j2 in range(alpha)
                 )
             )
-    return _build(mul, label or f"C{m}:C{alpha}", check_associativity=paranoid)
+    return _build(mul, f"C{m}:C{alpha}")

@@ -63,10 +63,6 @@ class FactoredInteger:
                 items.append((p, e))
         return cls(tuple(items))
 
-    @classmethod
-    def from_int(cls, n: int) -> "FactoredInteger":
-        return factorize(n)
-
     def value(self) -> int:
         out = 1
         for p, e in self.factors:

@@ -18,9 +18,11 @@ factored product.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .groups import FiniteGroup
 from .numtheory import (
@@ -47,17 +49,19 @@ class ParameterDomainViolated(ValueError):
 class OrderProfile:
     """Counts of elements by exact order; the sole input to every invariant.
 
-    Only orders that occur are present, values are positive.  Treated as
-    immutable everywhere.  Synthetic profiles (tests, corrupted-input
+    Only orders that occur are present, values are positive.  ``counts`` is
+    a read-only view, since order_profile hands one cached instance to
+    every caller.  Synthetic profiles (tests, corrupted-input
     probes) go through the same validation as profiles read off a group:
     orders divide the group order, there is exactly one identity, counts
     are multiples of phi(d), and they sum to the group order.
     """
 
     group_order: int
-    counts: dict[int, int] = field(default_factory=dict)
+    counts: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
         n = self.group_order
         if n < 1:
             raise ValueError(f"group order must be positive, got {n}")

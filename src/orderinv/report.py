@@ -25,7 +25,6 @@ from .order_stats import (
     product_of_orders,
 )
 from .structure import (
-    DEFAULT_SUBGROUP_CAP,
     count_cyclic_subgroups,
     is_cyclic,
     is_nilpotent,
@@ -91,8 +90,8 @@ def _matching_for(profile) -> DivisibilityMatching:
     return find_divisibility_matching(profile)
 
 
-def _sweep_orders(group: FiniteGroup, divisor_limit: int) -> list[int]:
-    if group.order <= divisor_limit:
+def _sweep_orders(group: FiniteGroup) -> list[int]:
+    if group.order <= DIVISOR_SWEEP_LIMIT:
         return list(divisors(group.order))
     return [group.order]
 
@@ -127,11 +126,7 @@ def _matching_verdict(group: FiniteGroup) -> TheoremVerdict:
 
 
 def evaluate_claim(
-    group: FiniteGroup,
-    claim: str,
-    bound: int = DEFAULT_GRID_BOUND,
-    subgroup_cap: int = DEFAULT_SUBGROUP_CAP,
-    divisor_limit: int = DIVISOR_SWEEP_LIMIT,
+    group: FiniteGroup, claim: str, bound: int = DEFAULT_GRID_BOUND
 ) -> list[TheoremVerdict]:
     """All verdicts one claim produces for one group, [] when it does not apply."""
     if claim == "frobenius-divisibility":
@@ -141,13 +136,13 @@ def evaluate_claim(
     if claim == "gap-nonneg":
         return [
             check_nonnegative_gap(group, n, r, s)
-            for n in _sweep_orders(group, divisor_limit)
+            for n in _sweep_orders(group)
             for r, s in nonneg_pairs(bound)
         ]
     if claim == "gap-diagonal":
         return [
-            check_diagonal_gap(group, n, r, cap=subgroup_cap)
-            for n in _sweep_orders(group, divisor_limit)
+            check_diagonal_gap(group, n, r)
+            for n in _sweep_orders(group)
             for r in diagonal_exponents(bound)
         ]
     if claim == "gap-nonpos":
@@ -159,7 +154,7 @@ def evaluate_claim(
     if claim == "cyclic-part-equivalence":
         return [
             check_cyclic_part_equivalence(group, n)
-            for n in _sweep_orders(group, divisor_limit)
+            for n in _sweep_orders(group)
         ]
     if claim == "order-product-max":
         return [check_order_product_maximal(group)]
@@ -174,7 +169,7 @@ def evaluate_claim(
     raise ValueError(f"unknown claim {claim!r}")
 
 
-def _scalar_json(value):
+def scalar_json(value):
     if isinstance(value, bool) or isinstance(value, int):
         return value
     if isinstance(value, Fraction):
@@ -188,7 +183,7 @@ def verdict_as_json(verdict: TheoremVerdict) -> dict:
     return {
         "claim": verdict.claim,
         "group": verdict.group,
-        "parameters": {key: _scalar_json(value) for key, value in verdict.parameters},
+        "parameters": {key: scalar_json(value) for key, value in verdict.parameters},
         "sign": verdict.sign,
         "inequality_holds": verdict.inequality_holds,
         "equality_condition_holds": verdict.equality_condition_holds,
@@ -246,21 +241,24 @@ def group_record(group: FiniteGroup, bound: int = DEFAULT_GRID_BOUND) -> dict:
     }
 
 
+def json_text(payload) -> str:
+    """The one JSON layout every command prints: indented, keys sorted."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 @dataclass(frozen=True)
 class Report:
     payload: dict
     exit_status: int
 
     def to_json(self) -> str:
-        return json.dumps(self.payload, indent=2, sort_keys=True) + "\n"
+        return json_text(self.payload)
 
 
 def run_sweep(
     groups,
     claims=None,
     bound: int = DEFAULT_GRID_BOUND,
-    subgroup_cap: int = DEFAULT_SUBGROUP_CAP,
-    divisor_limit: int = DIVISOR_SWEEP_LIMIT,
     input_errors=(),
 ) -> Report:
     """Evaluate the selected claims on every group and assemble the report."""
@@ -292,11 +290,7 @@ def run_sweep(
         for claim in selected:
             try:
                 rows.extend([
-                    verdict_as_json(v)
-                    for v in evaluate_claim(
-                        group, claim, bound=bound, subgroup_cap=subgroup_cap,
-                        divisor_limit=divisor_limit,
-                    )
+                    verdict_as_json(v) for v in evaluate_claim(group, claim, bound=bound)
                 ])
             except Exception as exc:  # noqa: BLE001
                 anomalies.append({

@@ -171,15 +171,13 @@ def unique_subgroup_of_order(
     return UniqueSubgroupResult("unique", matches[0])
 
 
-def subgroup_as_group(
-    group: FiniteGroup, sub: SubgroupSet, label: str | None = None
-) -> FiniteGroup:
+def subgroup_as_group(group: FiniteGroup, sub: SubgroupSet) -> FiniteGroup:
     """Reindex a subgroup into a standalone group (identity stays at 0)."""
     index = {e: i for i, e in enumerate(sub.elements)}
     table = [
         [index[group.mul[a][b]] for b in sub.elements] for a in sub.elements
     ]
-    return from_cayley_table(table, label or f"{group.label} sub({sub.order})")
+    return from_cayley_table(table, f"{group.label} sub({sub.order})")
 
 
 @lru_cache(maxsize=1024)

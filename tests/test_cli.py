@@ -1,15 +1,24 @@
 import json
 import re
+import resource
 import subprocess
 import sys
 
 from orderinv.cli import main
 
+CHILD_ADDRESS_SPACE = 1_500_000_000  # bytes; an uncapped table dies here, not the host
+
+
+def _limit_child_memory() -> None:
+    resource.setrlimit(
+        resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE)
+    )
+
 
 def run_cli(*argv) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "orderinv.cli", *argv],
-        capture_output=True, text=True,
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_child_memory,
     )
 
 
@@ -58,6 +67,13 @@ def test_compute_bad_inputs():
     assert main(["compute", "--group", "NOPE"]) == 2
     assert main(["compute", "--group", "C12", "--n", "7"]) == 2
     assert run_cli("compute", "--group", "C4", "--r", "abc").returncode == 2
+    # oversize labels are refused before any table is allocated
+    for label in ("C20000", "S12", "D100000", "Q65536", "E2^100000000",
+                  "C100xC100", "C101:C64"):
+        proc = run_cli("compute", "--group", label)
+        assert proc.returncode == 2, (label, proc.stderr)
+        assert "exceeds the order cap 5000" in proc.stderr, label
+        assert "Traceback" not in proc.stderr, label
 
 
 def test_compute_from_file(tmp_path, capsys):
@@ -116,6 +132,22 @@ def test_ingest_reports_and_exit_codes(tmp_path, capsys):
     assert main(["ingest", str(good), str(bad), "--format", "json"]) == 2
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["groups"]) == 1 and len(payload["errors"]) == 1
+    for data in (
+        {"label": "x", "table": [[0, 1.0], [1, 0]]},
+        {"label": "x", "table": [[0, 1], [1, None]]},
+        {"label": "x", "table": [[0, "1"], [1, 0]]},
+        {"label": "x", "table": [[False, True], [True, False]]},
+        {"label": "x", "table": [[0, 1], 7]},
+        {"label": "x", "degree": 0, "generators": []},
+        {"label": "x", "degree": -1, "generators": []},
+        {"label": "x", "degree": 300000000, "generators": []},
+        {"label": "x", "degree": 3, "generators": [[1.0, 0.0, 2.0]]},
+        {"label": "x", "degree": 3, "generators": [5]},
+        {"label": "x", "degree": 3, "generators": [[True, False, 2]]},
+    ):
+        bad.write_text(json.dumps(data))
+        assert main(["ingest", str(bad)]) == 2, data
+        assert "ERROR" in capsys.readouterr().out, data
 
 
 def test_verify_small_catalog(tmp_path, capsys):
@@ -129,6 +161,13 @@ def test_verify_small_catalog(tmp_path, capsys):
     assert payload["summary"]["groups"] == 11
     assert payload["summary"]["inconsistent"] == 0
     assert payload["exit_status"] == 0
+
+
+def test_verify_paranoid_gives_the_same_report():
+    plain = run_cli("verify", "--order-cap", "24")
+    paranoid = run_cli("verify", "--paranoid", "--order-cap", "24")
+    assert plain.returncode == paranoid.returncode == 0
+    assert paranoid.stdout == plain.stdout
 
 
 def test_verify_claim_selection(tmp_path, capsys):

@@ -6,6 +6,7 @@ from math import gcd, lcm
 import pytest
 
 from orderinv.groups import (
+    MAX_ORDER,
     CoprimalityViolated,
     FiniteGroup,
     NoIdentity,
@@ -125,9 +126,13 @@ def test_from_permutations_alternating5():
 
 
 def test_from_permutations_cap():
-    gens = PermutationGenSet(5, ((1, 2, 0, 3, 4), (1, 2, 3, 4, 0)))
-    with pytest.raises(OrderCapExceeded):
-        from_permutations(gens, "A5", order_cap=10)
+    # a transposition and an 8-cycle generate S8 (order 40320); the closure
+    # stops once it would hold more than MAX_ORDER elements
+    transposition = (1, 0, 2, 3, 4, 5, 6, 7)
+    cycle = (1, 2, 3, 4, 5, 6, 7, 0)
+    gens = PermutationGenSet(8, (transposition, cycle))
+    with pytest.raises(OrderCapExceeded, match=f"order cap {MAX_ORDER}"):
+        from_permutations(gens, "S8")
 
 
 def test_permutation_cyclic_matches_table_cyclic():
@@ -198,7 +203,7 @@ def test_direct_product_structure():
             o = prod.element_orders[xa * b.order + xb]
             assert o == lcm(a.element_orders[xa], b.element_orders[xb])
     with pytest.raises(OrderCapExceeded):
-        direct_product(cyclic(100), cyclic(100), order_cap=5000)
+        direct_product(cyclic(100), cyclic(100))
 
 
 def test_direct_product_with_trivial():
@@ -230,7 +235,7 @@ def test_semidirect_rejections():
     with pytest.raises(ParityViolated):
         inversion_semidirect(3, 2, 1)
     with pytest.raises(OrderCapExceeded):
-        inversion_semidirect(101, 1, 6, order_cap=5000)
+        inversion_semidirect(101, 1, 6)
 
 
 def test_semidirect_odd_slice_orders():
@@ -250,13 +255,21 @@ def test_semidirect_odd_slice_orders():
 
 
 def test_paranoid_revalidation():
-    # paranoid=True re-runs the associativity scan on trusted constructors
-    cyclic(12, paranoid=True)
-    dihedral(6, paranoid=True)
-    quaternion_generalized(8, paranoid=True)
-    elementary_abelian(3, 2, paranoid=True)
-    inversion_semidirect(3, 5, 1, paranoid=True)
-    direct_product(cyclic(2), cyclic(2), paranoid=True)
+    # verify --paranoid passes every trusted table through the untrusted path
+    a5 = PermutationGenSet(5, ((1, 2, 0, 3, 4), (1, 2, 3, 4, 0)))
+    for g in (
+        cyclic(12),
+        dihedral(6),
+        quaternion_generalized(8),
+        symmetric(4),
+        elementary_abelian(3, 2),
+        inversion_semidirect(3, 5, 1),
+        direct_product(cyclic(2), cyclic(2)),
+        from_permutations(a5, "A5"),
+    ):
+        again = from_cayley_table(g.mul, g.label)
+        assert (again.mul, again.inv, again.element_orders) == (
+            g.mul, g.inv, g.element_orders)
 
 
 def test_lagrange_and_totient_divisibility():

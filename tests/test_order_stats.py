@@ -75,6 +75,18 @@ def test_profile_validation():
         OrderProfile(6, {1: 1, 3: 3, 2: 2})  # 3 not a multiple of phi(3)
 
 
+def test_cached_profile_is_read_only():
+    # order_profile serves one cached instance to every caller
+    s3 = symmetric(3)
+    with pytest.raises(TypeError):
+        order_profile(s3).counts[2] = 0
+    assert order_profile(s3).counts == {1: 1, 2: 3, 3: 2}
+    counts = {1: 1, 2: 1}
+    profile = OrderProfile(2, counts)
+    counts[2] = 0
+    assert profile.counts == {1: 1, 2: 1}
+
+
 # ------------------------------------------------------------ Frobenius
 
 def test_frobenius_spots():
