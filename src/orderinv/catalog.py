@@ -222,32 +222,35 @@ def load_group_file(path: str) -> FiniteGroup:
     """Read one group from a JSON file: either a Cayley table
     {"label", "order", "table"} or permutation generators
     {"label", "degree", "generators"}.  Everything is validated; Cayley
-    tables get the full associativity check since files are untrusted."""
+    tables get the full associativity check (Light's test) since files are
+    untrusted.  Error messages do not name the path; callers report it."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
     except OSError as exc:
-        raise ValueError(f"{path}: cannot read file ({exc})") from exc
+        raise ValueError(f"cannot read file ({exc})") from exc
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+        raise ValueError(f"not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a JSON object at top level")
+        raise ValueError("expected a JSON object at top level")
     label = data.get("label")
     if not isinstance(label, str) or not label:
-        raise ValueError(f"{path}: missing or empty 'label'")
+        raise ValueError("missing or empty 'label'")
     if "table" in data:
         table = data["table"]
         order = data.get("order")
-        if not isinstance(table, list) or (order is not None and order != len(table)):
+        if not isinstance(table, list):
+            raise ValueError("'table' must be a list of rows")
+        if order is not None and order != len(table):
             raise ValueError(
-                f"{path}: 'order' ({order}) does not match the table size ({len(table) if isinstance(table, list) else 'not a list'})"
+                f"'order' ({order}) does not match the table size ({len(table)})"
             )
         return from_cayley_table(table, label)
     if "generators" in data:
         degree = data.get("degree")
         gens = data["generators"]
         if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
-            raise ValueError(f"{path}: 'generators' must be a list of lists")
+            raise ValueError("'generators' must be a list of lists")
         genset = PermutationGenSet(degree, tuple(tuple(g) for g in gens))
         return from_permutations(genset, label)
-    raise ValueError(f"{path}: neither a Cayley-table nor a permutation-group file")
+    raise ValueError("neither a Cayley-table nor a permutation-group file")

@@ -91,7 +91,10 @@ def _factored_text(exponents: dict) -> str:
 def _resolve_group(spec: str):
     """A group argument is either a file on disk or a catalog label."""
     if os.path.exists(spec) or spec.endswith(".json"):
-        return load_group_file(spec)
+        try:
+            return load_group_file(spec)
+        except ValueError as exc:
+            raise ValueError(f"{spec}: {exc}") from exc
     return group_from_label(spec)
 
 
@@ -206,14 +209,14 @@ def _run_verify(args) -> int:
             group = load_group_file(path)
             if group.order > spec.order_cap:
                 raise ValueError(
-                    f"{path}: order {group.order} is above the catalog cap {spec.order_cap}"
+                    f"order {group.order} is above the catalog cap {spec.order_cap}"
                 )
             if group.label in labels:
-                raise ValueError(f"{path}: duplicate label {group.label!r}")
+                raise ValueError(f"duplicate label {group.label!r}")
             if semidirect_label_parts(group.label) is not None:
                 # inversion-semidirect-count would rebuild the group from its label
                 raise ValueError(
-                    f"{path}: label {group.label!r} is reserved for the inversion"
+                    f"label {group.label!r} is reserved for the inversion"
                     " semidirect family"
                 )
         except ValueError as exc:

@@ -8,9 +8,9 @@ Construction comes in two flavors: trusted family constructors (cyclic,
 dihedral, generalized quaternion, symmetric, elementary abelian, direct
 products, and the odd-by-inversion semidirect family) whose tables are
 correct by construction, and untrusted ingestion (``from_cayley_table``)
-which validates the full group axioms including the O(n^3) associativity
-scan.  Every constructor checks the order against ``MAX_ORDER`` before it
-allocates anything, so no input can ask for an unbounded table.
+which validates the full group axioms, associativity by Light's test in
+O(n^2 log n).  Every constructor checks the order against ``MAX_ORDER``
+before it allocates anything, so no input can ask for an unbounded table.
 """
 
 from __future__ import annotations
@@ -107,16 +107,42 @@ def _check_latin_and_identity(mul) -> None:
 
 
 def _check_associative(mul) -> None:
+    """Light's associativity test on a loop (a Latin square with identity 0).
+
+    The elements a with (x*a)*y == x*(a*y) for all x, y are closed under
+    the product, so the table is associative once such elements generate
+    it.  The smallest element outside the closure of those already passed
+    is tested next.  In a loop these elements form a subgroup, so each pass
+    at least doubles the closure: at most log2(n) elements are tested, at
+    n^2 comparisons each, and the first failure names a witness triple.
+    """
     n = len(mul)
-    for i in range(n):
-        row_i = mul[i]
-        for j in range(n):
-            ij = row_i[j]
-            row_ij = mul[ij]
-            row_j = mul[j]
-            for k in range(n):
-                if row_ij[k] != row_i[row_j[k]]:
-                    raise NotAssociative(f"({i}*{j})*{k} != {i}*({j}*{k})")
+    in_closure = bytearray(n)
+    in_closure[0] = 1
+    generators = []
+    for a in range(1, n):
+        if in_closure[a]:
+            continue
+        row_a = mul[a]
+        for x in range(1, n):
+            row_x = mul[x]
+            right = tuple(map(row_x.__getitem__, row_a))  # x*(a*y) over y
+            left = mul[row_x[a]]  # (x*a)*y over y
+            if left != right:
+                y = next(y for y in range(n) if left[y] != right[y])
+                raise NotAssociative(f"({x}*{a})*{y} != {x}*({a}*{y})")
+        generators.append(a)
+        frontier = [h for h in range(n) if in_closure[h]]
+        while frontier:
+            grown = []
+            for h in frontier:
+                row_h = mul[h]
+                for g in generators:
+                    p = row_h[g]
+                    if not in_closure[p]:
+                        in_closure[p] = 1
+                        grown.append(p)
+            frontier = grown
 
 
 def _inverses(mul) -> tuple[int, ...]:
@@ -204,28 +230,32 @@ def from_permutations(gens: PermutationGenSet, label: str) -> FiniteGroup:
     """Close a generating set of permutations and index the result.
 
     The identity gets index 0; the remaining elements are numbered in BFS
-    discovery order, which makes the construction deterministic.
+    discovery order, which makes the construction deterministic.  Each
+    element j > 0 is found as parent[j] * g for a generator g, so column j
+    of the table is column parent[j] mapped through right multiplication
+    by g: n * len(generators) compositions instead of n^2.
     """
     identity = tuple(range(gens.degree))
     elements = [identity]
     index = {identity: 0}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens.generators:
-                q = tuple(p[g[t]] for t in range(gens.degree))
-                if q not in index:
-                    _require_order(len(elements) + 1, f"closure of {label}")
-                    index[q] = len(elements)
-                    elements.append(q)
-                    nxt.append(q)
-        frontier = nxt
-    mul = [
-        tuple(index[tuple(a[b[t]] for t in range(gens.degree))] for b in elements)
-        for a in elements
-    ]
-    return _build(mul, label)
+    right = [[] for _ in gens.generators]  # right[g][i] = index of elements[i] * g
+    parent = [0]
+    via = [0]
+    for i, p in enumerate(elements):  # grows while it is walked: BFS order
+        for gi, g in enumerate(gens.generators):
+            q = tuple(p[t] for t in g)
+            j = index.get(q)
+            if j is None:
+                _require_order(len(elements) + 1, f"closure of {label}")
+                j = index[q] = len(elements)
+                elements.append(q)
+                parent.append(i)
+                via.append(gi)
+            right[gi].append(j)
+    columns = [tuple(range(len(elements)))]
+    for j in range(1, len(elements)):
+        columns.append(tuple(map(right[via[j]].__getitem__, columns[parent[j]])))
+    return _build(zip(*columns), label)
 
 
 # ----------------------------------------------------------- families

@@ -1,9 +1,10 @@
-"""Shared helpers for building synthetic-but-valid order profiles."""
+"""Shared helpers for building synthetic-but-valid order profiles and tables."""
 
 import math
 import random
 from math import gcd
 
+from orderinv.groups import FiniteGroup
 from orderinv.numtheory import divisors, moebius_invert
 from orderinv.order_stats import OrderProfile
 
@@ -28,3 +29,13 @@ def random_abelian_profiles(count: int, seed: int, max_factor: int = 16):
         k = rng.randint(1, 3)
         out.append(abelian_profile([rng.randint(1, max_factor) for _ in range(k)]))
     return out
+
+
+def relabelled_table(group: FiniteGroup, relabel) -> list[list[int]]:
+    """The Cayley table of ``group`` with element i renamed relabel[i];
+    relabel must be a permutation of 0..n-1 that fixes the identity 0."""
+    n = group.order
+    back = [0] * n
+    for old, new in enumerate(relabel):
+        back[new] = old
+    return [[relabel[group.mul[back[x]][back[y]]] for y in range(n)] for x in range(n)]

@@ -1,10 +1,14 @@
 import json
+import random
 import re
 import resource
 import subprocess
 import sys
+import time
 
 from orderinv.cli import main
+from orderinv.groups import elementary_abelian
+from synthetic import relabelled_table
 
 CHILD_ADDRESS_SPACE = 1_500_000_000  # bytes; an uncapped table dies here, not the host
 
@@ -150,6 +154,51 @@ def test_ingest_reports_and_exit_codes(tmp_path, capsys):
         assert "ERROR" in capsys.readouterr().out, data
 
 
+LOOP5 = [  # a loop with two-sided identity that is not associative
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 3, 4, 0, 1],
+    [3, 4, 1, 2, 0],
+    [4, 2, 0, 1, 3],
+]
+
+
+def test_ingest_names_each_path_once(tmp_path, capsys):
+    files = {
+        "not-rows.json": {"label": "x", "table": 5},
+        "loop.json": {"label": "loop5", "order": 5, "table": LOOP5},
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    paths = [str(tmp_path / name) for name in files]
+    assert main(["ingest", *paths, "--format", "json"]) == 2
+    errors = json.loads(capsys.readouterr().out)["errors"]
+    assert [e["path"] for e in errors] == paths
+    assert errors[0]["error"] == "'table' must be a list of rows"
+    assert errors[1]["error"].startswith("(")  # the failing triple
+    assert all(e["path"] not in e["error"] for e in errors)
+    assert main(["ingest", *paths]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"ERROR {e['path']}: {e['error']}" for e in errors]
+
+
+def test_ingest_1024_row_table_in_seconds(tmp_path):
+    # a relabelled E2^10: every element has order 2, so Light's test needs
+    # ten generators; the full O(n^3) scan took about 53 s on this file
+    group = elementary_abelian(2, 10)
+    n = group.order
+    table = relabelled_table(group, [0] + random.Random(1).sample(range(1, n), n - 1))
+    path = tmp_path / "e2-10.json"
+    path.write_text(json.dumps({"label": "E", "order": n, "table": table}))
+    start = time.perf_counter()
+    proc = run_cli("ingest", str(path), "--format", "json")
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    [row] = json.loads(proc.stdout)["groups"]
+    assert row["profile"] == {"1": 1, "2": n - 1}
+    assert elapsed < 20, elapsed
+
+
 def test_verify_small_catalog(tmp_path, capsys):
     spec = tmp_path / "cat.json"
     spec.write_text(json.dumps({
@@ -202,6 +251,25 @@ def test_verify_bad_ingested_file_exits_two(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["summary"]["groups"] == 4  # families still swept
     assert len(payload["input_errors"]) == 1
+
+
+def test_verify_input_errors_name_each_path_once(tmp_path, capsys):
+    (tmp_path / "rows.json").write_text(json.dumps({"label": "x", "table": 5}))
+    (tmp_path / "loop.json").write_text(json.dumps({"label": "loop5", "table": LOOP5}))
+    spec = tmp_path / "cat.json"
+    spec.write_text(json.dumps({
+        "families": {"cyclic": [1, 2]}, "ingested": ["rows.json", "loop.json"],
+    }))
+    assert main(["verify", "--catalog", str(spec)]) == 2
+    errors = json.loads(capsys.readouterr().out)["input_errors"]
+    by_name = {e["path"].rsplit("/", 1)[-1]: e["error"] for e in errors}
+    assert by_name["rows.json"] == "'table' must be a list of rows"
+    assert by_name["loop.json"].startswith("(")  # the failing triple
+    assert all(e["path"] not in e["error"] for e in errors)
+    assert main(["verify", "--catalog", str(spec), "--format", "table"]) == 2
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("INPUT ERROR")]
+    assert lines == [f"INPUT ERROR {e['path']}: {e['error']}" for e in errors]
 
 
 def test_verify_relative_ingest_paths_resolve_to_spec_dir(tmp_path, capsys):

@@ -1,9 +1,13 @@
 """Group model: constructors, validation of untrusted tables, order laws."""
 
+import re
 from collections import Counter
 from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.combinatorics import Permutation, PermutationGroup
 
 from orderinv.groups import (
     MAX_ORDER,
@@ -27,6 +31,8 @@ from orderinv.groups import (
     symmetric,
 )
 from orderinv.numtheory import totient
+from orderinv.order_stats import order_profile
+from synthetic import relabelled_table
 
 
 def order_counts(g: FiniteGroup) -> dict[int, int]:
@@ -77,6 +83,63 @@ def test_rejects_non_associative_loop():
     ]
     with pytest.raises(NotAssociative):
         from_cayley_table(table, "loop5")
+
+
+def full_scan_associative(table) -> bool:
+    """Brute-force O(n^3) oracle: every triple associates."""
+    n = len(table)
+    return all(
+        table[table[x][a]][y] == table[x][table[a][y]]
+        for x in range(n) for a in range(n) for y in range(n)
+    )
+
+
+SMALL_GROUPS = (
+    [cyclic(n) for n in range(1, 17)]
+    + [dihedral(n) for n in range(2, 9)]
+    + [quaternion_generalized(8), quaternion_generalized(16), symmetric(3)]
+    + [elementary_abelian(2, 3), elementary_abelian(2, 4), elementary_abelian(3, 2)]
+    + [direct_product(cyclic(2), cyclic(4)), direct_product(cyclic(2), cyclic(8)),
+       direct_product(cyclic(4), cyclic(4)), direct_product(cyclic(2), dihedral(4))]
+)
+
+
+def intercalates(table) -> list[tuple[int, int, int, int]]:
+    """2x2 subsquares (i1, i2) x (j1, j2) off row and column 0; swapping the
+    two entries in each of their rows keeps the table a loop."""
+    n = len(table)
+    position = [{v: j for j, v in enumerate(row)} for row in table]
+    out = []
+    for i1 in range(1, n):
+        for i2 in range(i1 + 1, n):
+            for j1 in range(1, n):
+                j2 = position[i1][table[i2][j1]]
+                if j2 > j1 and table[i2][j2] == table[i1][j1]:
+                    out.append((i1, i2, j1, j2))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_light_test_agrees_with_full_scan(data):
+    group = data.draw(st.sampled_from(SMALL_GROUPS))
+    n = group.order
+    table = relabelled_table(group, [0] + data.draw(st.permutations(range(1, n))))
+    for _ in range(data.draw(st.integers(0, 3))):
+        squares = intercalates(table)
+        if not squares:
+            break
+        i1, i2, j1, j2 = data.draw(st.sampled_from(squares))
+        for i in (i1, i2):
+            table[i][j1], table[i][j2] = table[i][j2], table[i][j1]
+    if full_scan_associative(table):
+        assert from_cayley_table(table, "t").order == n
+        return
+    with pytest.raises(NotAssociative) as failure:
+        from_cayley_table(table, "t")
+    x, a, y = map(int, re.fullmatch(
+        r"\((\d+)\*(\d+)\)\*(\d+) != \1\*\(\2\*\3\)", str(failure.value)).groups())
+    assert table[table[x][a]][y] != table[x][table[a][y]]
 
 
 def test_no_inverse_unreachable_without_associativity_gap():
@@ -133,6 +196,33 @@ def test_from_permutations_cap():
     gens = PermutationGenSet(8, (transposition, cycle))
     with pytest.raises(OrderCapExceeded, match=f"order cap {MAX_ORDER}"):
         from_permutations(gens, "S8")
+
+
+def composition_table(gens: PermutationGenSet) -> list[tuple[int, ...]]:
+    """Direct oracle: BFS closure, then all n^2 compositions a(b(t))."""
+    identity = tuple(range(gens.degree))
+    elements, index = [identity], {identity: 0}
+    for p in elements:
+        for g in gens.generators:
+            q = tuple(p[t] for t in g)
+            if q not in index:
+                index[q] = len(elements)
+                elements.append(q)
+    return [tuple(index[tuple(a[t] for t in b)] for b in elements) for a in elements]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda d: st.tuples(
+    st.just(d), st.lists(st.permutations(range(d)), max_size=3))))
+def test_from_permutations_matches_composition_and_sympy(drawn):
+    degree, generators = drawn
+    gens = PermutationGenSet(degree, tuple(tuple(g) for g in generators))
+    g = from_permutations(gens, "p")
+    assert list(g.mul) == composition_table(gens)
+    reference = PermutationGroup(
+        [Permutation(list(p)) for p in generators] or [Permutation(list(range(degree)))])
+    expected = Counter(p.order() for p in reference.elements)
+    assert dict(order_profile(g).counts) == dict(expected)
 
 
 def test_permutation_cyclic_matches_table_cyclic():
