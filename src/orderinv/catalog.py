@@ -11,10 +11,13 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import partial, reduce
 from math import gcd
 
 from .groups import (
+    MAX_ORDER,
     FiniteGroup,
+    OrderCapExceeded,
     PermutationGenSet,
     cyclic,
     dihedral,
@@ -66,86 +69,84 @@ def default_catalog_spec(order_cap: int = DEFAULT_ORDER_CAP) -> CatalogSpec:
     )
 
 
-def _squarefree_composites(cap: int) -> list[tuple[int, ...]]:
-    out = []
-    for n in range(6, cap + 1):
-        fact = factorize(n)
-        if len(fact.factors) >= 2 and all(e == 1 for _, e in fact.factors):
-            out.append(fact.primes())
-    return out
-
-
-def _build_family(name: str, params: tuple[int, ...], cap: int):
+def _family_plan(name: str, params: tuple[int, ...], cap: int):
+    """Yield (order, builder) for each group of the family within the cap,
+    building nothing, so a catalog can be sized before it is built."""
     if name == "cyclic":
         lo, hi = params
-        return [cyclic(n) for n in range(lo, hi + 1) if n <= cap]
-    if name == "dihedral":
+        for n in range(lo, min(hi, cap) + 1):
+            yield n, partial(cyclic, n)
+    elif name == "dihedral":
         lo, hi = params
-        return [dihedral(n) for n in range(lo, hi + 1) if 2 * n <= cap]
-    if name == "quaternion":
+        for n in range(lo, min(hi, cap // 2) + 1):
+            yield 2 * n, partial(dihedral, n)
+    elif name == "quaternion":
         lo, hi = params
-        out = []
         m = 8
         while m <= hi and m <= cap:
             if m >= lo:
-                out.append(quaternion_generalized(m))
+                yield m, partial(quaternion_generalized, m)
             m *= 2
-        return out
-    if name == "elementary_abelian":
-        out = []
+    elif name == "elementary_abelian":
         for p in range(2, cap + 1):
-            if not is_prime(p):
-                continue
             k = 1
-            while p**k <= cap:
-                out.append(elementary_abelian(p, k))
+            while p**k <= cap and is_prime(p):
+                yield p**k, partial(elementary_abelian, p, k)
                 k += 1
-        return out
-    if name == "symmetric":
+    elif name == "symmetric":
         lo, hi = params
-        out = []
         order = 1
         for k in range(1, hi + 1):
             order *= k
-            if k >= lo and order <= cap:
-                out.append(symmetric(k))
-        return out
-    if name == "semidirect":
-        out = []
+            if order > cap:
+                break
+            if k >= lo:
+                yield order, partial(symmetric, k)
+    elif name == "semidirect":
         for m in SEMIDIRECT_M:
             for beta in SEMIDIRECT_BETA:
                 for u in SEMIDIRECT_U:
                     alpha = 2**u * beta
                     if gcd(m, alpha) == 1 and m * alpha <= cap:
-                        out.append(inversion_semidirect(m, beta, u))
-        return out
-    if name == "prime_products":
-        out = []
-        for primes in _squarefree_composites(cap):
-            group = cyclic(primes[0])
-            for p in primes[1:]:
-                group = direct_product(group, cyclic(p))
-            out.append(group)
-        return out
-    if name == "alternating":
+                        yield m * alpha, partial(inversion_semidirect, m, beta, u)
+    elif name == "prime_products":
+        for n in range(6, cap + 1):  # squarefree with at least two primes
+            fact = factorize(n)
+            if len(fact.factors) >= 2 and all(e == 1 for _, e in fact.factors):
+                yield n, lambda ps=fact.primes(): reduce(direct_product, map(cyclic, ps))
+    elif name == "alternating":
         (k,) = params
         if k != 5:
             raise UnknownFamily(f"only the degree-5 alternating group is built, got {k}")
-        if 60 > cap:
-            return []
-        return [from_permutations(ALTERNATING5_GENERATORS, "A5")]
-    raise UnknownFamily(f"no catalog family named {name!r}")
+        if 60 <= cap:
+            yield 60, partial(from_permutations, ALTERNATING5_GENERATORS, "A5")
+    else:
+        raise UnknownFamily(f"no catalog family named {name!r}")
+
+
+def _build_family(name: str, params: tuple[int, ...], cap: int):
+    return [build() for _, build in _family_plan(name, params, cap)]
 
 
 def build_catalog(spec: CatalogSpec, paranoid: bool = False) -> list[FiniteGroup]:
     """Resolve a CatalogSpec into concrete groups, unique by label.
 
-    Every family builder stays within ``spec.order_cap``.  With
-    ``paranoid`` every built table is validated again as if it were
-    untrusted input.  Group files are not loaded here: callers load them one
-    by one with load_group_file, so that a bad file is reported on its own,
-    and hand survivors to the sweep.
+    Every family builder stays within ``spec.order_cap``, and before
+    anything is built the catalog must fit in MAX_ORDER**2 table cells, the
+    size of the largest single table.  With ``paranoid`` every built table
+    is validated again as if it were untrusted input.  Group files are not
+    loaded here: callers load them one by one with load_group_file, so that
+    a bad file is reported on its own, and hand survivors to the sweep.
     """
+    cells = 0
+    for name, params in spec.families:
+        for order, _ in _family_plan(name, params, spec.order_cap):
+            cells += order * order
+            if cells > MAX_ORDER**2:
+                raise OrderCapExceeded(
+                    f"the catalog under order cap {spec.order_cap} exceeds {MAX_ORDER**2}"
+                    f" table cells, the size of one table of order {MAX_ORDER}"
+                )
     groups: list[FiniteGroup] = []
     for name, params in spec.families:
         groups.extend(_build_family(name, params, spec.order_cap))
@@ -231,6 +232,8 @@ def load_group_file(path: str) -> FiniteGroup:
         raise ValueError(f"cannot read file ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise ValueError("not valid JSON (nested too deeply)") from exc
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object at top level")
     label = data.get("label")

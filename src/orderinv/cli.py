@@ -169,6 +169,8 @@ def _load_catalog_spec(path: str, order_cap: int | None) -> tuple[CatalogSpec, l
         raise ValueError(f"{path}: cannot read file ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{path}: not valid JSON (nested too deeply)") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
     families = data.get("families", {})

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
+from operator import itemgetter
 
 from .numtheory import is_prime
 
@@ -87,17 +88,17 @@ class FiniteGroup:
 
 def _check_latin_and_identity(mul) -> None:
     n = len(mul)
-    full = frozenset(range(n))
+    full = list(range(n))
     for i, row in enumerate(mul):
         if len(row) != n:
             raise NotClosed(f"row {i} has length {len(row)}, expected {n}")
-        bad = [x for x in row if not (0 <= x < n)]
-        if bad:
-            raise NotClosed(f"row {i} contains out-of-range entry {bad[0]}")
-        if frozenset(row) != full:
+        if sorted(row) != full:
+            bad = [x for x in row if not (0 <= x < n)]
+            if bad:
+                raise NotClosed(f"row {i} contains out-of-range entry {bad[0]}")
             raise NotClosed(f"row {i} is not a permutation of 0..{n - 1}")
-    for j in range(n):
-        if frozenset(mul[i][j] for i in range(n)) != full:
+    for j, column in enumerate(zip(*mul)):
+        if sorted(column) != full:
             raise NotClosed(f"column {j} is not a permutation of 0..{n - 1}")
     for i in range(n):
         if mul[0][i] != i:
@@ -117,11 +118,10 @@ def _check_associative(mul) -> None:
     n^2 comparisons each, and the first failure names a witness triple.
     """
     n = len(mul)
-    in_closure = bytearray(n)
-    in_closure[0] = 1
+    closure = {0}
     generators = []
     for a in range(1, n):
-        if in_closure[a]:
+        if a in closure:
             continue
         row_a = mul[a]
         for x in range(1, n):
@@ -132,46 +132,50 @@ def _check_associative(mul) -> None:
                 y = next(y for y in range(n) if left[y] != right[y])
                 raise NotAssociative(f"({x}*{a})*{y} != {x}*({a}*{y})")
         generators.append(a)
-        frontier = [h for h in range(n) if in_closure[h]]
+        times_generators = itemgetter(0, *generators)  # h * 0 = h keeps a tuple
+        frontier = closure
         while frontier:
-            grown = []
-            for h in frontier:
-                row_h = mul[h]
-                for g in generators:
-                    p = row_h[g]
-                    if not in_closure[p]:
-                        in_closure[p] = 1
-                        grown.append(p)
-            frontier = grown
+            products = map(times_generators, map(mul.__getitem__, frontier))
+            frontier = set(itertools.chain.from_iterable(products)) - closure
+            closure |= frontier
 
 
 def _inverses(mul) -> tuple[int, ...]:
-    n = len(mul)
-    inv = [-1] * n
-    for i in range(n):
-        for j in range(n):
-            if mul[i][j] == 0:
-                if mul[j][i] != 0:
-                    raise NoInverse(f"element {i} has no two-sided inverse")
-                inv[i] = j
-                break
-        if inv[i] < 0:
-            raise NoInverse(f"element {i} has no right inverse")
+    inv = []
+    for i, row in enumerate(mul):
+        try:
+            j = row.index(0)
+        except ValueError:
+            raise NoInverse(f"element {i} has no right inverse") from None
+        if mul[j][i] != 0:
+            raise NoInverse(f"element {i} has no two-sided inverse")
+        inv.append(j)
     return tuple(inv)
 
 
+def cyclic_powers(mul, x: int) -> list[int]:
+    """[x^0, x^1, ..., x^(k-1)] for x of order k."""
+    powers = [0]
+    y = x
+    while y != 0:
+        powers.append(y)
+        if len(powers) > len(mul):  # cannot happen once the table validated
+            raise NotClosed(f"powers of element {x} do not return to identity")
+        y = mul[y][x]
+    return powers
+
+
 def _element_orders(mul) -> tuple[int, ...]:
-    n = len(mul)
-    orders = [1] * n
-    for x in range(1, n):
-        y = x
-        k = 1
-        while y != 0:
-            y = mul[y][x]
-            k += 1
-            if k > n:  # cannot happen once the table validated
-                raise NotClosed(f"powers of element {x} do not return to identity")
-        orders[x] = k
+    """Walk <x> only for an x not yet reached as a power of an earlier one:
+    if x has order k, then x^e has order k / gcd(e, k)."""
+    orders = [0] * len(mul)
+    orders[0] = 1
+    for x in range(1, len(mul)):
+        if not orders[x]:
+            powers = cyclic_powers(mul, x)
+            k = len(powers)
+            for e in range(1, k):
+                orders[powers[e]] = k // gcd(e, k)
     return tuple(orders)
 
 
@@ -260,12 +264,38 @@ def from_permutations(gens: PermutationGenSet, label: str) -> FiniteGroup:
 
 # ----------------------------------------------------------- families
 
+def _product_rows(mul_a, mul_b) -> list[tuple[int, ...]]:
+    """Table of A x B on pairs indexed i_a * |B| + i_b: row (xa, xb) chains,
+    for each entry v of row xa of A, row xb of B shifted by v * |B|."""
+    nb = len(mul_b)
+    blocks = [tuple(range(v * nb, (v + 1) * nb)) for v in range(len(mul_a))]
+    rows = [()] * (len(mul_a) * nb)
+    for xb, row_b in enumerate(mul_b):
+        shifted = [tuple(map(block.__getitem__, row_b)) for block in blocks]
+        rows[xb::nb] = [
+            tuple(itertools.chain.from_iterable(map(shifted.__getitem__, row_a)))
+            for row_a in mul_a
+        ]
+    return rows
+
+
+def _dicyclic_rows(m: int, shift: int) -> list[tuple[int, ...]]:
+    """Table on pairs (i, j), i mod m and j mod 2, indexed i + m*j, with
+    (i1, 0)(i2, j2) = (i1 + i2, j2), (i1, 1)(i2, 0) = (i1 - i2, 1) and
+    (i1, 1)(i2, 1) = (i1 - i2 + shift, 0), for 0 <= shift < m."""
+    up, flip = tuple(range(m)) * 3, tuple(range(m, 2 * m)) * 3
+    # up[i : i + m] runs i, i + 1, ... and up[i + m : i : -1] runs i, i - 1, ...
+    return [up[i : i + m] + flip[i : i + m] for i in range(m)] + [
+        flip[i + m : i : -1] + up[i + shift + m : i + shift : -1] for i in range(m)
+    ]
+
+
 def cyclic(n: int) -> FiniteGroup:
     _require_order(n, f"C{n}")
     if n < 1:
         raise GroupConstructionError(f"cyclic group needs order >= 1, got {n}")
-    mul = [tuple((i + j) % n for j in range(n)) for i in range(n)]
-    return _build(mul, f"C{n}")
+    doubled = tuple(range(n)) * 2  # row i is range(n) rotated left by i
+    return _build([doubled[i : i + n] for i in range(n)], f"C{n}")
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -274,17 +304,7 @@ def dihedral(n: int) -> FiniteGroup:
     _require_order(2 * n, f"D{n} of order {2 * n}")
     if n < 1:
         raise GroupConstructionError(f"dihedral parameter must be >= 1, got {n}")
-
-    def mul_one(i1, j1, i2, j2):
-        i = (i1 - i2) % n if j1 else (i1 + i2) % n
-        return i + n * (j1 ^ j2)
-
-    mul = [
-        tuple(mul_one(i1, j1, i2, j2) for j2 in range(2) for i2 in range(n))
-        for j1 in range(2)
-        for i1 in range(n)
-    ]
-    return _build(mul, f"D{n}")
+    return _build(_dicyclic_rows(n, 0), f"D{n}")
 
 
 def quaternion_generalized(order: int) -> FiniteGroup:
@@ -295,21 +315,7 @@ def quaternion_generalized(order: int) -> FiniteGroup:
             f"generalized quaternion groups exist for 2-power orders >= 8, got {order}"
         )
     m = order // 2  # index of the cyclic half <a>; b^2 = a^(m/2), b a b^-1 = a^-1
-    h = m // 2
-
-    def mul_one(i1, j1, i2, j2):
-        if j1 == 0:
-            return (i1 + i2) % m + m * j2
-        if j2 == 0:
-            return (i1 - i2) % m + m
-        return (i1 - i2 + h) % m
-
-    mul = [
-        tuple(mul_one(i1, j1, i2, j2) for j2 in range(2) for i2 in range(m))
-        for j1 in range(2)
-        for i1 in range(m)
-    ]
-    return _build(mul, f"Q{order}")
+    return _build(_dicyclic_rows(m, m // 2), f"Q{order}")
 
 
 def symmetric(k: int) -> FiniteGroup:
@@ -340,15 +346,10 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
     for _ in range(k):  # never p**k for an unbounded k
         n *= p
         _require_order(n, f"E{p}^{k}")
-    digits = [tuple((x // p**t) % p for t in range(k)) for x in range(n)]
-
-    def add(a, b):
-        out = 0
-        for t in range(k):
-            out += ((a[t] + b[t]) % p) * p**t
-        return out
-
-    mul = [tuple(add(digits[x], digits[y]) for y in range(n)) for x in range(n)]
+    # the k-fold product of C_p, digits added independently in any order
+    mul = cp = cyclic(p).mul
+    for _ in range(k - 1):
+        mul = _product_rows(cp, mul)
     return _build(mul, f"E{p}^{k}")
 
 
@@ -356,20 +357,7 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """Componentwise product on pairs, indexed as i_a * |b| + i_b."""
     label = f"{a.label}x{b.label}"
     _require_order(a.order * b.order, f"{label} of order {a.order * b.order}")
-    nb = b.order
-    mul = []
-    for xa in range(a.order):
-        row_a = a.mul[xa]
-        for xb in range(nb):
-            row_b = b.mul[xb]
-            mul.append(
-                tuple(
-                    row_a[ya] * nb + row_b[yb]
-                    for ya in range(a.order)
-                    for yb in range(nb)
-                )
-            )
-    return _build(mul, label)
+    return _build(_product_rows(a.mul, b.mul), label)
 
 
 def inversion_semidirect(m: int, beta: int, u: int) -> FiniteGroup:
@@ -393,15 +381,8 @@ def inversion_semidirect(m: int, beta: int, u: int) -> FiniteGroup:
     if beta % 2 == 0:
         raise ParityViolated(f"beta = {beta} must be odd")
     _require_order(m * alpha, f"C{m}:C{alpha} of order {m * alpha}")
-    mul = []
-    for i1 in range(m):
-        for j1 in range(alpha):
-            sign = -1 if j1 % 2 else 1
-            mul.append(
-                tuple(
-                    ((i1 + sign * i2) % m) * alpha + (j1 + j2) % alpha
-                    for i2 in range(m)
-                    for j2 in range(alpha)
-                )
-            )
+    # rows with odd j are those of C_m x C_alpha with column (i2, j2) read at (-i2, j2)
+    mul = _product_rows(cyclic(m).mul, cyclic(alpha).mul)
+    negate = itemgetter(*[(-i % m) * alpha + j for i in range(m) for j in range(alpha)])
+    mul[1::2] = map(negate, mul[1::2])  # alpha is even, so j and the index share parity
     return _build(mul, f"C{m}:C{alpha}")

@@ -11,8 +11,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
+from operator import itemgetter
 
-from .groups import FiniteGroup, OrderCapExceeded, from_cayley_table
+from .groups import FiniteGroup, OrderCapExceeded, cyclic_powers, from_cayley_table
 from .numtheory import factorize
 
 # enumeration is quadratic-ish in the subgroup count; keep desk scale honest
@@ -94,16 +96,19 @@ def _generated(group: FiniteGroup, gens: tuple[int, ...]) -> frozenset[int]:
 
 
 def _cyclic_generator_map(group: FiniteGroup) -> dict[frozenset[int], int]:
-    """Each distinct cyclic subgroup mapped to its first-found generator."""
-    mul = group.mul
+    """Each distinct cyclic subgroup mapped to its first-found generator;
+    the other generators x^e, gcd(e, |x|) = 1, of a walked <x> are skipped."""
     out: dict[frozenset[int], int] = {}
+    generates_found = bytearray(group.order)
     for x in range(1, group.order):
-        elems = {0}
-        y = x
-        while y != 0:
-            elems.add(y)
-            y = mul[y][x]
-        out.setdefault(frozenset(elems), x)
+        if generates_found[x]:
+            continue
+        powers = cyclic_powers(group.mul, x)
+        k = len(powers)
+        for e in range(1, k):
+            if gcd(e, k) == 1:
+                generates_found[powers[e]] = 1
+        out[frozenset(powers)] = x
     return out
 
 
@@ -191,21 +196,22 @@ def _is_prime_power_order(k: int, p: int) -> bool:
     return k == 1
 
 
+def is_closed(group: FiniteGroup, elements: list[int]) -> bool:
+    """Whether every product of two of ``elements`` is one of them."""
+    members = set(elements)
+    pick = itemgetter(0, *elements)  # x * 0 = x; a tuple even for one element
+    return all(members.issuperset(pick(group.mul[x])) for x in elements)
+
+
 @lru_cache(maxsize=1024)
 def is_nilpotent(group: FiniteGroup) -> bool:
     """True iff for every prime p the p-power-order elements form a
     full Sylow subgroup, i.e. the group is the product of its Sylows."""
-    mul = group.mul
     orders = group.element_orders
     for p, a in factorize(group.order).items():
         part = [x for x in range(group.order) if _is_prime_power_order(orders[x], p)]
-        if len(part) != p**a:
+        if len(part) != p**a or not is_closed(group, part):
             return False
-        members = set(part)
-        for x in part:
-            for y in part:
-                if mul[x][y] not in members:
-                    return False
     return True
 
 
@@ -213,6 +219,8 @@ def is_nilpotent(group: FiniteGroup) -> bool:
 def is_solvable(group: FiniteGroup) -> bool:
     """Iterate commutator subgroups; solvable iff the series hits 1."""
     mul, inv = group.mul, group.inv
+    if mul == tuple(zip(*mul)):  # abelian: the derived subgroup is trivial
+        return True
     current = frozenset(range(group.order))
     while len(current) > 1:
         commutators = {

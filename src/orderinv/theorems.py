@@ -35,6 +35,7 @@ from .order_stats import (
 from .structure import (
     DEFAULT_SUBGROUP_CAP,
     count_cyclic_subgroups,
+    is_closed,
     is_cyclic,
     is_nilpotent,
     subgroup_as_group,
@@ -285,12 +286,10 @@ def check_cyclic_part_equivalence(group: FiniteGroup, n: int) -> TheoremVerdict:
 
     orders = group.element_orders
     solutions = [x for x in range(group.order) if n % orders[x] == 0]
-    members = set(solutions)
-    closed = all(
-        group.mul[x][y] in members for x in solutions for y in solutions
-    )
     solution_set_cyclic = (
-        len(solutions) == n and closed and max(orders[x] for x in solutions) == n
+        len(solutions) == n
+        and is_closed(group, solutions)
+        and max(orders[x] for x in solutions) == n
     )
 
     equivalent = at_floor == count_matches and count_matches == solution_set_cyclic

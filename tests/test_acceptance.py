@@ -251,3 +251,10 @@ def test_criterion_11_verify_is_deterministic():
         digest = hashlib.sha256(outputs[0]).hexdigest()
         if digest != "898709fe8211c59a64766435e26e81960e22284baa4803d6fc3bacef72338a5d":
             problems.append(f"report SHA-256 changed: {digest}")
+        proc = subprocess.run(
+            [sys.executable, "-m", "orderinv.cli", "verify", "--order-cap", "128"],
+            capture_output=True,
+        )
+        digest = hashlib.sha256(proc.stdout).hexdigest()
+        if digest != "f78949579b6e06ea42b3bf9529556be89fb3326f79c7314c9a0c67b1bee5aaa4":
+            problems.append(f"cap-128 report SHA-256 changed: {digest}")

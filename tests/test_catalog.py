@@ -5,12 +5,14 @@ import pytest
 from orderinv.catalog import (
     CatalogSpec,
     UnknownFamily,
+    _family_plan,
     build_catalog,
     default_catalog_spec,
     group_from_label,
     load_group_file,
 )
 from orderinv.cli import main
+from orderinv.groups import MAX_ORDER, OrderCapExceeded
 
 
 def family_key(label: str) -> str:
@@ -59,6 +61,20 @@ def test_order_cap_trims_families():
     assert "A5" not in labels
     assert "S4" in labels
     assert max(g.order for g in groups) <= 24
+
+
+def planned_cells(spec: CatalogSpec) -> int:
+    return sum(order * order for name, params in spec.families
+               for order, _ in _family_plan(name, params, spec.order_cap))
+
+
+def test_catalog_cell_budget():
+    # one table at MAX_ORDER bounds the whole catalog: cap 320 fits,
+    # cap 384 (40.3M cells) is refused before anything is built
+    assert planned_cells(default_catalog_spec(256)) == 12_247_554
+    assert planned_cells(default_catalog_spec(320)) == 23_615_513 <= MAX_ORDER**2
+    with pytest.raises(OrderCapExceeded, match="order cap 384 exceeds 25000000 table cells"):
+        build_catalog(default_catalog_spec(384))
 
 
 def test_unknown_family_rejected():

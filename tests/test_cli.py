@@ -182,6 +182,20 @@ def test_ingest_names_each_path_once(tmp_path, capsys):
     assert lines == [f"ERROR {e['path']}: {e['error']}" for e in errors]
 
 
+def test_deeply_nested_file_exits_two(tmp_path):
+    # json.load raises RecursionError on nesting this deep
+    path = tmp_path / "deep.json"
+    path.write_text('{"label": "x", "table": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"families": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    for argv in (("ingest", str(path)), ("compute", "--group", str(path)),
+                 ("verify", "--catalog", str(spec))):
+        proc = run_cli(*argv)
+        assert proc.returncode == 2, argv
+        assert "not valid JSON (nested too deeply)" in proc.stdout + proc.stderr, argv
+        assert "Traceback" not in proc.stderr, argv
+
+
 def test_ingest_1024_row_table_in_seconds(tmp_path):
     # a relabelled E2^10: every element has order 2, so Light's test needs
     # ten generators; the full O(n^3) scan took about 53 s on this file
@@ -311,6 +325,30 @@ def test_verify_rejects_bad_spec_files(tmp_path):
         assert main(["verify", "--catalog", str(bad)]) == 2, spec
 
 
+def test_verify_refuses_a_catalog_above_the_cell_budget():
+    # at cap 2000 the default catalog plans 5.6e9 table cells; it is refused
+    # before the first table is built
+    start = time.perf_counter()
+    proc = run_cli("verify", "--order-cap", "2000")
+    assert proc.returncode == 2, proc.stderr
+    assert "order cap 2000 exceeds 25000000 table cells" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert time.perf_counter() - start < 20
+
+
+def test_verify_family_ranges_stop_at_the_cap(tmp_path):
+    # ranges far beyond the cap plan only the groups within it
+    for families, cap, labels in (
+        ({"cyclic": [1, 10**12]}, 4, ["C1", "C2", "C3", "C4"]),
+        ({"symmetric": [1, 10**9]}, 6, ["S1", "S2", "S3"]),
+    ):
+        spec = tmp_path / "cat.json"
+        spec.write_text(json.dumps({"families": families, "order_cap": cap}))
+        proc = run_cli("verify", "--catalog", str(spec), "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        assert [g["label"] for g in json.loads(proc.stdout)["groups"]] == labels
+
+
 def test_verify_rejects_ingested_semidirect_labels(tmp_path, capsys):
     # valid cyclic tables whose labels would make inversion-semidirect-count
     # read (m, beta, u) from the label: C9:C6 has no such group, and C3:C10
@@ -337,3 +375,12 @@ def test_console_script_smoke():
     proc = run_cli("compute", "--group", "C6", "--format", "json")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["is_cyclic"] is True
+
+
+def test_python_dash_m_orderinv():
+    proc = subprocess.run(
+        [sys.executable, "-m", "orderinv", "compute", "--group", "S3"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert parse_table(proc.stdout)["order"] == "6"

@@ -13,6 +13,7 @@ from orderinv.groups import (
     MAX_ORDER,
     CoprimalityViolated,
     FiniteGroup,
+    GroupConstructionError,
     NoIdentity,
     NoInverse,
     NotAssociative,
@@ -28,9 +29,12 @@ from orderinv.groups import (
     from_permutations,
     inversion_semidirect,
     quaternion_generalized,
+    _check_latin_and_identity,
+    _element_orders,
+    _inverses,
     symmetric,
 )
-from orderinv.numtheory import totient
+from orderinv.numtheory import is_prime, totient
 from orderinv.order_stats import order_profile
 from synthetic import relabelled_table
 
@@ -377,3 +381,177 @@ def test_lagrange_and_totient_divisibility():
         for d, count in order_counts(g).items():
             assert g.order % d == 0
             assert count % totient(d) == 0
+
+
+# ------------------------------------------- per-cell oracles for the kernels
+
+def latin_and_identity_by_cells(mul) -> None:
+    """Oracle: the Latin-square and identity scan, one cell at a time."""
+    n = len(mul)
+    full = frozenset(range(n))
+    for i, row in enumerate(mul):
+        if len(row) != n:
+            raise NotClosed(f"row {i} has length {len(row)}, expected {n}")
+        bad = [x for x in row if not (0 <= x < n)]
+        if bad:
+            raise NotClosed(f"row {i} contains out-of-range entry {bad[0]}")
+        if frozenset(row) != full:
+            raise NotClosed(f"row {i} is not a permutation of 0..{n - 1}")
+    for j in range(n):
+        if frozenset(mul[i][j] for i in range(n)) != full:
+            raise NotClosed(f"column {j} is not a permutation of 0..{n - 1}")
+    for i in range(n):
+        if mul[0][i] != i:
+            raise NoIdentity(f"0 is not a left identity at element {i}")
+        if mul[i][0] != i:
+            raise NoIdentity(f"0 is not a right identity at element {i}")
+
+
+def inverses_by_cells(mul) -> tuple[int, ...]:
+    """Oracle: for each i the first j with i*j = 0, which must also give j*i = 0."""
+    n = len(mul)
+    inv = [-1] * n
+    for i in range(n):
+        for j in range(n):
+            if mul[i][j] == 0:
+                if mul[j][i] != 0:
+                    raise NoInverse(f"element {i} has no two-sided inverse")
+                inv[i] = j
+                break
+        if inv[i] < 0:
+            raise NoInverse(f"element {i} has no right inverse")
+    return tuple(inv)
+
+
+def element_orders_by_cells(mul) -> tuple[int, ...]:
+    """Oracle: the order of each element by walking its own powers."""
+    orders = [1] * len(mul)
+    for x in range(1, len(mul)):
+        y, k = x, 1
+        while y != 0:
+            y, k = mul[y][x], k + 1
+        orders[x] = k
+    return tuple(orders)
+
+
+def outcome(check, table):
+    try:
+        return "ok", check(table)
+    except GroupConstructionError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_table_kernels_match_per_cell_scans(data):
+    group = data.draw(st.sampled_from(SMALL_GROUPS))
+    n = group.order
+    table = relabelled_table(group, [0] + data.draw(st.permutations(range(1, n))))
+    valid = tuple(map(tuple, table))
+    assert _element_orders(valid) == element_orders_by_cells(valid)
+    i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    damage = data.draw(st.sampled_from(
+        ["none", "cell", "row", "out of range", "rows", "columns", "length"]))
+    if damage == "cell":  # usually breaks a row and a column
+        table[i][j] = data.draw(st.integers(0, n - 1))
+    elif damage == "row":  # rows stay permutations, columns usually break
+        table[i] = data.draw(st.permutations(range(n)))
+    elif damage == "out of range":
+        table[i][j] = data.draw(st.sampled_from([-1, n, n + 7]))
+    elif damage == "rows":  # still Latin, identity misplaced unless i == k
+        table[i], table[k] = table[k], table[i]
+    elif damage == "columns":
+        for row in table:
+            row[j], row[k] = row[k], row[j]
+    elif damage == "length":
+        table[i] = table[i][:-1] if data.draw(st.booleans()) else table[i] + [0]
+    assert outcome(_check_latin_and_identity, table) == outcome(
+        latin_and_identity_by_cells, table)
+    if damage != "length":  # _inverses runs only on square tables
+        assert outcome(_inverses, table) == outcome(inverses_by_cells, table)
+
+
+def dihedral_by_cells(n):
+    def mul_one(i1, j1, i2, j2):
+        i = (i1 - i2) % n if j1 else (i1 + i2) % n
+        return i + n * (j1 ^ j2)
+
+    return tuple(
+        tuple(mul_one(i1, j1, i2, j2) for j2 in range(2) for i2 in range(n))
+        for j1 in range(2) for i1 in range(n)
+    )
+
+
+def quaternion_by_cells(order):
+    m = order // 2
+    h = m // 2
+
+    def mul_one(i1, j1, i2, j2):
+        if j1 == 0:
+            return (i1 + i2) % m + m * j2
+        if j2 == 0:
+            return (i1 - i2) % m + m
+        return (i1 - i2 + h) % m
+
+    return tuple(
+        tuple(mul_one(i1, j1, i2, j2) for j2 in range(2) for i2 in range(m))
+        for j1 in range(2) for i1 in range(m)
+    )
+
+
+def elementary_abelian_by_cells(p, k):
+    n = p**k
+    digits = [[(x // p**t) % p for t in range(k)] for x in range(n)]
+    return tuple(
+        tuple(sum((a + b) % p * p**t for t, (a, b) in enumerate(zip(dx, dy)))
+              for dy in digits)
+        for dx in digits
+    )
+
+
+def direct_product_by_cells(a, b):
+    nb = b.order
+    return tuple(
+        tuple(a.mul[xa][ya] * nb + b.mul[xb][yb] for ya in range(a.order) for yb in range(nb))
+        for xa in range(a.order) for xb in range(nb)
+    )
+
+
+def semidirect_by_cells(m, alpha):
+    return tuple(
+        tuple(((i1 + (-1) ** j1 * i2) % m) * alpha + (j1 + j2) % alpha
+              for i2 in range(m) for j2 in range(alpha))
+        for i1 in range(m) for j1 in range(alpha)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 64), st.integers(3, 7))
+def test_cyclic_dihedral_quaternion_tables_match_formulas(n, log_order):
+    assert cyclic(n).mul == tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+    assert dihedral(n).mul == dihedral_by_cells(n)
+    order = 2**log_order
+    assert quaternion_generalized(order).mul == quaternion_by_cells(order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 11]), st.integers(1, 8))
+def test_elementary_abelian_table_is_digitwise_addition(p, k):
+    while p**k > 400:
+        k -= 1
+    assert elementary_abelian(p, k).mul == elementary_abelian_by_cells(p, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL_GROUPS), st.sampled_from(SMALL_GROUPS))
+def test_direct_product_table_is_pairwise(a, b):
+    assert direct_product(a, b).mul == direct_product_by_cells(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 3, 5, 7, 9, 15]), st.sampled_from([1, 3, 5]), st.integers(1, 3))
+def test_semidirect_table_matches_formula(m, beta, u):
+    if gcd(m, beta) != 1:
+        return
+    alpha = 2**u * beta
+    assert inversion_semidirect(m, beta, u).mul == semidirect_by_cells(m, alpha)

@@ -3,8 +3,9 @@
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.combinatorics import Permutation, PermutationGroup
 
 from orderinv.groups import (
     OrderCapExceeded,
@@ -13,6 +14,7 @@ from orderinv.groups import (
     dihedral,
     direct_product,
     elementary_abelian,
+    from_cayley_table,
     from_permutations,
     inversion_semidirect,
     quaternion_generalized,
@@ -20,9 +22,12 @@ from orderinv.groups import (
 )
 from orderinv.numtheory import divisor_count, divisors
 from orderinv.order_stats import frobenius_table, order_profile
+from synthetic import relabelled_table
 from orderinv.structure import (
     SubgroupSet,
+    _cyclic_generator_map,
     enumerate_subgroups,
+    is_closed,
     is_cyclic,
     is_nilpotent,
     is_solvable,
@@ -76,6 +81,25 @@ def test_solvability():
     assert is_solvable(dihedral(10))
     assert is_solvable(elementary_abelian(5, 2))
     assert not is_solvable(alt5())
+
+
+A5_GENERATORS = [[1, 2, 0, 3, 4], [1, 2, 3, 4, 0]]
+S5_GENERATORS = [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda d: st.tuples(
+    st.just(d), st.lists(st.permutations(range(d)), max_size=3))))
+@example((5, A5_GENERATORS))
+@example((5, S5_GENERATORS))
+def test_solvable_and_nilpotent_match_sympy(drawn):
+    degree, generators = drawn
+    g = from_permutations(
+        PermutationGenSet(degree, tuple(tuple(p) for p in generators)), "p")
+    reference = PermutationGroup(
+        [Permutation(list(p)) for p in generators] or [Permutation(list(range(degree)))])
+    assert is_solvable(g) == reference.is_solvable
+    assert is_nilpotent(g) == reference.is_nilpotent
 
 
 def test_predicate_implication_chain():
@@ -216,3 +240,41 @@ def test_subgroup_as_group_relabels():
     h = subgroup_as_group(g, res.subgroup)
     assert h.order == 3
     assert is_cyclic(h)
+
+
+RELABELLED_SOURCES = [cyclic(12), cyclic(16), dihedral(6), quaternion_generalized(16),
+                      elementary_abelian(2, 3), symmetric(4),
+                      direct_product(cyclic(2), cyclic(6)), inversion_semidirect(3, 1, 2)]
+
+
+def cyclic_generator_map_by_cells(group):
+    """Oracle: walk <x> for every x and keep the first generator of each."""
+    out = {}
+    for x in range(1, group.order):
+        elems, y = {0}, x
+        while y != 0:
+            elems.add(y)
+            y = group.mul[y][x]
+        out.setdefault(frozenset(elems), x)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cyclic_generator_map_matches_visiting_every_element(data):
+    source = data.draw(st.sampled_from(RELABELLED_SOURCES))
+    relabel = [0] + data.draw(st.permutations(range(1, source.order)))
+    group = from_cayley_table(relabelled_table(source, relabel), "g")
+    # same subgroups, generators and insertion order
+    assert list(_cyclic_generator_map(group).items()) == list(
+        cyclic_generator_map_by_cells(group).items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(RELABELLED_SOURCES), st.data())
+def test_is_closed_matches_every_product(group, data):
+    elements = data.draw(st.lists(
+        st.integers(0, group.order - 1), min_size=1, unique=True))
+    members = set(elements)
+    expected = all(group.mul[x][y] in members for x in elements for y in elements)
+    assert is_closed(group, elements) == expected
