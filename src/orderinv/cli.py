@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from .catalog import (
@@ -70,17 +71,34 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# bounds |numerator| and denominator of r, s and --grid: at n <= MAX_ORDER the terms
+# m^s / phi(m)^(r-1), m | n, stay below 5000^65 < 10^241 with denominators dividing
+# n^32 phi(n)^33, so a printed sum has under 500 of Python's 4,300 digits.
+EXPONENT_BOUND = 32
+
+
 def _exponent(text: str):
     """Exponents: ints evaluate exactly, anything else as a float-backed scalar."""
+    digits = len(str(EXPONENT_BOUND))  # |value| in [1/32, 32]: lead digit 10^-2..10^1
     try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        if "/" in text:
+            value = Fraction(text)
+        else:
+            literal = Decimal(text)  # keeps the 10^k of 1e999999999 unexpanded
+            in_range = not literal or -digits <= literal.adjusted() < digits
+            value = Fraction(literal) if in_range else None
+    except (ValueError, ArithmeticError):
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if value is None or max(abs(value.numerator), value.denominator) > EXPONENT_BOUND:
+        raise argparse.ArgumentTypeError(
+            f"exponent {text!r} exceeds the exponent bound {EXPONENT_BOUND}")
     return int(value) if value.denominator == 1 else value
+
+
+def _grid(text: str) -> int:
+    value = _positive_int(text)
+    _exponent(text)  # the grid's exponents reach +-value: the same bound
+    return value
 
 
 def _factored_text(exponents: dict) -> str:
@@ -402,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'default' or a catalog spec JSON file")
     p.add_argument("--order-cap", type=_positive_int, default=None,
                    help=f"largest group order to include (default {DEFAULT_ORDER_CAP})")
-    p.add_argument("--grid", type=_positive_int, default=DEFAULT_GRID_BOUND,
+    p.add_argument("--grid", type=_grid, default=DEFAULT_GRID_BOUND,
                    help="exponent bound G for the [-G, G]^2 sweeps (default"
                    f" {DEFAULT_GRID_BOUND})")
     p.add_argument("--claims", default=None,
@@ -423,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
                        " counts and excess, closed form vs brute force")
     p.add_argument("--group", default="C3:C10",
                    help="semidirect label C{m}:C{2^u * beta} (default C3:C10)")
-    p.add_argument("--grid", type=_positive_int, default=DEFAULT_GRID_BOUND,
+    p.add_argument("--grid", type=_grid, default=DEFAULT_GRID_BOUND,
                    help="exponent bound for the closed-form comparison")
     common(p, "table")
     p.set_defaults(run=_run_example)

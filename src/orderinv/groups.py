@@ -200,7 +200,8 @@ def from_cayley_table(table, label: str) -> FiniteGroup:
     """Validate an untrusted table against the full group axioms."""
     _require_order(len(table), f"table {label!r} of order {len(table)}")
     for i, row in enumerate(table):
-        if not isinstance(row, (list, tuple)) or not all(is_int(x) for x in row):
+        if not isinstance(row, (list, tuple)) or any(  # is_int per distinct type
+                t is bool or not issubclass(t, int) for t in set(map(type, row))):
             raise GroupConstructionError(f"row {i} is not a list of integers")
     return _build(table, label, check_associativity=True)
 

@@ -59,9 +59,11 @@ class OrderProfile:
 
     group_order: int
     counts: Mapping[int, int] = field(default_factory=dict)
+    key: tuple[tuple[int, int], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
+        object.__setattr__(self, "key", tuple(sorted(self.counts.items())))  # C6 = C2xC3
         n = self.group_order
         if n < 1:
             raise ValueError(f"group order must be positive, got {n}")
@@ -91,11 +93,12 @@ class OrderProfile:
 
 @dataclass(frozen=True, eq=False)
 class FrobeniusTable:
-    """B(m) = #{x : x^m = 1} and the integer ratios B(m)/m, per divisor m."""
+    """B(m) = #{x : x^m = 1} and the integer ratios B(m)/m, per divisor m;
+    read-only views, as frobenius_table hands one cached instance to all."""
 
     group_order: int
-    counts: dict[int, int]
-    ratios: dict[int, int]
+    counts: Mapping[int, int]
+    ratios: Mapping[int, int]
 
 
 @lru_cache(maxsize=1024)
@@ -109,21 +112,20 @@ def cyclic_profile(n: int) -> OrderProfile:
     return OrderProfile(n, {d: totient(d) for d in divisors(n)})
 
 
+@lru_cache(maxsize=1024)
 def frobenius_table(profile: OrderProfile) -> FrobeniusTable:
     """Solution counts of x^m = 1 for every divisor m of the group order.
 
     Raises FrobeniusViolated when some m does not divide B(m); that cannot
     happen for the profile of a group, so it flags corrupted input.
     """
-    counts: dict[int, int] = {}
-    ratios: dict[int, int] = {}
-    for m in divisors(profile.group_order):
-        b = sum(profile.count(k) for k in divisors(m))
+    n = profile.group_order
+    counts = {m: sum(map(profile.count, divisors(m))) for m in divisors(n)}
+    for m, b in counts.items():
         if b % m:
             raise FrobeniusViolated(f"B({m}) = {b} is not divisible by {m}")
-        counts[m] = b
-        ratios[m] = b // m
-    return FrobeniusTable(profile.group_order, counts, ratios)
+    ratios = {m: b // m for m, b in counts.items()}
+    return FrobeniusTable(n, *map(MappingProxyType, (counts, ratios)))
 
 
 def require_divisor(profile: OrderProfile, n: int) -> None:
@@ -162,9 +164,15 @@ def cyclic_excess(profile: OrderProfile, n: int, r, s) -> Scalar:
     sum_{m|n} m^s/phi(m)^(r-1).  Vanishes identically at r = s = 0.
     """
     require_divisor(profile, n)
+    return _cyclic_excess(profile.key, n, r, s)
+
+
+@lru_cache(maxsize=4096, typed=True)  # 1, 1.0, Fraction(1) hash alike: keep apart
+def _cyclic_excess(key: tuple[tuple[int, int], ...], n: int, r, s) -> Scalar:
+    counts = dict(key)
     total: Scalar = Fraction(0) if exact_exponents(r, s) else 0.0
     for m in divisors(n):
-        c = profile.cyclic_count(m)
+        c = counts.get(m, 0) // totient(m)
         if c != 1:
             total += (c - 1) * weight(m, r - 1, s)
     return total

@@ -61,6 +61,8 @@ ALL_CLAIMS = (
 DEFAULT_GRID_BOUND = 3
 # full-divisor sweeps only below this order; above it n = |G| alone
 DIVISOR_SWEEP_LIMIT = 48
+# json.dumps(sort_keys=True) with one encoder; a tuple key would reorder "1}" < "12}"
+_sorted_json = json.JSONEncoder(sort_keys=True).encode
 
 
 def integer_pairs(bound: int) -> list[tuple[int, int]]:
@@ -298,7 +300,7 @@ def run_sweep(
                     "claim": claim,
                     "error": f"{type(exc).__name__}: {exc}",
                 })
-        rows.sort(key=lambda v: (v["claim"], json.dumps(v["parameters"], sort_keys=True)))
+        rows.sort(key=lambda v: (v["claim"], _sorted_json(v["parameters"])))
         record["verdicts"] = rows
         records[group.label] = record
     anomalies.sort(key=lambda a: (a["group"], a["claim"], a["error"]))

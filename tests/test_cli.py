@@ -78,6 +78,21 @@ def test_compute_bad_inputs():
         assert proc.returncode == 2, (label, proc.stderr)
         assert "exceeds the order cap 5000" in proc.stderr, label
         assert "Traceback" not in proc.stderr, label
+    # exponents beyond the bound are refused before any arithmetic
+    for exponents in (("--r", "0.5", "--s", "1e300"), ("--s", "100000"),
+                      ("--r", "0", "--s", "1000000000"), ("--s", "1e-999999999"),
+                      ("--r", "1/33")):
+        proc = run_cli("compute", "--group", "C2xC2", *exponents)
+        assert proc.returncode == 2, (exponents, proc.stderr)
+        assert "exceeds the exponent bound 32" in proc.stderr, exponents
+        assert "Traceback" not in proc.stderr, exponents
+
+
+def test_compute_at_the_exponent_bound(capsys):
+    assert main(["compute", "--group", "S4", "--r", "-32", "--s", "32"]) == 0
+    assert main(["compute", "--group", "S4", "--r=-31/32", "--s", "32.0"]) == 0
+    assert main(["compute", "--group", "S4", "--r", "0e999999999"]) == 0
+    assert "r=0 s=0 (exact)" in capsys.readouterr().out
 
 
 def test_compute_from_file(tmp_path, capsys):
@@ -334,6 +349,17 @@ def test_verify_refuses_a_catalog_above_the_cell_budget():
     assert "order cap 2000 exceeds 25000000 table cells" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert time.perf_counter() - start < 20
+
+
+def test_grid_beyond_the_exponent_bound_exits_two():
+    for argv in (("verify", "--order-cap", "4", "--grid", "1000000"),
+                 ("example", "--grid", "33")):
+        start = time.perf_counter()
+        proc = run_cli(*argv)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert "exceeds the exponent bound 32" in proc.stderr, argv
+        assert "Traceback" not in proc.stderr, argv
+        assert time.perf_counter() - start < 20
 
 
 def test_verify_family_ranges_stop_at_the_cap(tmp_path):

@@ -2,6 +2,7 @@
 
 import re
 from collections import Counter
+from enum import IntEnum
 from math import gcd, lcm
 
 import pytest
@@ -32,6 +33,7 @@ from orderinv.groups import (
     _check_latin_and_identity,
     _element_orders,
     _inverses,
+    is_int,
     symmetric,
 )
 from orderinv.numtheory import is_prime, totient
@@ -555,3 +557,33 @@ def test_semidirect_table_matches_formula(m, beta, u):
         return
     alpha = 2**u * beta
     assert inversion_semidirect(m, beta, u).mul == semidirect_by_cells(m, alpha)
+
+
+class Cell(IntEnum):
+    ZERO = 0
+    ONE = 1
+    TWO = 2
+    THREE = 3
+
+
+CELL_TYPES = {
+    "int": int, "bool": bool, "float": float, "str": str,
+    "none": lambda v: None, "list": lambda v: [v], "enum": Cell,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                          st.sampled_from(sorted(CELL_TYPES))), max_size=6))
+def test_row_type_check_matches_per_cell_scan(changes):
+    mul = cyclic(4).mul
+    table = [list(row) for row in mul]
+    for i, j, kind in changes:
+        table[i][j] = CELL_TYPES[kind](mul[i][j])
+    bad_rows = [i for i, row in enumerate(table) if not all(is_int(x) for x in row)]
+    if bad_rows:
+        with pytest.raises(GroupConstructionError,
+                           match=f"^row {bad_rows[0]} is not a list of integers$"):
+            from_cayley_table(table, "t")
+    else:  # ints and IntEnum members of the same values: the group itself
+        assert from_cayley_table(table, "t").mul == mul

@@ -25,6 +25,8 @@ from orderinv.numtheory import (
 from orderinv.order_stats import (
     FrobeniusViolated,
     OrderProfile,
+    ParameterDomainViolated,
+    _cyclic_excess,
     cyclic_excess,
     cyclic_profile,
     cyclic_subgroup_count,
@@ -85,6 +87,43 @@ def test_cached_profile_is_read_only():
     profile = OrderProfile(2, counts)
     counts[2] = 0
     assert profile.counts == {1: 1, 2: 1}
+
+
+def test_cached_frobenius_table_is_read_only():
+    # frobenius_table serves one cached instance per profile to every caller
+    profile = order_profile(symmetric(3))
+    table = frobenius_table(profile)
+    assert frobenius_table(profile) is table
+    with pytest.raises(TypeError):
+        table.counts[2] = 0
+    with pytest.raises(TypeError):
+        table.ratios[2] = 0
+    assert table.counts == {1: 1, 2: 4, 3: 3, 6: 6}
+
+
+@pytest.mark.parametrize("exact_first", [True, False])
+def test_excess_cache_keeps_exact_and_float_apart(exact_first):
+    # 1 == 1.0 and both hash alike; neither call may return the other's result
+    _cyclic_excess.cache_clear()
+    profile = order_profile(symmetric(3))
+    calls = [(1, 2), (1.0, 2.0)] if exact_first else [(1.0, 2.0), (1, 2)]
+    results = [cyclic_excess(profile, 6, *rs) for rs in calls]
+    exact, approximate = results if exact_first else results[::-1]
+    assert type(exact) is Fraction and type(approximate) is float
+    # three order-2 subgroups add 2 * 2^2, the missing C6 takes 6^2 away
+    assert exact == approximate == 2 * 4 - 36
+
+
+def test_profile_twins_share_excess_values():
+    # three groups, three profile objects, one key: the later two only hit
+    twins = [order_profile(g) for g in
+             (symmetric(3), dihedral(3), inversion_semidirect(3, 1, 1))]
+    assert len({id(p) for p in twins}) == 3 and len({p.key for p in twins}) == 1
+    _cyclic_excess.cache_clear()
+    values = [[cyclic_excess(p, n, r, s) for n in divisors(6) for r, s in SMALL_GRID]
+              for p in twins]
+    assert values[0] == values[1] == values[2]
+    assert _cyclic_excess.cache_info().hits == 2 * len(values[0])
 
 
 # ------------------------------------------------------------ Frobenius
@@ -200,6 +239,8 @@ def test_cyclic_excess_spots():
     q8 = order_profile(quaternion_generalized(8))
     assert cyclic_excess(q8, 8, 0, 1) == 27 - 43
     assert cyclic_excess(q8, 8, 1, 0) == 5 - 4
+    with pytest.raises(ParameterDomainViolated):  # checked on every call, cached or not
+        cyclic_excess(s3, 4, 0, 1)
 
 
 def test_cyclic_excess_of_cyclic_groups_is_zero():

@@ -1,6 +1,10 @@
+import json
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import orderinv.report as report_mod
 from orderinv.catalog import group_from_label, semidirect_label_parts
@@ -158,3 +162,16 @@ def test_all_claims_registry_is_complete():
     for claim in ALL_CLAIMS:
         for verdict in evaluate_claim(group, claim):
             assert verdict.claim == claim
+
+
+PARAMETER_VALUES = st.one_of(
+    st.integers(-1000, 1000),
+    st.builds(lambda a, b: str(Fraction(a, b)), st.integers(-99, 99), st.integers(1, 99)),
+)
+
+
+@given(st.dictionaries(st.sampled_from(["n", "r", "s", "m", "beta", "u"]),
+                       PARAMETER_VALUES, min_size=1))
+def test_row_sort_key_is_sorted_json(parameters):
+    # one shared encoder, the same text as a json.dumps call per verdict
+    assert report_mod._sorted_json(parameters) == json.dumps(parameters, sort_keys=True)

@@ -1,5 +1,7 @@
 """Structure predicates checked against hand-counted subgroup data."""
 
+import signal
+from contextlib import contextmanager
 from math import gcd
 
 import pytest
@@ -26,6 +28,7 @@ from synthetic import relabelled_table
 from orderinv.structure import (
     SubgroupSet,
     _cyclic_generator_map,
+    _generated,
     enumerate_subgroups,
     is_closed,
     is_cyclic,
@@ -100,6 +103,56 @@ def test_solvable_and_nilpotent_match_sympy(drawn):
         [Permutation(list(p)) for p in generators] or [Permutation(list(range(degree)))])
     assert is_solvable(g) == reference.is_solvable
     assert is_nilpotent(g) == reference.is_nilpotent
+
+
+def is_solvable_by_all_commutators(group):
+    """Oracle: the derived series, each term generated by all |H|^2
+    commutators of the previous one."""
+    mul, inv = group.mul, group.inv
+    current = frozenset(range(group.order))
+    while len(current) > 1:
+        commutators = {
+            mul[mul[inv[x]][inv[y]]][mul[x][y]] for x in current for y in current
+        }
+        derived = _generated(group, tuple(sorted(commutators)))
+        if derived == current:
+            return False
+        current = derived
+    return True
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Turn a derived series that never ends into a failure."""
+    def expire(*_):
+        raise TimeoutError(f"no answer within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_solvable_matches_all_commutators_on_the_catalog(catalog64):
+    for g in catalog64:
+        assert is_solvable(g) == is_solvable_by_all_commutators(g), g.label
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda d: st.tuples(
+    st.just(d), st.lists(st.permutations(range(d)), max_size=3))))
+@example((5, A5_GENERATORS))
+@example((5, S5_GENERATORS))
+@example((4, [[1, 0, 2, 3], [1, 2, 3, 0]]))  # S4, derived series S4 > A4 > V4 > 1
+def test_solvable_matches_all_commutators_on_permutation_groups(drawn):
+    degree, generators = drawn
+    g = from_permutations(
+        PermutationGenSet(degree, tuple(tuple(p) for p in generators)), "p")
+    with time_limit(5):  # milliseconds for the normal closure, even on S6
+        solvable = is_solvable(g)
+    assert solvable == is_solvable_by_all_commutators(g)
 
 
 def test_predicate_implication_chain():
@@ -278,3 +331,12 @@ def test_is_closed_matches_every_product(group, data):
     members = set(elements)
     expected = all(group.mul[x][y] in members for x in elements for y in elements)
     assert is_closed(group, elements) == expected
+
+
+def test_is_closed_needs_every_index_for_the_whole_group_shortcut():
+    g = symmetric(3)
+    assert is_closed(g, list(range(g.order)))
+    t1, t2 = [x for x in range(g.order) if g.element_orders[x] == 2][:2]
+    assert not is_closed(g, [0, t1, t2])  # t1 * t2 has order 3
+    repeated = [0, t1, t2, t1, t2, 0]  # |G| entries, three distinct
+    assert len(repeated) == g.order and not is_closed(g, repeated)
