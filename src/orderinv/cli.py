@@ -13,8 +13,10 @@ Exit codes: 0 clean, 1 inconsistency or anomaly, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -47,11 +49,11 @@ from .order_stats import (
 from .report import (
     DEFAULT_GRID_BOUND,
     group_invariants,
-    json_text,
     matching_as_json,
     run_sweep,
     scalar_json,
     verdict_as_json,
+    write_json,
 )
 from .structure import is_solvable
 from .theorems import (
@@ -116,12 +118,14 @@ def _resolve_group(spec: str):
     return group_from_label(spec)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        return
-    with open(out, "w", encoding="utf-8") as handle:
-        handle.write(text)
+def _emit(output: str | dict, out: str | None) -> None:
+    """Write a table's text as it is, or stream a JSON payload."""
+    with (contextlib.nullcontext(sys.stdout) if out is None
+          else open(out, "w", encoding="utf-8")) as handle:
+        if isinstance(output, str):
+            handle.write(output)
+        else:
+            write_json(output, handle)
 
 
 def _kv_table(rows: list[tuple[str, object]]) -> str:
@@ -154,11 +158,11 @@ def _run_compute(args) -> int:
         **group_invariants(group, profile),
     }
     if args.format == "json":
-        text = json_text(payload)
+        output = payload
     else:
         counts = " ".join(f"{m}={b}" for m, b in sorted(
             payload["solution_counts"].items(), key=lambda kv: int(kv[0])))
-        text = _kv_table([
+        output = _kv_table([
             ("group", payload["group"]),
             ("order", payload["order"]),
             ("n", payload["n"]),
@@ -175,7 +179,7 @@ def _run_compute(args) -> int:
             ("nilpotent", payload["is_nilpotent"]),
             ("solvable", payload["is_solvable"]),
         ])
-    _emit(text, args.out)
+    _emit(output, args.out)
     return 0
 
 
@@ -252,11 +256,7 @@ def _run_verify(args) -> int:
     report = run_sweep(
         groups, claims=claims, bound=args.grid, input_errors=input_errors
     )
-    if args.format == "table":
-        text = _verify_table(report)
-    else:
-        text = report.to_json()
-    _emit(text, args.out)
+    _emit(_verify_table(report) if args.format == "table" else report.payload, args.out)
     return report.exit_status
 
 
@@ -304,7 +304,7 @@ def _run_match(args) -> int:
         "is_solvable": solvable,
     }
     if args.format == "json":
-        text = json_text(payload)
+        output = payload
     else:
         lines = [f"group {group.label} (order {group.order}): {matching['status']}\n"]
         if found:
@@ -324,8 +324,8 @@ def _run_match(args) -> int:
             if not solvable:
                 lines.append("  group is not solvable; recorded as a conjecture event,"
                              " not a violation\n")
-        text = "".join(lines)
-    _emit(text, args.out)
+        output = "".join(lines)
+    _emit(output, args.out)
     if found:
         return 0 if verified else 1
     return 0 if not solvable else 1
@@ -343,10 +343,10 @@ def _run_example(args) -> int:
     order = m * beta * 2**u
     payload = verdict_as_json(verdict)
     if args.format == "json":
-        text = json_text(payload)
+        output = payload
     else:
         surplus = divisor_count(beta) * (m - divisor_count(m))
-        text = _kv_table([
+        output = _kv_table([
             ("group", args.group),
             ("order", order),
             ("divisor floor", divisor_count(order)),
@@ -356,7 +356,7 @@ def _run_example(args) -> int:
             ("closed-form excess grid", f"[-{args.grid}, {args.grid}]^2"),
             ("consistent", verdict.consistent),
         ])
-    _emit(text, args.out)
+    _emit(output, args.out)
     return 0 if verdict.consistent else 1
 
 
@@ -376,7 +376,7 @@ def _run_ingest(args) -> int:
             "profile": {str(d): c for d, c in profile.counts.items()},
         })
     if args.format == "json":
-        text = json_text({"groups": rows, "errors": errors})
+        output = {"groups": rows, "errors": errors}
     else:
         lines = []
         for row in rows:
@@ -386,8 +386,8 @@ def _run_ingest(args) -> int:
                          f" profile {counts}\n")
         for err in errors:
             lines.append(f"ERROR {err['path']}: {err['error']}\n")
-        text = "".join(lines)
-    _emit(text, args.out)
+        output = "".join(lines)
+    _emit(output, args.out)
     return 2 if errors else 0
 
 
@@ -412,6 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict to divisors of n (default: the group order)")
     p.add_argument("--r", type=_exponent, default=1, help="totient exponent (default 1)")
     p.add_argument("--s", type=_exponent, default=0, help="order exponent (default 0)")
+    # -1/2, -1e0, -.5 are values, not options: argparse alone reads only -N, -N.M
+    p._negative_number_matcher = re.compile(r"-\.?\d")
     common(p, "table")
     p.set_defaults(run=_run_compute)
 

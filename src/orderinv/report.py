@@ -8,10 +8,11 @@ claim raised), 2 means the only defects were malformed input files.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 from .catalog import semidirect_label_parts
 from .groups import FiniteGroup
@@ -63,6 +64,9 @@ DEFAULT_GRID_BOUND = 3
 DIVISOR_SWEEP_LIMIT = 48
 # json.dumps(sort_keys=True) with one encoder; a tuple key would reorder "1}" < "12}"
 _sorted_json = json.JSONEncoder(sort_keys=True).encode
+# encoder chunks joined per write: json.dump makes one write per chunk (a system
+# call each on an unbuffered stream), json.dumps holds a second copy of the report
+JSON_WRITE_BATCH = 1024
 
 
 def integer_pairs(bound: int) -> list[tuple[int, int]]:
@@ -172,13 +176,8 @@ def evaluate_claim(
 
 
 def scalar_json(value):
-    if isinstance(value, bool) or isinstance(value, int):
-        return value
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, float):
-        return value
-    return str(value)
+    """Ints, bools and floats stay JSON numbers; fractions become strings."""
+    return value if isinstance(value, (int, float)) else str(value)
 
 
 def verdict_as_json(verdict: TheoremVerdict) -> dict:
@@ -243,18 +242,26 @@ def group_record(group: FiniteGroup, bound: int = DEFAULT_GRID_BOUND) -> dict:
     }
 
 
+def write_json(payload, handle) -> None:
+    """Stream the one JSON layout every command prints: indented, keys sorted."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    # the encoder yields no empty chunk, so an empty batch is the end
+    while batch := "".join(islice(chunks, JSON_WRITE_BATCH)):
+        handle.write(batch)
+    handle.write("\n")
+
+
 def json_text(payload) -> str:
-    """The one JSON layout every command prints: indented, keys sorted."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """``write_json``'s text, in memory."""
+    buffer = io.StringIO()
+    write_json(payload, buffer)
+    return buffer.getvalue()
 
 
 @dataclass(frozen=True)
 class Report:
     payload: dict
     exit_status: int
-
-    def to_json(self) -> str:
-        return json_text(self.payload)
 
 
 def run_sweep(

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import re
 import resource
@@ -6,8 +7,10 @@ import subprocess
 import sys
 import time
 
+from orderinv.catalog import build_catalog, default_catalog_spec
 from orderinv.cli import main
 from orderinv.groups import elementary_abelian
+from orderinv.report import json_text, run_sweep
 from synthetic import relabelled_table
 
 CHILD_ADDRESS_SPACE = 1_500_000_000  # bytes; an uncapped table dies here, not the host
@@ -19,10 +22,11 @@ def _limit_child_memory() -> None:
     )
 
 
-def run_cli(*argv) -> subprocess.CompletedProcess:
+def run_cli(*argv, env=None, text=True) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "orderinv.cli", *argv],
-        capture_output=True, text=True, timeout=60, preexec_fn=_limit_child_memory,
+        capture_output=True, text=text, timeout=60, preexec_fn=_limit_child_memory,
+        env=None if env is None else {**os.environ, **env},
     )
 
 
@@ -93,6 +97,17 @@ def test_compute_at_the_exponent_bound(capsys):
     assert main(["compute", "--group", "S4", "--r=-31/32", "--s", "32.0"]) == 0
     assert main(["compute", "--group", "S4", "--r", "0e999999999"]) == 0
     assert "r=0 s=0 (exact)" in capsys.readouterr().out
+
+
+def test_negative_exponents_need_no_equals_sign():
+    for flag, value in (("--r", "-1/2"), ("--s", "-1e0"), ("--r", "-1/3"), ("--s", "-.5")):
+        spaced = run_cli("compute", "--group", "S3", flag, value, "--format", "json")
+        joined = run_cli("compute", "--group", "S3", f"{flag}={value}", "--format", "json")
+        assert joined.returncode == 0, joined.stderr
+        assert (spaced.returncode, spaced.stdout) == (0, joined.stdout), (value, spaced.stderr)
+    proc = run_cli("compute", "--group", "S3", "--r")
+    assert proc.returncode == 2
+    assert "expected one argument" in proc.stderr
 
 
 def test_compute_from_file(tmp_path, capsys):
@@ -246,6 +261,18 @@ def test_verify_paranoid_gives_the_same_report():
     paranoid = run_cli("verify", "--paranoid", "--order-cap", "24")
     assert plain.returncode == paranoid.returncode == 0
     assert paranoid.stdout == plain.stdout
+
+
+def test_verify_streams_the_same_bytes_to_stdout_and_out_file(tmp_path):
+    expected = json_text(
+        run_sweep(build_catalog(default_catalog_spec(order_cap=24))).payload).encode()
+    unbuffered = run_cli("verify", "--order-cap", "24", env={"PYTHONUNBUFFERED": "1"},
+                         text=False)
+    out = tmp_path / "report.json"
+    to_file = run_cli("verify", "--order-cap", "24", "--out", str(out), text=False)
+    assert unbuffered.returncode == to_file.returncode == 0
+    assert to_file.stdout == b""
+    assert unbuffered.stdout == out.read_bytes() == expected
 
 
 def test_verify_claim_selection(tmp_path, capsys):

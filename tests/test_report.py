@@ -1,9 +1,12 @@
 import json
+import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orderinv.report as report_mod
@@ -11,13 +14,16 @@ from orderinv.catalog import group_from_label, semidirect_label_parts
 from orderinv.groups import cyclic
 from orderinv.report import (
     ALL_CLAIMS,
+    JSON_WRITE_BATCH,
     diagonal_exponents,
     evaluate_claim,
     group_record,
     integer_pairs,
+    json_text,
     nonneg_pairs,
     nonpos_pairs,
     run_sweep,
+    write_json,
 )
 from orderinv.theorems import TheoremVerdict
 
@@ -93,8 +99,8 @@ def test_cyclic_groups_have_flat_excess_grid():
 
 def test_sweep_is_deterministic():
     groups = [group_from_label(lbl) for lbl in ("S3", "Q8", "C12", "C3:C10")]
-    first = run_sweep(groups).to_json()
-    second = run_sweep(groups).to_json()
+    first = json_text(run_sweep(groups).payload)
+    second = json_text(run_sweep(groups).payload)
     assert first == second
 
 
@@ -175,3 +181,47 @@ PARAMETER_VALUES = st.one_of(
 def test_row_sort_key_is_sorted_json(parameters):
     # one shared encoder, the same text as a json.dumps call per verdict
     assert report_mod._sorted_json(parameters) == json.dumps(parameters, sort_keys=True)
+
+
+class _CountingHandle:
+    chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+_json_text_values = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\n\u00e9\u6f22'))
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | _json_text_values,
+    lambda inner: st.lists(inner) | st.dictionaries(_json_text_values, inner),
+    max_leaves=30,
+)
+# repeating one value up to twice the batch size puts payloads across batch ends
+_json_payloads = _json_values | st.builds(
+    lambda value, copies: {"rows": [value] * copies, "value": value},
+    _json_values, st.integers(0, 2 * JSON_WRITE_BATCH),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_json_payloads)
+def test_write_json_matches_json_dumps_in_few_writes(payload):
+    writes = []
+    write_json(payload, SimpleNamespace(write=writes.append))
+    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert "".join(writes) == expected
+    assert json_text(payload) == expected
+    chunks = sum(1 for _ in json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload))
+    assert len(writes) <= math.ceil(chunks / JSON_WRITE_BATCH) + 1
+
+
+def test_streamed_report_holds_no_copy_of_its_text(catalog64):
+    payload = run_sweep(catalog64).payload
+    sink = _CountingHandle()
+    tracemalloc.start()
+    try:
+        write_json(payload, sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < sink.chars / 10, (peak, sink.chars)
