@@ -20,7 +20,7 @@ from orderinv import (
 
 
 def factored_text(fi) -> str:
-    pairs = fi.items()
+    pairs = fi.factors
     return " * ".join(f"{p}^{e}" for p, e in pairs) if pairs else "1"
 
 

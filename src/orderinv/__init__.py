@@ -7,165 +7,44 @@ of the same order, cyclic subgroup counts, and the product of element
 orders.  A claim suite checks the structural characterizations these
 invariants detect (cyclicity, nilpotency, unique subgroups per order)
 on a catalog of groups, via independent routes that must agree.
+
+The top level exports what the demos use; everything else is imported
+from its submodule.
 """
 
-from .catalog import (
-    CatalogSpec,
-    UnknownFamily,
-    build_catalog,
-    default_catalog_spec,
-    group_from_label,
-    load_group_file,
-)
-from .groups import (
-    FiniteGroup,
-    GroupConstructionError,
-    PermutationGenSet,
-    cyclic,
-    dihedral,
-    direct_product,
-    elementary_abelian,
-    from_cayley_table,
-    from_permutations,
-    inversion_semidirect,
-    quaternion_generalized,
-    symmetric,
-)
-from .matching import (
-    DivisibilityMatching,
-    find_divisibility_matching,
-    verify_matching,
-)
-from .numtheory import (
-    FactoredInteger,
-    divisor_count,
-    divisor_power_sum,
-    divisors,
-    exact_exponents,
-    factorize,
-    mobius_kernel,
-    moebius,
-    moebius_invert,
-    totient,
-)
+from .catalog import group_from_label
+from .groups import inversion_semidirect
+from .matching import find_divisibility_matching, verify_matching
+from .numtheory import divisor_count, divisors
 from .order_stats import (
-    FrobeniusTable,
-    FrobeniusViolated,
     OrderProfile,
-    ParameterDomainViolated,
     cyclic_excess,
     cyclic_profile,
-    cyclic_subgroup_count,
-    frobenius_expansion,
     frobenius_table,
     order_profile,
     product_of_orders,
     weighted_order_sum,
 )
-from .report import (
-    ALL_CLAIMS,
-    TOOL_VERSION,
-    Report,
-    evaluate_claim,
-    group_record,
-    run_sweep,
-)
-from .structure import (
-    SubgroupSet,
-    UniqueSubgroupResult,
-    count_cyclic_subgroups,
-    enumerate_subgroups,
-    is_cyclic,
-    is_nilpotent,
-    is_solvable,
-    subgroup_as_group,
-    unique_subgroup_of_order,
-)
-from .theorems import (
-    EqualityRouteMismatch,
-    PreconditionViolated,
-    TheoremVerdict,
-    check_cyclic_part_equivalence,
-    check_diagonal_gap,
-    check_frobenius_divisibility,
-    check_min_cyclic_subgroups,
-    check_nilpotent_sign,
-    check_nonnegative_gap,
-    check_nonpositive_gap,
-    check_order_product_maximal,
-    check_semidirect_count,
-)
-
-__version__ = TOOL_VERSION
+from .report import TOOL_VERSION as __version__
+from .structure import count_cyclic_subgroups, is_cyclic, is_solvable
+from .theorems import check_semidirect_count
 
 __all__ = [
-    "ALL_CLAIMS",
-    "CatalogSpec",
-    "DivisibilityMatching",
-    "EqualityRouteMismatch",
-    "FactoredInteger",
-    "FiniteGroup",
-    "FrobeniusTable",
-    "FrobeniusViolated",
-    "GroupConstructionError",
     "OrderProfile",
-    "ParameterDomainViolated",
-    "PermutationGenSet",
-    "PreconditionViolated",
-    "Report",
-    "SubgroupSet",
-    "TheoremVerdict",
-    "UniqueSubgroupResult",
-    "UnknownFamily",
-    "build_catalog",
-    "check_cyclic_part_equivalence",
-    "check_diagonal_gap",
-    "check_frobenius_divisibility",
-    "check_min_cyclic_subgroups",
-    "check_nilpotent_sign",
-    "check_nonnegative_gap",
-    "check_nonpositive_gap",
-    "check_order_product_maximal",
     "check_semidirect_count",
     "count_cyclic_subgroups",
-    "cyclic",
     "cyclic_excess",
     "cyclic_profile",
-    "cyclic_subgroup_count",
-    "default_catalog_spec",
-    "dihedral",
-    "direct_product",
     "divisor_count",
-    "divisor_power_sum",
     "divisors",
-    "elementary_abelian",
-    "enumerate_subgroups",
-    "evaluate_claim",
-    "exact_exponents",
-    "factorize",
     "find_divisibility_matching",
-    "frobenius_expansion",
     "frobenius_table",
-    "from_cayley_table",
-    "from_permutations",
     "group_from_label",
-    "group_record",
     "inversion_semidirect",
     "is_cyclic",
-    "is_nilpotent",
     "is_solvable",
-    "load_group_file",
-    "mobius_kernel",
-    "moebius",
-    "moebius_invert",
     "order_profile",
     "product_of_orders",
-    "quaternion_generalized",
-    "run_sweep",
-    "subgroup_as_group",
-    "symmetric",
-    "totient",
-    "unique_subgroup_of_order",
     "verify_matching",
     "weighted_order_sum",
 ]

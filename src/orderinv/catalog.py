@@ -69,9 +69,30 @@ def default_catalog_spec(order_cap: int = DEFAULT_ORDER_CAP) -> CatalogSpec:
     )
 
 
+# the parameters each catalog family takes, in order
+_FAMILY_PARAMS = {
+    "cyclic": ("lo", "hi"),
+    "dihedral": ("lo", "hi"),
+    "quaternion": ("lo", "hi"),
+    "elementary_abelian": (),
+    "symmetric": ("lo", "hi"),
+    "semidirect": (),
+    "prime_products": (),
+    "alternating": ("degree",),
+}
+
+
 def _family_plan(name: str, params: tuple[int, ...], cap: int):
     """Yield (order, builder) for each group of the family within the cap,
     building nothing, so a catalog can be sized before it is built."""
+    if name not in _FAMILY_PARAMS:
+        raise UnknownFamily(f"no catalog family named {name!r}")
+    takes = _FAMILY_PARAMS[name]
+    if len(params) != len(takes):
+        raise ValueError(
+            f"catalog family {name!r} takes the parameters [{', '.join(takes)}],"
+            f" got {list(params)}"
+        )
     if name == "cyclic":
         lo, hi = params
         for n in range(lo, min(hi, cap) + 1):
@@ -114,14 +135,12 @@ def _family_plan(name: str, params: tuple[int, ...], cap: int):
             fact = factorize(n)
             if len(fact.factors) >= 2 and all(e == 1 for _, e in fact.factors):
                 yield n, lambda ps=fact.primes(): reduce(direct_product, map(cyclic, ps))
-    elif name == "alternating":
+    else:  # alternating
         (k,) = params
         if k != 5:
             raise UnknownFamily(f"only the degree-5 alternating group is built, got {k}")
         if 60 <= cap:
             yield 60, partial(from_permutations, ALTERNATING5_GENERATORS, "A5")
-    else:
-        raise UnknownFamily(f"no catalog family named {name!r}")
 
 
 def _build_family(name: str, params: tuple[int, ...], cap: int):

@@ -256,12 +256,12 @@ def _run_verify(args) -> int:
     report = run_sweep(
         groups, claims=claims, bound=args.grid, input_errors=input_errors
     )
-    _emit(_verify_table(report) if args.format == "table" else report.payload, args.out)
-    return report.exit_status
+    _emit(_verify_table(report) if args.format == "table" else report, args.out)
+    return report["exit_status"]
 
 
-def _verify_table(report) -> str:
-    summary = report.payload["summary"]
+def _verify_table(report: dict) -> str:
+    summary = report["summary"]
     lines = [_kv_table([
         ("groups", summary["groups"]),
         ("verdicts", summary["verdicts"]),
@@ -270,9 +270,9 @@ def _verify_table(report) -> str:
         ("input errors", summary["input_errors"]),
         ("matchings found", summary["matchings_found"]),
         ("matchings violated", summary["matchings_violated"]),
-        ("exit status", report.exit_status),
+        ("exit status", report["exit_status"]),
     ])]
-    for record in report.payload["groups"]:
+    for record in report["groups"]:
         for verdict in record.get("verdicts", ()):
             if not verdict["consistent"]:
                 params = " ".join(
@@ -280,10 +280,10 @@ def _verify_table(report) -> str:
                 lines.append(
                     f"INCONSISTENT {verdict['group']} {verdict['claim']} {params}"
                     f" {verdict['witness']}\n")
-    for anomaly in report.payload["anomalies"]:
+    for anomaly in report["anomalies"]:
         lines.append(
             f"ANOMALY {anomaly['group']} {anomaly['claim']} {anomaly['error']}\n")
-    for err in report.payload["input_errors"]:
+    for err in report["input_errors"]:
         lines.append(f"INPUT ERROR {err['path']}: {err['error']}\n")
     for label in summary["conjecture_events"]:
         lines.append(f"CONJECTURE EVENT {label}: no divisibility matching\n")

@@ -4,12 +4,6 @@ Everything here is pure and deterministic.  Values are plain ints or
 ``fractions.Fraction``; floats appear only when a caller passes non-integer
 exponents, and such results are explicitly approximate (the rest of the
 package tags them as a separate mode).
-
-The slightly unusual residents are the Moebius-weighted kernels
-``mobius_kernel`` and ``log_mobius_kernel``: divisor-lattice coefficients
-that turn sums over element orders into sums over counts of solutions of
-x^m = 1.  They are evaluated through their closed multiplicative form; the
-defining alternating sum is kept alongside as an independent oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping, Union
+from typing import Mapping, Union
 
 Scalar = Union[int, Fraction, float]
 
@@ -69,34 +63,13 @@ class FactoredInteger:
             out *= p**e
         return out
 
-    def exponent(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
-    def items(self) -> Iterator[tuple[int, int]]:
-        return iter(self.factors)
-
-    def __mul__(self, other: "FactoredInteger") -> "FactoredInteger":
-        exps = dict(self.factors)
-        for p, e in other.factors:
-            exps[p] = exps.get(p, 0) + e
-        return FactoredInteger.from_exponents(exps)
-
-    def __pow__(self, k: int) -> "FactoredInteger":
-        if k < 0:
-            raise ValueError("negative power of a FactoredInteger")
-        if k == 0:
-            return FactoredInteger()
-        return FactoredInteger(tuple((p, e * k) for p, e in self.factors))
-
     def divides(self, other: "FactoredInteger") -> bool:
         """Exponent-wise <=, i.e. divisibility of the underlying integers."""
-        return all(e <= other.exponent(p) for p, e in self.factors)
+        theirs = dict(other.factors)
+        return all(e <= theirs.get(p, 0) for p, e in self.factors)
 
     def as_json(self) -> dict[str, int]:
         return {str(p): e for p, e in self.factors}
@@ -127,14 +100,14 @@ def factorize(n: int) -> FactoredInteger:
 def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of n in increasing order."""
     divs = [1]
-    for p, e in factorize(n).items():
+    for p, e in factorize(n).factors:
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return tuple(sorted(divs))
 
 
 def divisor_count(n: int) -> int:
     out = 1
-    for _, e in factorize(n).items():
+    for _, e in factorize(n).factors:
         out *= e + 1
     return out
 
@@ -143,38 +116,9 @@ def divisor_count(n: int) -> int:
 def totient(n: int) -> int:
     """Euler's phi: the number of 1 <= k <= n coprime to n."""
     out = n
-    for p, _ in factorize(n).items():
+    for p, _ in factorize(n).factors:
         out -= out // p
     return out
-
-
-def moebius(n: int) -> int:
-    """Moebius mu: (-1)^(#prime factors) on squarefree n, else 0."""
-    fac = factorize(n)
-    if any(e > 1 for _, e in fac.items()):
-        return 0
-    return -1 if len(fac.factors) % 2 else 1
-
-
-def moebius_invert(g_values: Mapping[int, Scalar], n: int) -> dict[int, Scalar]:
-    """Recover f from g(m) = sum_{d|m} f(d), for every divisor m of n.
-
-    ``g_values`` must supply every divisor of n; a missing key is an error
-    rather than an implicit zero, since that silently corrupts the inversion.
-    """
-    divs = divisors(n)
-    for d in divs:
-        if d not in g_values:
-            raise KeyError(f"g_values is missing divisor {d} of {n}")
-    f: dict[int, Scalar] = {}
-    for m in divs:
-        total: Scalar = 0
-        for d in divisors(m):
-            mu = moebius(m // d)
-            if mu:
-                total += mu * g_values[d]
-        f[m] = total
-    return f
 
 
 def exact_exponents(r, s) -> bool:
@@ -207,61 +151,3 @@ def divisor_power_sum(x: int, r, s) -> Scalar:
     for i in divisors(x):
         total += weight(i, r - 1, s)
     return total
-
-
-def mobius_kernel(m: int, j: int, r, s) -> Scalar:
-    """sum_{i|j} mu(i) (mi)^s / phi(mi)^r, in closed multiplicative form.
-
-    Writing j = p_1^t_1 ... p_k^t_k with p_1..p_l the primes shared with m,
-    the sum collapses to
-
-        m^s/phi(m)^r * prod_{t<=l} (1 - p_t^(s-r))
-                     * prod_{t>l} (1 - p_t^s / (p_t - 1)^r).
-
-    On the domain s <= min{0, r} the value is nonnegative, and it vanishes
-    exactly when (a) s = r = 0 and j > 1, (b) s = r != 0 and gcd(j, m) > 1,
-    or (c) s = 0 != r with j even and m odd.
-    """
-    if m < 1 or j < 1:
-        raise ValueError("mobius_kernel needs positive integers m, j")
-    exact = exact_exponents(r, s)
-    value: Scalar = weight(m, r, s)
-    for p, _ in factorize(j).items():
-        if m % p == 0:
-            f = (1 - Fraction(p) ** (s - r)) if exact else (1.0 - p ** float(s - r))
-        elif exact:
-            f = 1 - Fraction(p) ** s / Fraction(p - 1) ** r
-        else:
-            f = 1.0 - p ** float(s) / (p - 1) ** float(r)
-        value *= f
-    return value
-
-
-def mobius_kernel_by_definition(m: int, j: int, r, s) -> Scalar:
-    """The defining alternating sum of mobius_kernel; oracle route."""
-    if m < 1 or j < 1:
-        raise ValueError("mobius_kernel needs positive integers m, j")
-    total = Fraction(0) if exact_exponents(r, s) else 0.0
-    for i in divisors(j):
-        mu = moebius(i)
-        if mu:
-            total += mu * weight(m * i, r, s)
-    return total
-
-
-def log_mobius_kernel(m: int, j: int) -> tuple[int, int]:
-    """sum_{i|j} mu(i) log(mi), returned exactly as (coefficient, base).
-
-    The value is coefficient * log(base): (1, m) when j = 1, (-1, p) when j
-    is a prime power p^e > 1, and (0, 1) when j has two or more distinct
-    prime factors.  Never a float; callers fold the pair into exact prime
-    exponent arithmetic.
-    """
-    if m < 1 or j < 1:
-        raise ValueError("log_mobius_kernel needs positive integers m, j")
-    fac = factorize(j)
-    if j == 1:
-        return (1, m)
-    if len(fac.factors) == 1:
-        return (-1, fac.factors[0][0])
-    return (0, 1)

@@ -31,7 +31,6 @@ from .numtheory import (
     divisors,
     exact_exponents,
     factorize,
-    mobius_kernel,
     totient,
     weight,
 )
@@ -178,22 +177,6 @@ def _cyclic_excess(key: tuple[tuple[int, int], ...], n: int, r, s) -> Scalar:
     return total
 
 
-def frobenius_expansion(profile: OrderProfile, n: int, r, s) -> Scalar:
-    """The weighted order sum evaluated through solution counts:
-
-        sum_{k|n} kernel(k, n/k) * B(k)
-
-    with the Moebius kernel from numtheory.  Algebraically identical to
-    weighted_order_sum; kept as a second, structurally different route.
-    """
-    require_divisor(profile, n)
-    table = frobenius_table(profile)
-    total: Scalar = Fraction(0) if exact_exponents(r, s) else 0.0
-    for k in divisors(n):
-        total += mobius_kernel(k, n // k, r, s) * table.counts[k]
-    return total
-
-
 def product_of_orders(profile: OrderProfile) -> FactoredInteger:
     """prod over all elements of o(x), via the closed form n^n / prod p^(B_p)
     where B_p = sum_{j=1..c_p} B(n / p^j).
@@ -204,18 +187,7 @@ def product_of_orders(profile: OrderProfile) -> FactoredInteger:
     n = profile.group_order
     table = frobenius_table(profile)
     exps: dict[int, int] = {}
-    for p, c in factorize(n).items():
+    for p, c in factorize(n).factors:
         correction = sum(table.counts[n // p**j] for j in range(1, c + 1))
         exps[p] = n * c - correction
     return FactoredInteger.from_exponents(exps)
-
-
-def product_of_orders_direct(profile: OrderProfile) -> FactoredInteger:
-    """The defining product prod_d d^(A(d)), multiplied out in factored form.
-
-    Oracle route for the closed form above.
-    """
-    out = FactoredInteger()
-    for d in sorted(profile.counts):
-        out = out * (factorize(d) ** profile.counts[d])
-    return out

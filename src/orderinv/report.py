@@ -8,9 +8,7 @@ claim raised), 2 means the only defects were malformed input files.
 
 from __future__ import annotations
 
-import io
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 
@@ -251,25 +249,12 @@ def write_json(payload, handle) -> None:
     handle.write("\n")
 
 
-def json_text(payload) -> str:
-    """``write_json``'s text, in memory."""
-    buffer = io.StringIO()
-    write_json(payload, buffer)
-    return buffer.getvalue()
-
-
-@dataclass(frozen=True)
-class Report:
-    payload: dict
-    exit_status: int
-
-
 def run_sweep(
     groups,
     claims=None,
     bound: int = DEFAULT_GRID_BOUND,
     input_errors=(),
-) -> Report:
+) -> dict:
     """Evaluate the selected claims on every group and assemble the report."""
     if claims is None:
         selected = list(ALL_CLAIMS)
@@ -334,7 +319,7 @@ def run_sweep(
     else:
         exit_status = 0
 
-    payload = {
+    return {
         "schema_version": 1,
         "tool_version": TOOL_VERSION,
         "grid_bound": bound,
@@ -355,4 +340,3 @@ def run_sweep(
         },
         "exit_status": exit_status,
     }
-    return Report(payload=payload, exit_status=exit_status)

@@ -124,18 +124,17 @@ def count_cyclic_subgroups(group: FiniteGroup) -> int:
 
 
 @lru_cache(maxsize=256)
-def enumerate_subgroups(
-    group: FiniteGroup, cap: int = DEFAULT_SUBGROUP_CAP
-) -> tuple[SubgroupSet, ...]:
+def enumerate_subgroups(group: FiniteGroup) -> tuple[SubgroupSet, ...]:
     """All subgroups, sorted by (order, element indices).
 
     Seeds with the cyclic subgroups and repeatedly joins every known
     subgroup with every cyclic one until no new subgroup appears; every
     subgroup is a join of cyclic ones, so the fixpoint is exhaustive.
     """
-    if group.order > cap:
+    if group.order > DEFAULT_SUBGROUP_CAP:
         raise OrderCapExceeded(
-            f"group order {group.order} exceeds the subgroup enumeration cap {cap}"
+            f"group order {group.order} exceeds the subgroup enumeration cap"
+            f" {DEFAULT_SUBGROUP_CAP}"
         )
     cyc_gen = _cyclic_generator_map(group)
     trivial = frozenset({0})
@@ -159,9 +158,7 @@ def enumerate_subgroups(
     return tuple(subgroup_from_indices(group, s) for s in ordered)
 
 
-def unique_subgroup_of_order(
-    group: FiniteGroup, n: int, cap: int = DEFAULT_SUBGROUP_CAP
-) -> UniqueSubgroupResult:
+def unique_subgroup_of_order(group: FiniteGroup, n: int) -> UniqueSubgroupResult:
     """Classify the order-``n`` subgroups as unique, multiple or absent."""
     if n < 1 or group.order % n:
         raise ValueError(f"{n} does not divide the group order {group.order}")
@@ -169,7 +166,7 @@ def unique_subgroup_of_order(
         return UniqueSubgroupResult("unique", SubgroupSet((0,)))
     if n == group.order:
         return UniqueSubgroupResult("unique", SubgroupSet(tuple(range(group.order))))
-    matches = [s for s in enumerate_subgroups(group, cap) if s.order == n]
+    matches = [s for s in enumerate_subgroups(group) if s.order == n]
     if not matches:
         return UniqueSubgroupResult("none", None)
     if len(matches) > 1:
@@ -205,7 +202,7 @@ def is_nilpotent(group: FiniteGroup) -> bool:
     """True iff for every prime p the p-power-order elements form a
     full Sylow subgroup, i.e. the group is the product of its Sylows."""
     orders = group.element_orders
-    for p, a in factorize(group.order).items():
+    for p, a in factorize(group.order).factors:
         sylow = p**a  # o(x) divides |G|: a power of p iff it divides p^a
         part = [x for x in range(group.order) if sylow % orders[x] == 0]
         if len(part) != sylow or not is_closed(group, part):

@@ -150,9 +150,7 @@ def check_nonnegative_gap(group: FiniteGroup, n: int, r, s) -> TheoremVerdict:
     )
 
 
-def check_diagonal_gap(
-    group: FiniteGroup, n: int, r, cap: int = DEFAULT_SUBGROUP_CAP
-) -> TheoremVerdict:
+def check_diagonal_gap(group: FiniteGroup, n: int, r) -> TheoremVerdict:
     """For r = s < 0: excess >= 0, zero iff a unique (nilpotent) subgroup of order n.
 
     The equality condition is evaluated two independent ways: through the
@@ -173,8 +171,8 @@ def check_diagonal_gap(
         table.counts[k] == k for k in divisors(n) if gcd(k, n // k) == 1
     )
     witness = "equality_route: solution-counts"
-    if n in (1, group.order) or group.order <= cap:
-        result = unique_subgroup_of_order(group, n, cap)
+    if n in (1, group.order) or group.order <= DEFAULT_SUBGROUP_CAP:
+        result = unique_subgroup_of_order(group, n)
         if result.status != "unique":
             subgroup_route = False
         elif n == group.order:

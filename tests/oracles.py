@@ -1,0 +1,130 @@
+"""Independent routes the tests check the package against.
+
+Nothing in ``orderinv`` calls these.  Each one evaluates an invariant by
+its defining formula, or through a structurally different identity, so a
+test can compare it with the package's own route.  Exact arithmetic only.
+"""
+
+import io
+from collections import Counter
+from fractions import Fraction
+
+from orderinv.numtheory import FactoredInteger, divisors, factorize, weight
+from orderinv.order_stats import OrderProfile, frobenius_table, require_divisor
+from orderinv.report import write_json
+
+
+def moebius(n: int) -> int:
+    """Moebius mu: (-1)^(#prime factors) on squarefree n, else 0."""
+    factors = factorize(n).factors
+    if any(e > 1 for _, e in factors):
+        return 0
+    return -1 if len(factors) % 2 else 1
+
+
+def moebius_invert(g_values, n: int) -> dict:
+    """Recover f from g(m) = sum_{d|m} f(d), for every divisor m of n.
+
+    ``g_values`` must supply every divisor of n; a missing key is an error
+    rather than an implicit zero, since that silently corrupts the inversion.
+    """
+    divs = divisors(n)
+    for d in divs:
+        if d not in g_values:
+            raise KeyError(f"g_values is missing divisor {d} of {n}")
+    return {
+        m: sum(moebius(m // d) * g_values[d] for d in divisors(m))
+        for m in divs
+    }
+
+
+def mobius_kernel(m: int, j: int, r: int, s: int) -> Fraction:
+    """sum_{i|j} mu(i) (mi)^s / phi(mi)^r, in closed multiplicative form.
+
+    Writing j = p_1^t_1 ... p_k^t_k with p_1..p_l the primes shared with m,
+    the sum collapses to
+
+        m^s/phi(m)^r * prod_{t<=l} (1 - p_t^(s-r))
+                     * prod_{t>l} (1 - p_t^s / (p_t - 1)^r).
+
+    On the domain s <= min{0, r} the value is nonnegative, and it vanishes
+    exactly when (a) s = r = 0 and j > 1, (b) s = r != 0 and gcd(j, m) > 1,
+    or (c) s = 0 != r with j even and m odd.
+    """
+    if m < 1 or j < 1:
+        raise ValueError("mobius_kernel needs positive integers m, j")
+    value = weight(m, r, s)
+    for p, _ in factorize(j).factors:
+        if m % p == 0:
+            value *= 1 - Fraction(p) ** (s - r)
+        else:
+            value *= 1 - Fraction(p) ** s / Fraction(p - 1) ** r
+    return value
+
+
+def mobius_kernel_by_definition(m: int, j: int, r: int, s: int) -> Fraction:
+    """The defining alternating sum of mobius_kernel."""
+    if m < 1 or j < 1:
+        raise ValueError("mobius_kernel needs positive integers m, j")
+    return sum(
+        (moebius(i) * weight(m * i, r, s) for i in divisors(j) if moebius(i)),
+        Fraction(0),
+    )
+
+
+def log_mobius_kernel(m: int, j: int) -> tuple[int, int]:
+    """sum_{i|j} mu(i) log(mi), returned exactly as (coefficient, base).
+
+    The value is coefficient * log(base): (1, m) when j = 1, (-1, p) when j
+    is a prime power p^e > 1, and (0, 1) when j has two or more distinct
+    prime factors.  Never a float; callers fold the pair into exact prime
+    exponent arithmetic.
+    """
+    if m < 1 or j < 1:
+        raise ValueError("log_mobius_kernel needs positive integers m, j")
+    factors = factorize(j).factors
+    if j == 1:
+        return (1, m)
+    if len(factors) == 1:
+        return (-1, factors[0][0])
+    return (0, 1)
+
+
+def frobenius_expansion(profile: OrderProfile, n: int, r: int, s: int) -> Fraction:
+    """The weighted order sum evaluated through solution counts:
+
+        sum_{k|n} kernel(k, n/k) * B(k)
+
+    Algebraically identical to weighted_order_sum; a structurally
+    different route.
+    """
+    require_divisor(profile, n)
+    counts = frobenius_table(profile).counts
+    return sum(
+        (mobius_kernel(k, n // k, r, s) * counts[k] for k in divisors(n)),
+        Fraction(0),
+    )
+
+
+def factored_product(powers) -> FactoredInteger:
+    """prod b^k over (b, k) pairs of a FactoredInteger b and an int k >= 0,
+    by adding exponents."""
+    exps: Counter = Counter()
+    for base, k in powers:
+        if k < 0:
+            raise ValueError("negative power of a FactoredInteger")
+        for p, e in base.factors:
+            exps[p] += e * k
+    return FactoredInteger.from_exponents(exps)
+
+
+def product_of_orders_direct(profile: OrderProfile) -> FactoredInteger:
+    """The defining product prod_d d^(A(d)); route for the closed form."""
+    return factored_product((factorize(d), a) for d, a in profile.counts.items())
+
+
+def json_text(payload) -> str:
+    """``write_json``'s text, in memory."""
+    buffer = io.StringIO()
+    write_json(payload, buffer)
+    return buffer.getvalue()

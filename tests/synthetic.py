@@ -5,8 +5,9 @@ import random
 from math import gcd
 
 from orderinv.groups import FiniteGroup
-from orderinv.numtheory import divisors, moebius_invert
+from orderinv.numtheory import divisors
 from orderinv.order_stats import OrderProfile
+from oracles import moebius_invert
 
 
 def abelian_profile(cyclic_factors) -> OrderProfile:

@@ -19,13 +19,10 @@ from orderinv.numtheory import (
     divisor_count,
     divisor_power_sum,
     divisors,
-    mobius_kernel,
-    mobius_kernel_by_definition,
 )
 from orderinv.order_stats import (
     cyclic_excess,
     cyclic_profile,
-    frobenius_expansion,
     frobenius_table,
     order_profile,
     product_of_orders,
@@ -34,6 +31,7 @@ from orderinv.order_stats import (
 from orderinv.report import integer_pairs, nonneg_pairs, nonpos_pairs
 from orderinv.structure import count_cyclic_subgroups, is_cyclic, is_nilpotent, is_solvable
 from orderinv.theorems import check_diagonal_gap, check_semidirect_count
+from oracles import frobenius_expansion, mobius_kernel, mobius_kernel_by_definition
 from synthetic import random_abelian_profiles
 
 

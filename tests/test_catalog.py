@@ -144,3 +144,19 @@ def test_load_group_file_rejects_garbage(tmp_path, content):
 def test_load_group_file_missing_path():
     with pytest.raises(ValueError, match="cannot read"):
         load_group_file("/nonexistent/nowhere.json")
+
+
+@pytest.mark.parametrize("family, params, takes", [
+    ("cyclic", [1], "[lo, hi]"),
+    ("cyclic", [1, 2, 3], "[lo, hi]"),
+    ("alternating", [], "[degree]"),
+    ("elementary_abelian", [5], "[]"),
+])
+def test_catalog_spec_parameter_count_checked(tmp_path, capsys, family, params, takes):
+    spec = tmp_path / "cat.json"
+    spec.write_text(json.dumps({"families": {family: params}}))
+    assert main(["verify", "--catalog", str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: catalog family {family!r} takes the parameters"
+                            f" {takes}, got {params}\n")

@@ -10,7 +10,8 @@ import time
 from orderinv.catalog import build_catalog, default_catalog_spec
 from orderinv.cli import main
 from orderinv.groups import elementary_abelian
-from orderinv.report import json_text, run_sweep
+from orderinv.report import run_sweep
+from oracles import json_text
 from synthetic import relabelled_table
 
 CHILD_ADDRESS_SPACE = 1_500_000_000  # bytes; an uncapped table dies here, not the host
@@ -265,7 +266,7 @@ def test_verify_paranoid_gives_the_same_report():
 
 def test_verify_streams_the_same_bytes_to_stdout_and_out_file(tmp_path):
     expected = json_text(
-        run_sweep(build_catalog(default_catalog_spec(order_cap=24))).payload).encode()
+        run_sweep(build_catalog(default_catalog_spec(order_cap=24)))).encode()
     unbuffered = run_cli("verify", "--order-cap", "24", env={"PYTHONUNBUFFERED": "1"},
                          text=False)
     out = tmp_path / "report.json"

@@ -18,7 +18,6 @@ from orderinv.numtheory import (
     divisor_count,
     divisors,
     factorize,
-    log_mobius_kernel,
     totient,
     weight,
 )
@@ -30,13 +29,12 @@ from orderinv.order_stats import (
     cyclic_excess,
     cyclic_profile,
     cyclic_subgroup_count,
-    frobenius_expansion,
     frobenius_table,
     order_profile,
     product_of_orders,
-    product_of_orders_direct,
     weighted_order_sum,
 )
+from oracles import frobenius_expansion, log_mobius_kernel, product_of_orders_direct
 from synthetic import random_abelian_profiles
 
 
@@ -312,7 +310,7 @@ def test_product_log_kernel_derivation():
         for k in divisors(n):
             coeff, base = log_mobius_kernel(k, n // k)
             if coeff:
-                for q, e in factorize(base).items():
+                for q, e in factorize(base).factors:
                     exps[q] = exps.get(q, 0) + coeff * e * table.counts[k]
         assert FactoredInteger.from_exponents(exps) == product_of_orders(p), g.label
 

@@ -19,13 +19,13 @@ from orderinv.report import (
     evaluate_claim,
     group_record,
     integer_pairs,
-    json_text,
     nonneg_pairs,
     nonpos_pairs,
     run_sweep,
     write_json,
 )
 from orderinv.theorems import TheoremVerdict
+from oracles import json_text
 
 
 def test_exponent_pair_helpers():
@@ -46,8 +46,8 @@ def test_semidirect_label_parts():
 
 def test_sweep_claim_mix_for_s3():
     rep = run_sweep([group_from_label("S3")])
-    assert rep.exit_status == 0
-    record = rep.payload["groups"][0]
+    assert rep["exit_status"] == 0
+    record = rep["groups"][0]
     mix = Counter(v["claim"] for v in record["verdicts"])
     assert mix == {
         "frobenius-divisibility": 1,
@@ -92,15 +92,15 @@ def test_group_record_contents():
 def test_cyclic_groups_have_flat_excess_grid():
     groups = [cyclic(n) for n in range(1, 13)]
     rep = run_sweep(groups)
-    assert rep.exit_status == 0
-    for record in rep.payload["groups"]:
+    assert rep["exit_status"] == 0
+    for record in rep["groups"]:
         assert all(cell[2] == "0" for cell in record["excess_grid"])
 
 
 def test_sweep_is_deterministic():
     groups = [group_from_label(lbl) for lbl in ("S3", "Q8", "C12", "C3:C10")]
-    first = json_text(run_sweep(groups).payload)
-    second = json_text(run_sweep(groups).payload)
+    first = json_text(run_sweep(groups))
+    second = json_text(run_sweep(groups))
     assert first == second
 
 
@@ -108,8 +108,8 @@ def test_claim_selection_and_order():
     rep = run_sweep([group_from_label("C6")], claims=["min-cyclic-count",
                                                       "frobenius-divisibility"])
     # registry order, not request order
-    assert rep.payload["claims"] == ["frobenius-divisibility", "min-cyclic-count"]
-    claims_seen = {v["claim"] for v in rep.payload["groups"][0]["verdicts"]}
+    assert rep["claims"] == ["frobenius-divisibility", "min-cyclic-count"]
+    claims_seen = {v["claim"] for v in rep["groups"][0]["verdicts"]}
     assert claims_seen == {"frobenius-divisibility", "min-cyclic-count"}
     with pytest.raises(ValueError, match="unknown claims"):
         run_sweep([group_from_label("C6")], claims=["bogus"])
@@ -131,8 +131,8 @@ def _doctored_verdict(group):
 def test_exact_inconsistency_forces_exit_one(monkeypatch):
     monkeypatch.setattr(report_mod, "check_min_cyclic_subgroups", _doctored_verdict)
     rep = run_sweep([group_from_label("C4")], claims=["min-cyclic-count"])
-    assert rep.exit_status == 1
-    assert rep.payload["summary"]["inconsistent_exact"] == 1
+    assert rep["exit_status"] == 1
+    assert rep["summary"]["inconsistent_exact"] == 1
 
 
 def test_anomaly_forces_exit_one(monkeypatch):
@@ -141,25 +141,25 @@ def test_anomaly_forces_exit_one(monkeypatch):
 
     monkeypatch.setattr(report_mod, "check_min_cyclic_subgroups", boom)
     rep = run_sweep([group_from_label("C4")], claims=["min-cyclic-count"])
-    assert rep.exit_status == 1
-    assert rep.payload["anomalies"] == [{
+    assert rep["exit_status"] == 1
+    assert rep["anomalies"] == [{
         "group": "C4", "claim": "min-cyclic-count",
         "error": "RuntimeError: synthetic failure",
     }]
     # the static record survives the claim failure
-    assert rep.payload["groups"][0]["profile"] == {"1": 1, "2": 1, "4": 2}
+    assert rep["groups"][0]["profile"] == {"1": 1, "2": 1, "4": 2}
 
 
 def test_input_errors_alone_exit_two(monkeypatch):
     errs = [{"path": "x.json", "error": "bad file"}]
     rep = run_sweep([group_from_label("C4")], input_errors=errs)
-    assert rep.exit_status == 2
-    assert rep.payload["input_errors"] == errs
+    assert rep["exit_status"] == 2
+    assert rep["input_errors"] == errs
     # but an inconsistency outranks them
     monkeypatch.setattr(report_mod, "check_min_cyclic_subgroups", _doctored_verdict)
     rep = run_sweep([group_from_label("C4")], claims=["min-cyclic-count"],
                     input_errors=errs)
-    assert rep.exit_status == 1
+    assert rep["exit_status"] == 1
 
 
 def test_all_claims_registry_is_complete():
@@ -216,7 +216,7 @@ def test_write_json_matches_json_dumps_in_few_writes(payload):
 
 
 def test_streamed_report_holds_no_copy_of_its_text(catalog64):
-    payload = run_sweep(catalog64).payload
+    payload = run_sweep(catalog64)
     sink = _CountingHandle()
     tracemalloc.start()
     try:

@@ -155,13 +155,15 @@ def test_diagonal_gap_nilpotent_groups_vanish_at_full_order():
 
 
 def test_diagonal_gap_cap_fallback_still_answers():
-    v = check_diagonal_gap(symmetric(4), 4, -1, cap=10)
+    # order 202 is above the subgroup enumeration cap of 200
+    big = dihedral(101)
+    v = check_diagonal_gap(big, 2, -1)
     assert v.witness == "equality_route: solution-counts"
     assert v.consistent
     # full-order and trivial divisors dodge enumeration entirely
-    whole = check_diagonal_gap(symmetric(4), 24, -1, cap=10)
+    whole = check_diagonal_gap(big, 202, -1)
     assert whole.witness == "equality_route: both-agree"
-    assert check_diagonal_gap(symmetric(4), 1, -1, cap=10).sign == "zero"
+    assert check_diagonal_gap(big, 1, -1).sign == "zero"
 
 
 def test_diagonal_gap_all_divisors_consistent():
