@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial, reduce
 from math import gcd
@@ -143,41 +144,45 @@ def _family_plan(name: str, params: tuple[int, ...], cap: int):
             yield 60, partial(from_permutations, ALTERNATING5_GENERATORS, "A5")
 
 
-def _build_family(name: str, params: tuple[int, ...], cap: int):
-    return [build() for _, build in _family_plan(name, params, cap)]
+def iter_catalog(spec: CatalogSpec, paranoid: bool = False) -> Iterator[FiniteGroup]:
+    """Resolve a CatalogSpec into concrete groups, built one at a time.
 
-
-def build_catalog(spec: CatalogSpec, paranoid: bool = False) -> list[FiniteGroup]:
-    """Resolve a CatalogSpec into concrete groups, unique by label.
-
-    Every family builder stays within ``spec.order_cap``, and before
-    anything is built the catalog must fit in MAX_ORDER**2 table cells, the
-    size of the largest single table.  With ``paranoid`` every built table
-    is validated again as if it were untrusted input.  Group files are not
-    loaded here: callers load them one by one with load_group_file, so that
-    a bad file is reported on its own, and hand survivors to the sweep.
+    The plan is checked here, before any table is built: every family
+    builder stays within ``spec.order_cap``, and the catalog must fit in
+    MAX_ORDER**2 table cells, the size of the largest single table, which
+    bounds the build work of one catalog.  The iterator returned builds one
+    group per step, validates it again as untrusted input if ``paranoid``,
+    refuses a repeated label and keeps nothing.  Group files are loaded by
+    the caller, one by one with load_group_file, so each bad file is reported.
     """
-    cells = 0
+    cells, builders = 0, []
     for name, params in spec.families:
-        for order, _ in _family_plan(name, params, spec.order_cap):
+        for order, build in _family_plan(name, params, spec.order_cap):
             cells += order * order
             if cells > MAX_ORDER**2:
                 raise OrderCapExceeded(
                     f"the catalog under order cap {spec.order_cap} exceeds {MAX_ORDER**2}"
                     f" table cells, the size of one table of order {MAX_ORDER}"
                 )
-    groups: list[FiniteGroup] = []
-    for name, params in spec.families:
-        groups.extend(_build_family(name, params, spec.order_cap))
-    if paranoid:
-        groups = [from_cayley_table(g.mul, g.label) for g in groups]
+            builders.append(build)
+    return _build_each(builders, paranoid)
+
+
+def _build_each(builders, paranoid: bool) -> Iterator[FiniteGroup]:
     seen: set[str] = set()
-    for g in groups:
-        if g.label in seen:
-            raise ValueError(f"duplicate catalog label {g.label!r}")
-        seen.add(g.label)
-    groups.sort(key=lambda g: (g.order, g.label))
-    return groups
+    for build in builders:
+        group = build()
+        if paranoid:
+            group = from_cayley_table(group.mul, group.label)
+        if group.label in seen:
+            raise ValueError(f"duplicate catalog label {group.label!r}")
+        seen.add(group.label)
+        yield group
+
+
+def build_catalog(spec: CatalogSpec, paranoid: bool = False) -> list[FiniteGroup]:
+    """The whole catalog at once, sorted by (order, label)."""
+    return sorted(iter_catalog(spec, paranoid), key=lambda g: (g.order, g.label))
 
 
 _SEMIDIRECT_LABEL = re.compile(r"^C(\d+):C(\d+)$")

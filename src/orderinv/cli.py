@@ -24,9 +24,9 @@ from fractions import Fraction
 from .catalog import (
     DEFAULT_ORDER_CAP,
     CatalogSpec,
-    build_catalog,
     default_catalog_spec,
     group_from_label,
+    iter_catalog,
     load_group_file,
     semidirect_label_parts,
 )
@@ -109,8 +109,9 @@ def _factored_text(exponents: dict) -> str:
 
 
 def _resolve_group(spec: str):
-    """A group argument is either a file on disk or a catalog label."""
-    if os.path.exists(spec) or spec.endswith(".json"):
+    """A group argument is a group file when it ends in .json or has a
+    directory part (./C4 is the file, C4 the label), else a catalog label."""
+    if spec.endswith(".json") or os.path.dirname(spec):
         try:
             return load_group_file(spec)
         except ValueError as exc:
@@ -218,23 +219,18 @@ def _load_catalog_spec(path: str, order_cap: int | None) -> tuple[CatalogSpec, l
     return spec, paths
 
 
-def _run_verify(args) -> int:
-    if args.catalog == "default":
-        cap = args.order_cap if args.order_cap is not None else DEFAULT_ORDER_CAP
-        spec = default_catalog_spec(order_cap=cap)
-        ingested_paths: list[str] = []
-    else:
-        spec, ingested_paths = _load_catalog_spec(args.catalog, args.order_cap)
-    groups = build_catalog(spec, paranoid=args.paranoid)
-    labels = {g.label for g in groups}
-    input_errors = []
-    for path in ingested_paths:
+def _with_ingested(catalog, paths: list[str], cap: int, input_errors: list[dict]):
+    """The catalog's groups, then the group of each file in ``paths`` that
+    passes the checks below; a file that fails goes to ``input_errors``."""
+    labels = set()
+    for group in catalog:
+        labels.add(group.label)
+        yield group
+    for path in paths:
         try:
             group = load_group_file(path)
-            if group.order > spec.order_cap:
-                raise ValueError(
-                    f"order {group.order} is above the catalog cap {spec.order_cap}"
-                )
+            if group.order > cap:
+                raise ValueError(f"order {group.order} is above the catalog cap {cap}")
             if group.label in labels:
                 raise ValueError(f"duplicate label {group.label!r}")
             if semidirect_label_parts(group.label) is not None:
@@ -247,14 +243,26 @@ def _run_verify(args) -> int:
             input_errors.append({"path": path, "error": str(exc)})
             continue
         labels.add(group.label)
-        groups.append(group)
+        yield group
+
+
+def _run_verify(args) -> int:
+    if args.catalog == "default":
+        cap = args.order_cap if args.order_cap is not None else DEFAULT_ORDER_CAP
+        spec = default_catalog_spec(order_cap=cap)
+        ingested_paths: list[str] = []
+    else:
+        spec, ingested_paths = _load_catalog_spec(args.catalog, args.order_cap)
+    groups = iter_catalog(spec, paranoid=args.paranoid)
+    input_errors: list[dict] = []
     claims = None
     if args.claims is not None:
         claims = [c.strip() for c in args.claims.split(",") if c.strip()]
         if not claims:
             raise ValueError("--claims given but no claim ids found")
     report = run_sweep(
-        groups, claims=claims, bound=args.grid, input_errors=input_errors
+        _with_ingested(groups, ingested_paths, spec.order_cap, input_errors),
+        claims=claims, bound=args.grid, input_errors=input_errors,
     )
     _emit(_verify_table(report) if args.format == "table" else report, args.out)
     return report["exit_status"]

@@ -16,7 +16,9 @@ before it allocates anything, so no input can ask for an unbounded table.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
+from functools import wraps
 from math import gcd
 from operator import itemgetter
 
@@ -84,6 +86,20 @@ class FiniteGroup:
 
     def __repr__(self):  # tables are bulky; keep reprs scannable
         return f"FiniteGroup({self.label!r}, order={self.order})"
+
+
+def per_group(fn):
+    """Memoise fn(group) for as long as the group lives: the memo holds its
+    groups weakly, so a dropped group takes its entry along."""
+    memo = weakref.WeakKeyDictionary()
+
+    @wraps(fn)
+    def memoised(group):
+        if group not in memo:
+            memo[group] = fn(group)
+        return memo[group]
+
+    return memoised
 
 
 def _check_latin_and_identity(mul) -> None:

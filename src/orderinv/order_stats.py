@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, per_group
 from .numtheory import (
     FactoredInteger,
     Scalar,
@@ -100,7 +100,7 @@ class FrobeniusTable:
     ratios: Mapping[int, int]
 
 
-@lru_cache(maxsize=1024)
+@per_group
 def order_profile(group: FiniteGroup) -> OrderProfile:
     return OrderProfile(group.order, dict(Counter(group.element_orders)))
 

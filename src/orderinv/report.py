@@ -90,7 +90,7 @@ def diagonal_exponents(bound: int) -> list[int]:
 
 @lru_cache(maxsize=512)
 def _matching_for(profile) -> DivisibilityMatching:
-    # profile objects are interned per group by order_profile's cache
+    # profile objects are interned per group by order_profile's memo
     return find_divisibility_matching(profile)
 
 
@@ -255,7 +255,9 @@ def run_sweep(
     bound: int = DEFAULT_GRID_BOUND,
     input_errors=(),
 ) -> dict:
-    """Evaluate the selected claims on every group and assemble the report."""
+    """Evaluate the selected claims on each group of an iterable, consumed
+    once and in any order, and keep only its record; ``input_errors`` is
+    read after the last group, so the groups' stream may still add to it."""
     if claims is None:
         selected = list(ALL_CLAIMS)
     else:
@@ -263,14 +265,12 @@ def run_sweep(
         if unknown:
             raise ValueError(f"unknown claims: {', '.join(unknown)}")
         selected = [c for c in ALL_CLAIMS if c in set(claims)]
-    ordered = sorted(groups, key=lambda g: (g.order, g.label))
-    labels = [g.label for g in ordered]
-    if len(set(labels)) != len(labels):
-        raise ValueError("group labels must be unique within a sweep")
 
     anomalies: list[dict] = []
     records: dict[str, dict] = {}
-    for group in ordered:
+    for group in groups:
+        if group.label in records:
+            raise ValueError("group labels must be unique within a sweep")
         try:
             record = group_record(group, bound)
         except Exception as exc:  # noqa: BLE001 - report and flag, never hide
@@ -296,18 +296,19 @@ def run_sweep(
         record["verdicts"] = rows
         records[group.label] = record
     anomalies.sort(key=lambda a: (a["group"], a["claim"], a["error"]))
+    ordered = sorted(records.values(), key=lambda r: (r["order"], r["label"]))
 
-    flat = [v for label in labels for v in records[label]["verdicts"]]
+    flat = [v for record in ordered for v in record["verdicts"]]
     inconsistent = [v for v in flat if not v["consistent"]]
     inconsistent_exact = [v for v in inconsistent if v["mode"] == "exact"]
-    matching_rows = [records[label].get("matching") for label in labels]
+    matching_rows = [record.get("matching") for record in ordered]
     found = sum(1 for m in matching_rows if m and m["status"] == "found")
     violated = sum(1 for m in matching_rows if m and m["status"] == "violated")
     conjecture_events = sorted(
-        label
-        for label in labels
-        if records[label].get("matching", {}).get("status") == "violated"
-        and not records[label].get("is_solvable", True)
+        record["label"]
+        for record in ordered
+        if record.get("matching", {}).get("status") == "violated"
+        and not record.get("is_solvable", True)
     )
     errors = [dict(e) for e in input_errors]
     errors.sort(key=lambda e: (e.get("path", ""), e.get("error", "")))
@@ -324,11 +325,11 @@ def run_sweep(
         "tool_version": TOOL_VERSION,
         "grid_bound": bound,
         "claims": selected,
-        "groups": [records[label] for label in labels],
+        "groups": ordered,
         "anomalies": anomalies,
         "input_errors": errors,
         "summary": {
-            "groups": len(labels),
+            "groups": len(ordered),
             "verdicts": len(flat),
             "inconsistent": len(inconsistent),
             "inconsistent_exact": len(inconsistent_exact),

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 from operator import itemgetter
 
-from .groups import FiniteGroup, OrderCapExceeded, cyclic_powers, from_cayley_table
+from .groups import FiniteGroup, OrderCapExceeded, cyclic_powers, from_cayley_table, per_group
 from .numtheory import factorize
 
 # enumeration is quadratic-ish in the subgroup count; keep desk scale honest
@@ -123,7 +122,7 @@ def count_cyclic_subgroups(group: FiniteGroup) -> int:
     return 1 + len(_cyclic_generator_map(group))
 
 
-@lru_cache(maxsize=256)
+@per_group
 def enumerate_subgroups(group: FiniteGroup) -> tuple[SubgroupSet, ...]:
     """All subgroups, sorted by (order, element indices).
 
@@ -183,7 +182,6 @@ def subgroup_as_group(group: FiniteGroup, sub: SubgroupSet) -> FiniteGroup:
     return from_cayley_table(table, f"{group.label} sub({sub.order})")
 
 
-@lru_cache(maxsize=1024)
 def is_cyclic(group: FiniteGroup) -> bool:
     return max(group.element_orders) == group.order
 
@@ -197,7 +195,7 @@ def is_closed(group: FiniteGroup, elements: list[int]) -> bool:
     return all(members.issuperset(pick(group.mul[x])) for x in elements)
 
 
-@lru_cache(maxsize=1024)
+@per_group
 def is_nilpotent(group: FiniteGroup) -> bool:
     """True iff for every prime p the p-power-order elements form a
     full Sylow subgroup, i.e. the group is the product of its Sylows."""
@@ -225,7 +223,7 @@ def _greedy_closure(group: FiniteGroup, pending: list[int], conjugators=()):
     return gens, closure
 
 
-@lru_cache(maxsize=1024)
+@per_group
 def is_solvable(group: FiniteGroup) -> bool:
     """Derived series, solvable iff it reaches 1: H' is the normal closure in
     H = <S> of the commutators of S, and <C> is normal once each g^-1 c g,

@@ -9,6 +9,7 @@ from orderinv.catalog import (
     build_catalog,
     default_catalog_spec,
     group_from_label,
+    iter_catalog,
     load_group_file,
 )
 from orderinv.cli import main
@@ -75,6 +76,16 @@ def test_catalog_cell_budget():
     assert planned_cells(default_catalog_spec(320)) == 23_615_513 <= MAX_ORDER**2
     with pytest.raises(OrderCapExceeded, match="order cap 384 exceeds 25000000 table cells"):
         build_catalog(default_catalog_spec(384))
+
+
+def test_catalog_plan_is_checked_before_the_stream_starts():
+    # the call itself refuses a bad plan; no step of the stream is taken
+    with pytest.raises(OrderCapExceeded):
+        iter_catalog(default_catalog_spec(384))
+    with pytest.raises(UnknownFamily):
+        iter_catalog(CatalogSpec(families=(("sporadic", ()),)))
+    with pytest.raises(ValueError, match="takes the parameters"):
+        iter_catalog(CatalogSpec(families=(("cyclic", (1,)),)))
 
 
 def test_unknown_family_rejected():

@@ -7,7 +7,8 @@ import subprocess
 import sys
 import time
 
-from orderinv.catalog import build_catalog, default_catalog_spec
+import orderinv.cli as cli_mod
+from orderinv.catalog import CatalogSpec, build_catalog, default_catalog_spec
 from orderinv.cli import main
 from orderinv.groups import elementary_abelian
 from orderinv.report import run_sweep
@@ -121,6 +122,16 @@ def test_compute_from_file(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["group"] == "klein"
     assert payload["solution_counts"] == {"1": 1, "2": 4, "4": 4}
+
+
+def test_a_file_does_not_shadow_a_label(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "C4").write_text("not a group file\n")
+    assert main(["compute", "--group", "C4", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["group"] == "C4"
+    # a directory part makes it a path
+    assert main(["compute", "--group", "./C4"]) == 2
+    assert capsys.readouterr().err.startswith("error: ./C4: not valid JSON")
 
 
 def test_match_solvable_group(capsys):
@@ -327,6 +338,50 @@ def test_verify_input_errors_name_each_path_once(tmp_path, capsys):
     lines = [line for line in capsys.readouterr().out.splitlines()
              if line.startswith("INPUT ERROR")]
     assert lines == [f"INPUT ERROR {e['path']}: {e['error']}" for e in errors]
+
+
+def test_verify_ingested_file_errors(tmp_path, capsys):
+    # each check on an ingested file, against catalog labels and earlier files
+    def cyclic_table(order):
+        return [[(i + j) % order for j in range(order)] for i in range(order)]
+
+    files = {
+        "a-big.json": {"label": "big", "table": cyclic_table(12)},
+        "b-bad.json": [],
+        "c-dup-catalog.json": {"label": "C2", "table": cyclic_table(2)},
+        "d-k.json": {"label": "k", "table": cyclic_table(3)},
+        "e-dup-file.json": {"label": "k", "table": cyclic_table(5)},
+        "f-semidirect.json": {"label": "C3:C2", "table": cyclic_table(6)},
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    spec = tmp_path / "cat.json"
+    spec.write_text(json.dumps({
+        "families": {"cyclic": [1, 4]}, "ingested": list(files), "order_cap": 8,
+    }))
+    expected = [
+        ("a-big.json", "order 12 is above the catalog cap 8"),
+        ("b-bad.json", "expected a JSON object at top level"),
+        ("c-dup-catalog.json", "duplicate label 'C2'"),
+        ("e-dup-file.json", "duplicate label 'k'"),
+        ("f-semidirect.json", "label 'C3:C2' is reserved for the inversion semidirect family"),
+    ]
+    for paranoid in ((), ("--paranoid",)):
+        assert main(["verify", "--catalog", str(spec), *paranoid]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert [g["label"] for g in payload["groups"]] == ["C1", "C2", "C3", "k", "C4"]
+        assert payload["input_errors"] == [
+            {"path": str(tmp_path / name), "error": error} for name, error in expected]
+
+
+def test_verify_duplicate_catalog_label_exits_two(monkeypatch, capsys):
+    # the stream refuses the second C2 mid-sweep; nothing is printed
+    spec = CatalogSpec(families=(("cyclic", (1, 4)), ("cyclic", (2, 6))), order_cap=8)
+    monkeypatch.setattr(cli_mod, "default_catalog_spec", lambda order_cap: spec)
+    for paranoid in ((), ("--paranoid",)):
+        assert main(["verify", *paranoid]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: duplicate catalog label 'C2'\n")
 
 
 def test_verify_relative_ingest_paths_resolve_to_spec_dir(tmp_path, capsys):

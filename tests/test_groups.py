@@ -36,7 +36,7 @@ from orderinv.groups import (
     is_int,
     symmetric,
 )
-from orderinv.numtheory import is_prime, totient
+from orderinv.numtheory import totient
 from orderinv.order_stats import order_profile
 from synthetic import relabelled_table
 

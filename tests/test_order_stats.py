@@ -19,7 +19,6 @@ from orderinv.numtheory import (
     divisors,
     factorize,
     totient,
-    weight,
 )
 from orderinv.order_stats import (
     FrobeniusViolated,

@@ -1,6 +1,9 @@
+import gc
 import json
 import math
+import sys
 import tracemalloc
+import weakref
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -10,7 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orderinv.report as report_mod
-from orderinv.catalog import group_from_label, semidirect_label_parts
+from orderinv.catalog import (
+    default_catalog_spec,
+    group_from_label,
+    iter_catalog,
+    semidirect_label_parts,
+)
 from orderinv.groups import cyclic
 from orderinv.report import (
     ALL_CLAIMS,
@@ -113,6 +121,55 @@ def test_claim_selection_and_order():
     assert claims_seen == {"frobenius-divisibility", "min-cyclic-count"}
     with pytest.raises(ValueError, match="unknown claims"):
         run_sweep([group_from_label("C6")], claims=["bogus"])
+
+
+def test_sweep_order_does_not_matter(catalog64):
+    # records are ordered by (order, label) however the groups arrive
+    assert json_text(run_sweep(reversed(catalog64))) == json_text(run_sweep(catalog64))
+
+
+def test_no_group_outlives_its_record():
+    refs = []
+
+    def tracked(groups):
+        for group in groups:
+            refs.append(weakref.ref(group))
+            yield group
+
+    payload = run_sweep(tracked(iter_catalog(default_catalog_spec(64))))
+    gc.collect()
+    assert len(refs) == payload["summary"]["groups"] == 162
+    # a memo or cache that pins a group keeps its table alive
+    assert [ref().label for ref in refs if ref() is not None] == []
+
+
+def _deep_size(value, seen) -> int:
+    if id(value) in seen:
+        return 0
+    seen.add(id(value))
+    size = sys.getsizeof(value)
+    if isinstance(value, dict):
+        size += sum(_deep_size(k, seen) + _deep_size(v, seen) for k, v in value.items())
+    elif isinstance(value, (list, tuple)):
+        size += sum(_deep_size(v, seen) for v in value)
+    return size
+
+
+def test_streamed_sweep_holds_one_table_at_a_time():
+    spec = default_catalog_spec(128)
+    tables = sum(sys.getsizeof(g.mul) + sum(map(sys.getsizeof, g.mul))
+                 for g in iter_catalog(spec))
+    tracemalloc.start()
+    try:
+        payload = run_sweep(iter_catalog(spec))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the cap-128 report (about 14.5 MB of objects) outweighs its 13.7 MB of
+    # tables, so what is bounded is the peak beyond the report: caches and one
+    # group's work, where holding every table would add all 13.7 MB
+    beyond_report = peak - _deep_size(payload, set())
+    assert beyond_report < tables / 2, (beyond_report, tables)
 
 
 def test_duplicate_group_labels_rejected():
