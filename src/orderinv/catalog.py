@@ -207,13 +207,13 @@ def semidirect_label_parts(label: str) -> tuple[int, int, int] | None:
     """Split a label of the form C{m}:C{2^u * beta} into (m, beta, u).
 
     Returns None when the label is not of that form or the acting factor
-    is odd (the construction needs at least one factor of 2).
+    is odd or zero (the construction needs at least one factor of 2).
     """
     hit = _SEMIDIRECT_LABEL.match(label)
     if not hit:
         return None
     m, alpha = int(hit.group(1)), int(hit.group(2))
-    if alpha % 2:
+    if alpha % 2 or not alpha:
         return None
     u = 0
     beta = alpha

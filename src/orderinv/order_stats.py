@@ -44,25 +44,26 @@ class ParameterDomainViolated(ValueError):
     """n or (r, s) lies outside the domain an invariant or claim is stated for."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class OrderProfile:
     """Counts of elements by exact order; the sole input to every invariant.
 
     Only orders that occur are present, values are positive.  ``counts`` is
-    a read-only view, since order_profile hands one cached instance to
-    every caller.  Synthetic profiles (tests, corrupted-input
-    probes) go through the same validation as profiles read off a group:
-    orders divide the group order, there is exactly one identity, counts
-    are multiples of phi(d), and they sum to the group order.
+    a read-only view (unhashable, so equality and hash come from ``key``).
+    Equal profiles, such as those of C6 and C2xC3, are equal values and
+    share every memo.  Synthetic profiles (tests, corrupted-input probes)
+    go through the same validation as profiles read off a group: orders
+    divide the group order, there is exactly one identity, counts are
+    multiples of phi(d), and they sum to the group order.
     """
 
     group_order: int
-    counts: Mapping[int, int] = field(default_factory=dict)
+    counts: Mapping[int, int] = field(default_factory=dict, compare=False)
     key: tuple[tuple[int, int], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
-        object.__setattr__(self, "key", tuple(sorted(self.counts.items())))  # C6 = C2xC3
+        object.__setattr__(self, "key", tuple(sorted(self.counts.items())))
         n = self.group_order
         if n < 1:
             raise ValueError(f"group order must be positive, got {n}")
@@ -154,6 +155,7 @@ def weighted_order_sum(profile: OrderProfile, n: int, r, s) -> Scalar:
     return total
 
 
+@lru_cache(maxsize=4096, typed=True)  # 1, 1.0, Fraction(1) hash alike: keep apart
 def cyclic_excess(profile: OrderProfile, n: int, r, s) -> Scalar:
     """Weighted order sum minus the same sum for the cyclic group of equal
     order; the divisor-restricted comparison invariant.
@@ -163,15 +165,9 @@ def cyclic_excess(profile: OrderProfile, n: int, r, s) -> Scalar:
     sum_{m|n} m^s/phi(m)^(r-1).  Vanishes identically at r = s = 0.
     """
     require_divisor(profile, n)
-    return _cyclic_excess(profile.key, n, r, s)
-
-
-@lru_cache(maxsize=4096, typed=True)  # 1, 1.0, Fraction(1) hash alike: keep apart
-def _cyclic_excess(key: tuple[tuple[int, int], ...], n: int, r, s) -> Scalar:
-    counts = dict(key)
     total: Scalar = Fraction(0) if exact_exponents(r, s) else 0.0
     for m in divisors(n):
-        c = counts.get(m, 0) // totient(m)
+        c = profile.cyclic_count(m)
         if c != 1:
             total += (c - 1) * weight(m, r - 1, s)
     return total

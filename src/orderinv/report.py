@@ -90,7 +90,7 @@ def diagonal_exponents(bound: int) -> list[int]:
 
 @lru_cache(maxsize=512)
 def _matching_for(profile) -> DivisibilityMatching:
-    # profile objects are interned per group by order_profile's memo
+    # keyed by profile value: twins such as S3, D3 and C3:C2 share one entry
     return find_divisibility_matching(profile)
 
 

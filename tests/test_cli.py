@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import operator
 import os
 import random
 import re
@@ -6,12 +9,19 @@ import resource
 import subprocess
 import sys
 import time
+from unittest import mock
+
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
 
 import orderinv.cli as cli_mod
-from orderinv.catalog import CatalogSpec, build_catalog, default_catalog_spec
+import orderinv.groups as groups_mod
+from orderinv.catalog import CatalogSpec, build_catalog, default_catalog_spec, group_from_label
 from orderinv.cli import main
 from orderinv.groups import elementary_abelian
+from orderinv.order_stats import order_profile
 from orderinv.report import run_sweep
+from deadline import time_limit
 from oracles import json_text
 from synthetic import relabelled_table
 
@@ -73,9 +83,17 @@ def test_compute_approximate_exponents(capsys):
     assert payload["sign"] == "zero"  # cyclic group, excess vanishes
 
 
-def test_compute_bad_inputs():
+def test_compute_bad_inputs(capsys):
     assert main(["compute", "--group", "NOPE"]) == 2
     assert main(["compute", "--group", "C12", "--n", "7"]) == 2
+    capsys.readouterr()
+    # an acting factor of 0 is no semidirect label, and must not stall the parser
+    for argv in (["compute", "--group", "C3:C0"], ["compute", "--group", "C3:C00"],
+                 ["compute", "--group", "C2xC3:C0"], ["match", "--group", "C5:C0"],
+                 ["example", "--group", "C3:C0"]):
+        with time_limit(5):
+            assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
     assert run_cli("compute", "--group", "C4", "--r", "abc").returncode == 2
     # oversize labels are refused before any table is allocated
     for label in ("C20000", "S12", "D100000", "Q65536", "E2^100000000",
@@ -352,6 +370,7 @@ def test_verify_ingested_file_errors(tmp_path, capsys):
         "d-k.json": {"label": "k", "table": cyclic_table(3)},
         "e-dup-file.json": {"label": "k", "table": cyclic_table(5)},
         "f-semidirect.json": {"label": "C3:C2", "table": cyclic_table(6)},
+        "g-no-semidirect.json": {"label": "C3:C0", "table": cyclic_table(3)},
     }
     for name, data in files.items():
         (tmp_path / name).write_text(json.dumps(data))
@@ -367,9 +386,12 @@ def test_verify_ingested_file_errors(tmp_path, capsys):
         ("f-semidirect.json", "label 'C3:C2' is reserved for the inversion semidirect family"),
     ]
     for paranoid in ((), ("--paranoid",)):
-        assert main(["verify", "--catalog", str(spec), *paranoid]) == 2
+        with time_limit(10):
+            assert main(["verify", "--catalog", str(spec), *paranoid]) == 2
         payload = json.loads(capsys.readouterr().out)
-        assert [g["label"] for g in payload["groups"]] == ["C1", "C2", "C3", "k", "C4"]
+        # C3:C0 names no semidirect group: it is swept like any other label
+        assert [g["label"] for g in payload["groups"]] == [
+            "C1", "C2", "C3", "C3:C0", "k", "C4"]
         assert payload["input_errors"] == [
             {"path": str(tmp_path / name), "error": error} for name, error in expected]
 
@@ -478,6 +500,99 @@ def test_verify_rejects_ingested_semidirect_labels(tmp_path, capsys):
     errors = payload["input_errors"]
     assert len(errors) == 2
     assert all("semidirect" in e["error"] for e in errors)
+
+
+# a label grammar: family letters; digit strings, often small, with leading
+# zeros and the non-ASCII digits \u0663 (3) and \uff14 (4); the separators
+# of products, semidirect and elementary abelian labels; whitespace
+_DIGITS = st.builds(
+    operator.add,
+    st.sampled_from(["", "", "", "0", "00"]),
+    st.one_of(
+        st.sampled_from(["0", "1", "2", "3", "4", "5", "6", "8", "9", "10", "12",
+                         "15", "16", "\u0663", "\uff14", "1\u0663"]),
+        st.sampled_from(["0", "2", "3", "4", "5", "8"]),
+        st.text("0123456789\u0663\uff14", min_size=1, max_size=2),
+    ),
+)
+# well-formed factors in unusual spellings, so that labels also parse
+_VALID_FACTOR = st.sampled_from([
+    "C12", "C007", "D6", "D\uff14", "Q8", "Q016", "S4", "S\u0663", "E2^3",
+    "E\u0663^02", "A5", "C3:C10", "C15:C4", "C5:C02", "C9:C2",
+])
+_FACTOR = st.one_of(
+    _VALID_FACTOR,
+    _VALID_FACTOR,
+    st.builds(operator.add, st.sampled_from("CDQSEA"), _DIGITS),
+    st.builds("E{}^{}".format, _DIGITS, _DIGITS),
+    st.builds("C{}:C{}".format, _DIGITS, _DIGITS),
+)
+_SEPARATOR = st.sampled_from(["x", "x", "x", ":", "^", " ", " x "])
+_PAD = st.sampled_from(["", "", "", "", " ", "\t"])
+
+
+@st.composite
+def _labels(draw):
+    factors = draw(st.lists(_FACTOR, min_size=1, max_size=2))
+    text = factors[0] + "".join(draw(_SEPARATOR) + f for f in factors[1:])
+    return draw(_PAD) + text + draw(_PAD)
+
+
+# exponents: integers, fractions, decimals, exponent notation, signs, underscores
+_SIGN = st.sampled_from(["", "-", "+"])
+_MAYBE_DIGITS = st.one_of(st.just(""), _DIGITS)
+_EXPONENT = st.one_of(
+    st.integers(-4, 4).map(str),
+    st.integers(-4, 4).map(str),
+    st.builds("{}{}/{}".format, _SIGN, _DIGITS, _DIGITS),
+    st.builds("{}{}.{}".format, _SIGN, _MAYBE_DIGITS, _MAYBE_DIGITS),
+    st.builds("{}{}e{}{}".format, _SIGN, _DIGITS, _SIGN, _DIGITS),
+    st.sampled_from(["1_0", "_1", "1/0", "nan", "-inf", "", " 1"]),
+)
+_OPTIONS = st.lists(st.builds(
+    lambda flag, value, joined: [f"{flag}={value}"] if joined else [flag, value],
+    st.sampled_from(["--r", "--s", "--r", "--s", "--n"]), _EXPONENT, st.booleans(),
+), max_size=2).map(lambda options: sum(options, []))
+
+FUZZ_ORDER_CAP = 128  # every table the fuzz builds stays small; the real cap is tested above
+
+
+def _main_in_process(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# no shrink phase: each stalled example costs the full deadline, and the
+# labels are short enough to read as found
+@settings(max_examples=200, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(_labels(), _OPTIONS)
+@example("C3:C0", [])
+@example("C2xC3:C00", ["--r", "-1/2"])
+@example(" C\uff14", ["--s=\u0663"])
+@example("C3:C10", ["--r", "-1/2", "--n", "15"])
+def test_cli_grammar_fuzz(label, options):
+    """No label or exponent stalls or crashes compute, match or example."""
+    with mock.patch.object(groups_mod, "MAX_ORDER", FUZZ_ORDER_CAP):
+        for argv in (["compute", "--group", label, "--format", "json", *options],
+                     ["match", "--group", label],
+                     ["example", "--group", label]):
+            with time_limit(3):
+                code, out, err = _main_in_process(argv)
+            assert code in (0, 1, 2), (argv, code)
+            assert "Traceback" not in out + err, argv
+            if code == 2:
+                assert err.strip(), argv
+            if argv[0] == "compute" and code == 0:
+                printed = json.loads(out)["group"]
+                with time_limit(3):
+                    assert (order_profile(group_from_label(printed))
+                            == order_profile(group_from_label(label))), (label, printed)
 
 
 def test_console_script_smoke():

@@ -24,7 +24,6 @@ from orderinv.order_stats import (
     FrobeniusViolated,
     OrderProfile,
     ParameterDomainViolated,
-    _cyclic_excess,
     cyclic_excess,
     cyclic_profile,
     cyclic_subgroup_count,
@@ -33,6 +32,7 @@ from orderinv.order_stats import (
     product_of_orders,
     weighted_order_sum,
 )
+from orderinv.report import _matching_for
 from oracles import frobenius_expansion, log_mobius_kernel, product_of_orders_direct
 from synthetic import random_abelian_profiles
 
@@ -101,7 +101,7 @@ def test_cached_frobenius_table_is_read_only():
 @pytest.mark.parametrize("exact_first", [True, False])
 def test_excess_cache_keeps_exact_and_float_apart(exact_first):
     # 1 == 1.0 and both hash alike; neither call may return the other's result
-    _cyclic_excess.cache_clear()
+    cyclic_excess.cache_clear()
     profile = order_profile(symmetric(3))
     calls = [(1, 2), (1.0, 2.0)] if exact_first else [(1.0, 2.0), (1, 2)]
     results = [cyclic_excess(profile, 6, *rs) for rs in calls]
@@ -109,18 +109,53 @@ def test_excess_cache_keeps_exact_and_float_apart(exact_first):
     assert type(exact) is Fraction and type(approximate) is float
     # three order-2 subgroups add 2 * 2^2, the missing C6 takes 6^2 away
     assert exact == approximate == 2 * 4 - 36
+    assert cyclic_excess.cache_info().misses == 2
+
+
+def test_excess_cache_does_not_keep_domain_errors():
+    cyclic_excess.cache_clear()
+    profile = order_profile(symmetric(3))
+    for _ in range(2):
+        with pytest.raises(ParameterDomainViolated):
+            cyclic_excess(profile, 4, 0, 1)
+    assert cyclic_excess.cache_info().currsize == 0
+
+
+def test_profiles_are_values():
+    c6, s3 = order_profile(cyclic(6)), order_profile(symmetric(3))
+    assert c6 == order_profile(direct_product(cyclic(2), cyclic(3)))
+    assert s3 == order_profile(dihedral(3)) == order_profile(inversion_semidirect(3, 1, 1))
+    assert c6 != s3 and c6 == cyclic_profile(6)
+    # equal profiles of different groups are one dict key
+    seen = {s3: "S3"}
+    seen[order_profile(dihedral(3))] = "D3"
+    assert seen == {s3: "D3"}
+    assert len({c6, s3, order_profile(direct_product(cyclic(3), cyclic(2)))}) == 2
 
 
 def test_profile_twins_share_excess_values():
-    # three groups, three profile objects, one key: the later two only hit
+    # three groups, three profile objects, one value: the later two only hit
     twins = [order_profile(g) for g in
              (symmetric(3), dihedral(3), inversion_semidirect(3, 1, 1))]
-    assert len({id(p) for p in twins}) == 3 and len({p.key for p in twins}) == 1
-    _cyclic_excess.cache_clear()
+    assert len({id(p) for p in twins}) == 3 and len(set(twins)) == 1
+    cyclic_excess.cache_clear()
     values = [[cyclic_excess(p, n, r, s) for n in divisors(6) for r, s in SMALL_GRID]
               for p in twins]
     assert values[0] == values[1] == values[2]
-    assert _cyclic_excess.cache_info().hits == 2 * len(values[0])
+    assert cyclic_excess.cache_info().hits == 2 * len(values[0])
+
+
+def test_profile_twins_share_frobenius_and_matching_entries():
+    twins = [order_profile(g) for g in
+             (symmetric(3), dihedral(3), inversion_semidirect(3, 1, 1))]
+    frobenius_table.cache_clear()
+    _matching_for.cache_clear()
+    tables = [frobenius_table(p) for p in twins]
+    matchings = [_matching_for(p) for p in twins]
+    assert tables[0] is tables[1] is tables[2]
+    assert matchings[0] is matchings[1] is matchings[2]
+    assert frobenius_table.cache_info().misses == 1
+    assert _matching_for.cache_info().misses == 1
 
 
 # ------------------------------------------------------------ Frobenius

@@ -20,6 +20,7 @@ from orderinv.catalog import (
     semidirect_label_parts,
 )
 from orderinv.groups import cyclic
+from orderinv.order_stats import frobenius_table
 from orderinv.report import (
     ALL_CLAIMS,
     JSON_WRITE_BATCH,
@@ -33,6 +34,7 @@ from orderinv.report import (
     write_json,
 )
 from orderinv.theorems import TheoremVerdict
+from deadline import time_limit
 from oracles import json_text
 
 
@@ -50,6 +52,9 @@ def test_semidirect_label_parts():
     assert semidirect_label_parts("C15:C4") == (15, 1, 2)
     assert semidirect_label_parts("C3:C5") is None  # odd acting factor
     assert semidirect_label_parts("S4") is None
+    with time_limit(2):  # alpha = 0 has no odd part to halve down to
+        assert semidirect_label_parts("C3:C0") is None
+        assert semidirect_label_parts("C3:C00") is None
 
 
 def test_sweep_claim_mix_for_s3():
@@ -126,6 +131,20 @@ def test_claim_selection_and_order():
 def test_sweep_order_does_not_matter(catalog64):
     # records are ordered by (order, label) however the groups arrive
     assert json_text(run_sweep(reversed(catalog64))) == json_text(run_sweep(catalog64))
+
+
+@pytest.mark.parametrize("arrival", ["stream", "reversed list"])
+def test_profile_memos_miss_once_per_distinct_profile(catalog64, arrival):
+    # value-keyed: twins such as C6 and C2xC3 share one entry whatever the order
+    groups = (iter_catalog(default_catalog_spec()) if arrival == "stream"
+              else catalog64[::-1])
+    frobenius_table.cache_clear()
+    report_mod._matching_for.cache_clear()
+    rep = run_sweep(groups)
+    distinct = {json_text(record["profile"]) for record in rep["groups"]}
+    assert len(distinct) == 117
+    assert frobenius_table.cache_info().misses == len(distinct)
+    assert report_mod._matching_for.cache_info().misses == len(distinct)
 
 
 def test_no_group_outlives_its_record():

@@ -1,7 +1,5 @@
 """Structure predicates checked against hand-counted subgroup data."""
 
-import signal
-from contextlib import contextmanager
 from math import gcd
 
 import pytest
@@ -24,6 +22,7 @@ from orderinv.groups import (
 )
 from orderinv.numtheory import divisor_count, divisors
 from orderinv.order_stats import frobenius_table, order_profile
+from deadline import time_limit
 from synthetic import relabelled_table
 from orderinv.structure import (
     SubgroupSet,
@@ -119,20 +118,6 @@ def is_solvable_by_all_commutators(group):
             return False
         current = derived
     return True
-
-
-@contextmanager
-def time_limit(seconds: int):
-    """Turn a derived series that never ends into a failure."""
-    def expire(*_):
-        raise TimeoutError(f"no answer within {seconds} s")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def test_solvable_matches_all_commutators_on_the_catalog(catalog64):
