@@ -340,7 +340,7 @@ def _run_match(args) -> int:
 
 
 def _run_example(args) -> int:
-    parts = semidirect_label_parts(args.group)
+    parts = semidirect_label_parts(args.group.strip())
     if parts is None:
         raise ValueError(
             f"{args.group!r} is not an inversion semidirect label of the form"
@@ -355,7 +355,7 @@ def _run_example(args) -> int:
     else:
         surplus = divisor_count(beta) * (m - divisor_count(m))
         output = _kv_table([
-            ("group", args.group),
+            ("group", verdict.group),
             ("order", order),
             ("divisor floor", divisor_count(order)),
             ("cyclic subgroup surplus", surplus),

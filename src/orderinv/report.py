@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import islice
+from json.encoder import encode_basestring_ascii as _string_text
 
 from .catalog import semidirect_label_parts
 from .groups import FiniteGroup
@@ -62,8 +62,7 @@ DEFAULT_GRID_BOUND = 3
 DIVISOR_SWEEP_LIMIT = 48
 # json.dumps(sort_keys=True) with one encoder; a tuple key would reorder "1}" < "12}"
 _sorted_json = json.JSONEncoder(sort_keys=True).encode
-# encoder chunks joined per write: json.dump makes one write per chunk (a system
-# call each on an unbuffered stream), json.dumps holds a second copy of the report
+# write_json's strings per write: bounds both the system calls and the text held
 JSON_WRITE_BATCH = 1024
 
 
@@ -240,13 +239,54 @@ def group_record(group: FiniteGroup, bound: int = DEFAULT_GRID_BOUND) -> dict:
     }
 
 
+# json's text of each scalar by exact type: a Fraction, set or subclass is a TypeError
+_SCALAR_TEXT = {
+    str: _string_text,
+    int: int.__repr__,
+    float: json.dumps,  # float.__repr__, or NaN, Infinity and -Infinity
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
 def write_json(payload, handle) -> None:
-    """Stream the one JSON layout every command prints: indented, keys sorted."""
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
-    # the encoder yields no empty chunk, so an empty batch is the end
-    while batch := "".join(islice(chunks, JSON_WRITE_BATCH)):
-        handle.write(batch)
-    handle.write("\n")
+    """Write ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` in one
+    recursive pass, one string per key and scalar: ``json`` indents with a generator."""
+    parts: list[str] = []
+
+    def emit(value, lead: str, indent: str) -> None:
+        # lead: what precedes value on its line; indent: newline and value's indentation
+        kind = type(value)
+        if kind is not dict and kind is not list and kind is not tuple:
+            if kind not in _SCALAR_TEXT:
+                raise TypeError(f"type {kind.__name__} is not JSON serializable")
+            return parts.append(lead + _SCALAR_TEXT[kind](value))
+        opener, closer = "{}" if kind is dict else "[]"
+        inner = indent + "  "
+        separator, comma = lead + opener + inner, "," + inner
+        if kind is dict:  # a key that is not a str is a TypeError from the encoder
+            for key, item in sorted(value.items()):
+                text = _SCALAR_TEXT.get(type(item))
+                if text is None:
+                    emit(item, f"{separator}{_string_text(key)}: ", inner)
+                else:
+                    parts.append(f"{separator}{_string_text(key)}: {text(item)}")
+                separator = comma
+        else:
+            for item in value:
+                text = _SCALAR_TEXT.get(type(item))
+                if text is None:
+                    emit(item, separator, inner)
+                else:
+                    parts.append(separator + text(item))
+                separator = comma
+        parts.append(indent + closer if value else lead + opener + closer)
+        if len(parts) >= JSON_WRITE_BATCH:
+            handle.write("".join(parts))
+            parts.clear()
+
+    emit(payload, "", "\n")
+    handle.write("".join(parts) + "\n")
 
 
 def run_sweep(

@@ -11,12 +11,18 @@ import sys
 import time
 from unittest import mock
 
-from hypothesis import Phase, example, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
 import orderinv.cli as cli_mod
 import orderinv.groups as groups_mod
-from orderinv.catalog import CatalogSpec, build_catalog, default_catalog_spec, group_from_label
+from orderinv.catalog import (
+    CatalogSpec,
+    build_catalog,
+    default_catalog_spec,
+    group_from_label,
+    semidirect_label_parts,
+)
 from orderinv.cli import main
 from orderinv.groups import elementary_abelian
 from orderinv.order_stats import order_profile
@@ -576,8 +582,11 @@ def _main_in_process(argv) -> tuple[int, str, str]:
 @example("C2xC3:C00", ["--r", "-1/2"])
 @example(" C\uff14", ["--s=\u0663"])
 @example("C3:C10", ["--r", "-1/2", "--n", "15"])
+@example(" C3:C10", [])
+@example("C\u0663:C1\u0660", [])
 def test_cli_grammar_fuzz(label, options):
     """No label or exponent stalls or crashes compute, match or example."""
+    printed = {}
     with mock.patch.object(groups_mod, "MAX_ORDER", FUZZ_ORDER_CAP):
         for argv in (["compute", "--group", label, "--format", "json", *options],
                      ["match", "--group", label],
@@ -588,11 +597,87 @@ def test_cli_grammar_fuzz(label, options):
             assert "Traceback" not in out + err, argv
             if code == 2:
                 assert err.strip(), argv
-            if argv[0] == "compute" and code == 0:
-                printed = json.loads(out)["group"]
+            if argv[0] != "match" and code == 0:
+                printed[argv[0]] = (json.loads(out) if argv[0] == "compute"
+                                    else parse_table(out))["group"]
                 with time_limit(3):
-                    assert (order_profile(group_from_label(printed))
+                    assert (order_profile(group_from_label(printed[argv[0]]))
                             == order_profile(group_from_label(label))), (label, printed)
+    # example takes every semidirect label that compute takes, and prints it alike
+    if semidirect_label_parts(printed.get("compute", "")) is not None:
+        assert printed.get("example") == printed["compute"], (label, printed)
+
+
+# JSON of random shape, for catalog specs and group files: the keys and family
+# names of both formats appear among the random ones, so some examples get deep
+_JSON_KEYS = st.sampled_from(
+    ["families", "ingested", "order_cap", "label", "order", "table", "degree", "generators"])
+_FAMILY_NAMES = st.sampled_from(
+    ["cyclic", "dihedral", "quaternion", "elementary_abelian", "symmetric", "semidirect",
+     "prime_products", "alternating", "nope"])
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers(-2, 40) | st.floats()
+                | st.sampled_from([10**30, -(2**63), "g.json", "C4", "C3:C0", "C3:C10"])
+                | st.text(max_size=3))
+_JSON_SHAPES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(_JSON_KEYS | _FAMILY_NAMES | st.text(max_size=3),
+                                     inner, max_size=4)),
+    max_leaves=12,
+)
+_SMALL_ROWS = st.lists(st.lists(st.integers(-1, 5), max_size=5), max_size=5)
+_SPEC_DOCS = _JSON_SHAPES | st.fixed_dictionaries({}, optional={
+    "families": st.dictionaries(
+        _FAMILY_NAMES, st.lists(st.integers(-2, 12), max_size=3) | _JSON_SHAPES, max_size=3),
+    "ingested": st.lists(st.sampled_from(["g.json", "missing.json", "."]), max_size=2)
+    | _JSON_SHAPES,
+    "order_cap": st.integers(-1, 40) | _JSON_SHAPES,
+})
+_LABEL_VALUES = st.sampled_from(["G", "C4", "C3:C10", "C3:C0", " ", ""])
+# a third random, a third near a Cayley-table file, a third near a permutation file
+_GROUP_DOCS = st.one_of(
+    _JSON_SHAPES,
+    st.fixed_dictionaries(
+        {"label": _LABEL_VALUES,
+         "table": st.integers(1, 8).map(
+             lambda n: [[(i + j) % n for j in range(n)] for i in range(n)])
+         | _SMALL_ROWS | _JSON_SHAPES},
+        optional={"order": st.integers(-1, 8) | _JSON_LEAVES}),
+    st.integers(1, 5).flatmap(lambda degree: st.fixed_dictionaries(
+        {"label": _LABEL_VALUES,
+         "degree": st.just(degree) | _JSON_LEAVES,
+         "generators": st.lists(st.permutations(range(degree)), max_size=2)
+         | _SMALL_ROWS | _JSON_SHAPES})),
+)
+
+
+def _exit_two_message(command: str, out: str, err: str):
+    """What an exit 2 told the user: stderr, or the errors listed in the output."""
+    if err.strip() or command == "compute":
+        return err.strip()
+    if command == "ingest":
+        return [line for line in out.splitlines() if line.startswith("ERROR")]
+    return json.loads(out)["input_errors"]
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_SPEC_DOCS, _GROUP_DOCS)
+def test_json_file_shape_fuzz(tmp_path, spec, group):
+    """No catalog spec or group file stalls or crashes verify, ingest or compute."""
+    spec_path, group_path = tmp_path / "spec.json", tmp_path / "g.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    group_path.write_text(json.dumps(group), encoding="utf-8")
+    with mock.patch.object(groups_mod, "MAX_ORDER", FUZZ_ORDER_CAP):
+        for argv in (["verify", "--catalog", str(spec_path)],
+                     ["ingest", str(group_path)],
+                     ["compute", "--group", str(group_path)]):
+            with time_limit(3):
+                code, out, err = _main_in_process(argv)
+            assert code in (0, 1, 2), (argv, code, err)
+            assert "Traceback" not in out + err, argv
+            if code == 2:
+                assert _exit_two_message(argv[0], out, err), (argv, spec, group)
 
 
 def test_console_script_smoke():

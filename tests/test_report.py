@@ -266,10 +266,21 @@ class _CountingHandle:
         self.chars += len(text)
 
 
-_json_text_values = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\n\u00e9\u6f22'))
+# lone surrogates and non-BMP text go out as \u escapes, a pair for the latter
+_json_text_values = st.text(st.characters() | st.sampled_from(
+    '"\\\x00\x1f\n\u00e9\u6f22\ud800\udfff\U0001f600\U0010ffff'))
+_json_floats = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324])
+# True and 1, False and 0 compare equal but print apart; empty containers print inline
+_json_fixed = st.sampled_from([
+    [True, 1, False, 0], {"1": 1, "false": False, "true": True, "0": 0},
+    [], {}, (), [[], {}], {"": {"": []}}, ((), [()]),
+])
 _json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | _json_text_values,
-    lambda inner: st.lists(inner) | st.dictionaries(_json_text_values, inner),
+    st.none() | st.booleans() | st.integers() | _json_floats | _json_text_values
+    | _json_fixed,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(_json_text_values, inner)),
     max_leaves=30,
 )
 # repeating one value up to twice the batch size puts payloads across batch ends
@@ -301,3 +312,28 @@ def test_streamed_report_holds_no_copy_of_its_text(catalog64):
     finally:
         tracemalloc.stop()
     assert peak < sink.chars / 10, (peak, sink.chars)
+
+
+@pytest.mark.parametrize("payload", [
+    math.nan, -math.inf, -0.0, 5e-324, 0, True, None, "\ud800\U0001f600",
+    [True, 1, False, 0], (1, ("a", ())), {"": [{}, ()]},
+])
+def test_write_json_matches_json_dumps_on_edge_values(payload):
+    assert json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("payload", [
+    Fraction(1, 2), {1, 2}, {1: "one"}, {"rows": [{"n": Fraction(1, 3)}]},
+], ids=["fraction", "set", "int key", "nested fraction"])
+def test_write_json_rejects_what_json_cannot_print_as_is(payload):
+    # json would print the int key as "1"; every key of a report is a str already
+    with pytest.raises(TypeError):
+        json_text(payload)
+
+
+def test_report_text_is_json_dumps_of_the_payload(catalog64):
+    payload = run_sweep(catalog64)
+    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # lists of lines: pytest names the first line that differs, where a diff of
+    # the two 1.6 MB strings would take minutes
+    assert json_text(payload).split("\n") == expected.split("\n")
