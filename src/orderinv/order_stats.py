@@ -9,7 +9,8 @@ the weighted order sums
     sum over x with o(x) | n  of  o(x)^s / phi(o(x))^r
 
 and their excess over the cyclic group of the same order, which is the
-quantity whose sign detects structure.  The product of all element orders
+quantity whose sign detects structure; ``excess_sign`` decides that sign
+exactly for every rational exponent pair.  The product of all element orders
 is kept in factored form; its closed form n^n / prod p^(B_p) is computed
 from the solution counts and cross-checked in tests against the direct
 factored product.
@@ -20,8 +21,10 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from types import MappingProxyType
 
 from .groups import FiniteGroup, per_group
@@ -29,7 +32,6 @@ from .numtheory import (
     FactoredInteger,
     Scalar,
     divisors,
-    exact_exponents,
     factorize,
     totient,
     weight,
@@ -144,18 +146,16 @@ def cyclic_subgroup_count(profile: OrderProfile, n: int) -> int:
 def weighted_order_sum(profile: OrderProfile, n: int, r, s) -> Scalar:
     """sum of o(x)^s / phi(o(x))^r over elements with o(x) | n.
 
-    Exact Fraction for integer (r, s), float otherwise.  Grouping by order
-    class this is sum_{m|n} A(m) m^s / phi(m)^r.
+    Exact Fraction when r and s have integer values, else a float reading
+    (its sign is excess_sign's business).  Grouping by order class this is
+    sum_{m|n} A(m) m^s / phi(m)^r.
     """
     require_divisor(profile, n)
-    total: Scalar = Fraction(0) if exact_exponents(r, s) else 0.0
-    for m, count in profile.counts.items():
-        if n % m == 0:
-            total += count * weight(m, r, s)
-    return total
+    return sum((count * weight(m, r, s) for m, count in profile.counts.items()
+                if n % m == 0), Fraction(0))
 
 
-@lru_cache(maxsize=4096, typed=True)  # 1, 1.0, Fraction(1) hash alike: keep apart
+@lru_cache(maxsize=4096)
 def cyclic_excess(profile: OrderProfile, n: int, r, s) -> Scalar:
     """Weighted order sum minus the same sum for the cyclic group of equal
     order; the divisor-restricted comparison invariant.
@@ -165,12 +165,67 @@ def cyclic_excess(profile: OrderProfile, n: int, r, s) -> Scalar:
     sum_{m|n} m^s/phi(m)^(r-1).  Vanishes identically at r = s = 0.
     """
     require_divisor(profile, n)
-    total: Scalar = Fraction(0) if exact_exponents(r, s) else 0.0
+    return sum(((profile.cyclic_count(m) - 1) * weight(m, r - 1, s)
+                for m in divisors(n) if profile.cyclic_count(m) != 1), Fraction(0))
+
+
+def sign_of(value) -> str:
+    """"pos", "neg" or "zero": how value compares with 0."""
+    return "pos" if value > 0 else "neg" if value < 0 else "zero"
+
+
+# decimal digits at which excess_sign stops doubling its precision from 30
+SIGN_DIGITS = 960
+
+
+def excess_sign(profile: OrderProfile, n: int, r, s) -> str:
+    """The exact sign of cyclic_excess for rational r and s (a float is the
+    dyadic rational it is): "neg", "zero", "pos", or "indeterminate" when
+    SIGN_DIGITS digits cannot tell the sum from 0.
+
+    With r - 1 = a/q and s = b/q, each term (c_m - 1) m^s / phi(m)^(r-1) is a
+    rational times the q-th root of prod p^rho_p, 0 <= rho_p < q.  Such roots
+    of distinct radicands are linearly independent over Q (Besicovitch 1940),
+    so the sum is 0 iff the coefficients of each radicand cancel.  Otherwise
+    decimal bounds each root as exp(sum (rho_p/q) ln p), never forming p^rho_p.
+    """
+    require_divisor(profile, n)
+    (a, qa), (b, qb) = r.as_integer_ratio(), s.as_integer_ratio()
+    q = lcm(qa, qb)
+    if q == 1:
+        return sign_of(cyclic_excess(profile, n, r, s))
+    a, b = (a - qa) * (q // qa), b * (q // qb)
+    coefficients: dict[tuple, Fraction] = {}
     for m in divisors(n):
-        c = profile.cyclic_count(m)
-        if c != 1:
-            total += (c - 1) * weight(m, r - 1, s)
-    return total
+        if profile.cyclic_count(m) == 1:
+            continue
+        in_m, in_phi = dict(factorize(m).factors), dict(factorize(totient(m)).factors)
+        coefficient, radicand = Fraction(profile.cyclic_count(m) - 1), []
+        for p in sorted(in_m.keys() | in_phi.keys()):
+            whole, rho = divmod(b * in_m.get(p, 0) - a * in_phi.get(p, 0), q)
+            coefficient *= Fraction(p) ** whole
+            if rho:
+                radicand.append((p, rho))
+        key = tuple(radicand)
+        coefficients[key] = coefficients.get(key, 0) + coefficient
+    terms = [(c, key) for key, c in coefficients.items() if c]
+    if len({c > 0 for c, _ in terms}) < 2:  # no term, or all of one sign
+        return sign_of(terms[0][0]) if terms else "zero"
+    digits = min(30, SIGN_DIGITS)
+    while True:
+        with localcontext() as ctx:
+            ctx.prec = digits
+            values = [Decimal(c.numerator) / c.denominator * sum(
+                (Decimal(rho) / q * Decimal(p).ln() for p, rho in key), Decimal(0)).exp()
+                for c, key in terms]
+            total = sum(values)
+            # each ln, exp, product and sum rounds to `digits` digits: all of it
+            # together errs by less than 10^(10 - digits) times sum |values|
+            if abs(total) > sum(map(abs, values)).scaleb(10 - digits):
+                return sign_of(total)
+        if digits >= SIGN_DIGITS:
+            return "indeterminate"
+        digits = min(2 * digits, SIGN_DIGITS)
 
 
 def product_of_orders(profile: OrderProfile) -> FactoredInteger:

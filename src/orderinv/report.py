@@ -2,8 +2,8 @@
 
 The report is plain JSON with sorted keys and no timestamps, so two runs
 over the same catalog are byte-identical.  Exit status is part of the
-payload: 1 means some exact-mode verdict came back inconsistent (or a
-claim raised), 2 means the only defects were malformed input files.
+payload: 1 means some verdict came back inconsistent (or a claim raised),
+2 means the only defects were malformed input files.
 """
 
 from __future__ import annotations
@@ -123,7 +123,6 @@ def _matching_verdict(group: FiniteGroup) -> TheoremVerdict:
         inequality_holds=found,
         equality_condition_holds=solvable,
         consistent=(found and verified) or (not found and not solvable),
-        mode="exact",
         witness=witness,
     )
 
@@ -186,7 +185,7 @@ def verdict_as_json(verdict: TheoremVerdict) -> dict:
         "inequality_holds": verdict.inequality_holds,
         "equality_condition_holds": verdict.equality_condition_holds,
         "consistent": verdict.consistent,
-        "mode": verdict.mode,
+        "mode": "exact",  # every sign is exact; the key stays for readers of v1
         "witness": verdict.witness,
     }
 
@@ -340,7 +339,6 @@ def run_sweep(
 
     flat = [v for record in ordered for v in record["verdicts"]]
     inconsistent = [v for v in flat if not v["consistent"]]
-    inconsistent_exact = [v for v in inconsistent if v["mode"] == "exact"]
     matching_rows = [record.get("matching") for record in ordered]
     found = sum(1 for m in matching_rows if m and m["status"] == "found")
     violated = sum(1 for m in matching_rows if m and m["status"] == "violated")
@@ -353,7 +351,7 @@ def run_sweep(
     errors = [dict(e) for e in input_errors]
     errors.sort(key=lambda e: (e.get("path", ""), e.get("error", "")))
 
-    if inconsistent_exact or anomalies:
+    if inconsistent or anomalies:
         exit_status = 1
     elif errors:
         exit_status = 2
@@ -372,7 +370,7 @@ def run_sweep(
             "groups": len(ordered),
             "verdicts": len(flat),
             "inconsistent": len(inconsistent),
-            "inconsistent_exact": len(inconsistent_exact),
+            "inconsistent_exact": len(inconsistent),  # the same, as every sign is exact
             "matchings_found": found,
             "matchings_violated": violated,
             "conjecture_events": conjecture_events,

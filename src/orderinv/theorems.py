@@ -14,23 +14,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from . import order_stats
 from .groups import FiniteGroup, inversion_semidirect
-from .numtheory import (
-    divisor_count,
-    divisor_power_sum,
-    divisors,
-    exact_exponents,
-    totient,
-)
+from .numtheory import divisor_count, divisor_power_sum, divisors, totient
 from .order_stats import (
     ParameterDomainViolated,
     cyclic_excess,
     cyclic_profile,
     cyclic_subgroup_count,
+    excess_sign,
     frobenius_table,
     order_profile,
     product_of_orders,
     require_divisor,
+    sign_of,
 )
 from .structure import (
     DEFAULT_SUBGROUP_CAP,
@@ -41,9 +38,6 @@ from .structure import (
     subgroup_as_group,
     unique_subgroup_of_order,
 )
-
-# approximate mode asserts strict signs only when they clear this margin
-APPROX_SIGN_MARGIN = 1e-6
 
 
 class PreconditionViolated(ValueError):
@@ -67,39 +61,31 @@ class TheoremVerdict:
     claim: str
     group: str
     parameters: tuple[tuple[str, object], ...]
-    sign: str  # "neg" | "zero" | "pos"
+    sign: str  # "neg" | "zero" | "pos", or "indeterminate" for an excess
     inequality_holds: bool
     equality_condition_holds: bool
     consistent: bool
-    mode: str  # "exact" | "approximate"
     witness: str = ""
 
 
-def _mode_for(r, s) -> str:
-    return "exact" if exact_exponents(r, s) else "approximate"
-
-
-def sign_of(value, mode: str) -> str:
-    """"pos", "neg" or "zero"; approximate values within the margin are "zero"."""
-    margin = 0 if mode == "exact" else APPROX_SIGN_MARGIN
-    if value > margin:
-        return "pos"
-    if value < -margin:
-        return "neg"
-    return "zero"
-
-
-def _equality_consistent(sign: str, condition: bool, mode: str) -> bool:
-    """Does "excess vanishes iff condition" hold at this point?
-
-    Exact mode demands the biconditional.  In approximate mode a "zero"
-    sign only means "within tolerance", so the indeterminate direction
-    (tiny value, condition false) is not treated as a refutation; the
-    falsifiable direction (condition true, sign strict) still is.
-    """
-    if mode == "exact":
-        return (sign == "zero") == condition
-    return not (condition and sign != "zero")
+def _excess_verdict(claim, group, parameters, sign, inequality, condition, witness=""):
+    """Consistent when the inequality holds and the excess vanishes iff the
+    condition does.  An indeterminate sign refutes nothing; its witness
+    names the digits reached."""
+    undecided = sign == "indeterminate"
+    if undecided:
+        note = f"excess sign indeterminate at {order_stats.SIGN_DIGITS} digits"
+        witness = f"{note}; {witness}" if witness else note
+    return TheoremVerdict(
+        claim=claim,
+        group=group.label,
+        parameters=parameters,
+        sign=sign,
+        inequality_holds=inequality or undecided,
+        equality_condition_holds=condition,
+        consistent=undecided or (inequality and (sign == "zero") == condition),
+        witness=witness,
+    )
 
 
 def check_frobenius_divisibility(group: FiniteGroup) -> TheoremVerdict:
@@ -121,7 +107,6 @@ def check_frobenius_divisibility(group: FiniteGroup) -> TheoremVerdict:
         inequality_holds=not low,
         equality_condition_holds=condition,
         consistent=not low and (at_floor == condition),
-        mode="exact",
         witness="" if not low else f"B(m) below m at {low}",
     )
 
@@ -131,22 +116,11 @@ def check_nonnegative_gap(group: FiniteGroup, n: int, r, s) -> TheoremVerdict:
     if not (s < r and s <= 0):
         raise ParameterDomainViolated(f"need s < r and s <= 0, got r={r}, s={s}")
     profile = order_profile(group)
-    require_divisor(profile, n)
-    mode = _mode_for(r, s)
-    sign = sign_of(cyclic_excess(profile, n, r, s), mode)
+    sign = excess_sign(profile, n, r, s)
     offending = [m for m in divisors(n) if profile.cyclic_count(m) != 1]
-    condition = not offending
-    inequality = sign != "neg"
-    return TheoremVerdict(
-        claim="gap-nonneg",
-        group=group.label,
-        parameters=(("n", n), ("r", r), ("s", s)),
-        sign=sign,
-        inequality_holds=inequality,
-        equality_condition_holds=condition,
-        consistent=inequality and _equality_consistent(sign, condition, mode),
-        mode=mode,
-        witness="" if condition else f"cyclic subgroup count is not 1 at {offending}",
+    return _excess_verdict(
+        "gap-nonneg", group, (("n", n), ("r", r), ("s", s)), sign, sign != "neg",
+        not offending, f"cyclic subgroup count is not 1 at {offending}" if offending else "",
     )
 
 
@@ -162,10 +136,7 @@ def check_diagonal_gap(group: FiniteGroup, n: int, r) -> TheoremVerdict:
     if not r < 0:
         raise ParameterDomainViolated(f"need r < 0, got r={r}")
     profile = order_profile(group)
-    require_divisor(profile, n)
-    mode = _mode_for(r, r)
-    sign = sign_of(cyclic_excess(profile, n, r, r), mode)
-    inequality = sign != "neg"
+    sign = excess_sign(profile, n, r, r)
     table = frobenius_table(profile)
     condition = all(
         table.counts[k] == k for k in divisors(n) if gcd(k, n // k) == 1
@@ -187,16 +158,9 @@ def check_diagonal_gap(group: FiniteGroup, n: int, r) -> TheoremVerdict:
                 f"subgroup route says {subgroup_route} (status: {result.status})"
             )
         witness = "equality_route: both-agree"
-    return TheoremVerdict(
-        claim="gap-diagonal",
-        group=group.label,
-        parameters=(("n", n), ("r", r), ("s", r)),
-        sign=sign,
-        inequality_holds=inequality,
-        equality_condition_holds=condition,
-        consistent=inequality and _equality_consistent(sign, condition, mode),
-        mode=mode,
-        witness=witness,
+    return _excess_verdict(
+        "gap-diagonal", group, (("n", n), ("r", r), ("s", r)), sign, sign != "neg",
+        condition, witness,
     )
 
 
@@ -204,21 +168,10 @@ def check_nonpositive_gap(group: FiniteGroup, r, s) -> TheoremVerdict:
     """For r <= s-1, s >= 1, at n = |G|: excess <= 0, zero iff the group is cyclic."""
     if not (r <= s - 1 and s >= 1):
         raise ParameterDomainViolated(f"need r <= s-1 and s >= 1, got r={r}, s={s}")
-    profile = order_profile(group)
-    mode = _mode_for(r, s)
-    sign = sign_of(cyclic_excess(profile, group.order, r, s), mode)
-    condition = is_cyclic(group)
-    inequality = sign != "pos"
-    return TheoremVerdict(
-        claim="gap-nonpos",
-        group=group.label,
-        parameters=(("n", group.order), ("r", r), ("s", s)),
-        sign=sign,
-        inequality_holds=inequality,
-        equality_condition_holds=condition,
-        consistent=inequality and _equality_consistent(sign, condition, mode),
-        mode=mode,
-        witness="",
+    sign = excess_sign(order_profile(group), group.order, r, s)
+    return _excess_verdict(
+        "gap-nonpos", group, (("n", group.order), ("r", r), ("s", s)), sign,
+        sign != "pos", is_cyclic(group),
     )
 
 
@@ -228,22 +181,12 @@ def check_nilpotent_sign(group: FiniteGroup, r, s) -> TheoremVerdict:
         raise PreconditionViolated(f"{group.label} is not nilpotent")
     if is_cyclic(group):
         raise PreconditionViolated(f"{group.label} is cyclic")
-    profile = order_profile(group)
-    mode = _mode_for(r, s)
-    t = cyclic_excess(profile, group.order, r, s)
-    sign = sign_of(t, mode)
-    expected = sign_of(r - s, "exact")
-    matches = sign == expected
-    return TheoremVerdict(
-        claim="nilpotent-sign",
-        group=group.label,
-        parameters=(("n", group.order), ("r", r), ("s", s)),
-        sign=sign,
-        inequality_holds=matches,
-        equality_condition_holds=r == s,
-        consistent=matches,
-        mode=mode,
-        witness="" if matches else f"excess {t} but r-s sign is {expected}",
+    sign = excess_sign(order_profile(group), group.order, r, s)
+    expected = sign_of(r - s)
+    matches = sign == expected  # and so the excess vanishes iff r == s
+    return _excess_verdict(
+        "nilpotent-sign", group, (("n", group.order), ("r", r), ("s", s)), sign,
+        matches, r == s, "" if matches else f"r-s is {expected}",
     )
 
 
@@ -253,7 +196,7 @@ def check_min_cyclic_subgroups(group: FiniteGroup) -> TheoremVerdict:
     count = cyclic_subgroup_count(profile, group.order)
     floor = divisor_count(group.order)
     diff = count - floor
-    sign = sign_of(diff, "exact")
+    sign = sign_of(diff)
     condition = is_cyclic(group)
     inequality = diff >= 0
     return TheoremVerdict(
@@ -264,7 +207,6 @@ def check_min_cyclic_subgroups(group: FiniteGroup) -> TheoremVerdict:
         inequality_holds=inequality,
         equality_condition_holds=condition,
         consistent=inequality and ((diff == 0) == condition),
-        mode="exact",
         witness=f"cyclic subgroups: {count}, divisors: {floor}",
     )
 
@@ -299,7 +241,6 @@ def check_cyclic_part_equivalence(group: FiniteGroup, n: int) -> TheoremVerdict:
         inequality_holds=equivalent,
         equality_condition_holds=at_floor,
         consistent=equivalent,
-        mode="exact",
         witness=(
             f"solution_counts_at_floor={at_floor}, "
             f"cyclic_count_matches={count_matches}, "
@@ -325,7 +266,6 @@ def check_order_product_maximal(group: FiniteGroup) -> TheoremVerdict:
         inequality_holds=divides,
         equality_condition_holds=condition,
         consistent=divides and (equal == condition),
-        mode="exact",
         witness=f"product {mine.as_json()} vs cyclic {baseline.as_json()}",
     )
 
@@ -367,7 +307,6 @@ def check_semidirect_count(m: int, beta: int, u: int, grid: int = 3) -> TheoremV
         inequality_holds=counts_agree,
         equality_condition_holds=not mismatches,
         consistent=counts_agree and not mismatches,
-        mode="exact",
         witness=(
             f"counts brute={brute} profile={from_profile} predicted={predicted}"
             + (f", excess mismatches at {mismatches}" if mismatches else "")

@@ -82,11 +82,24 @@ def test_compute_json_output(capsys):
 
 
 def test_compute_approximate_exponents(capsys):
+    # non-integer exponents get an exact sign too; only the values are float readings
     assert main(["compute", "--group", "C6", "--r", "0.5", "--s", "1/2",
                  "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["mode"] == "approximate"
+    assert payload["mode"] == "exact"
     assert payload["sign"] == "zero"  # cyclic group, excess vanishes
+    assert payload["cyclic_excess"] == "0"
+
+
+def test_compute_prints_a_vanishing_excess_as_zero(capsys):
+    # the float reading of this excess is 2^-31, a rounding error; the exact sum is 0
+    assert main(["compute", "--group", "E2^6", "--r", "31/2", "--s", "31/2"]) == 0
+    assert "cyclic excess         0 (zero)\n" in capsys.readouterr().out
+    # a tiny but nonzero excess keeps its float reading and gets its exact sign
+    assert main(["compute", "--group", "D4", "--r=-13/2", "--s=-32",
+                 "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["sign"] == "pos" and 0 < payload["cyclic_excess"] < 1e-8
 
 
 def test_compute_bad_inputs(capsys):

@@ -3,7 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from mpmath import iv
 
+import orderinv.order_stats as order_stats_mod
+from orderinv.catalog import default_catalog_spec, group_from_label, iter_catalog
 from orderinv.groups import (
     cyclic,
     dihedral,
@@ -27,14 +32,16 @@ from orderinv.order_stats import (
     cyclic_excess,
     cyclic_profile,
     cyclic_subgroup_count,
+    excess_sign,
     frobenius_table,
     order_profile,
     product_of_orders,
     weighted_order_sum,
 )
 from orderinv.report import _matching_for
+from orderinv.theorems import check_nilpotent_sign, check_nonnegative_gap
 from oracles import frobenius_expansion, log_mobius_kernel, product_of_orders_direct
-from synthetic import random_abelian_profiles
+from synthetic import abelian_profile, random_abelian_profiles
 
 
 def sample_groups():
@@ -98,18 +105,16 @@ def test_cached_frobenius_table_is_read_only():
     assert table.counts == {1: 1, 2: 4, 3: 3, 6: 6}
 
 
-@pytest.mark.parametrize("exact_first", [True, False])
-def test_excess_cache_keeps_exact_and_float_apart(exact_first):
-    # 1 == 1.0 and both hash alike; neither call may return the other's result
+def test_excess_cache_shares_equal_exponents():
+    # 1, 1.0 and Fraction(1) are one exponent: one memo entry, one exact value
     cyclic_excess.cache_clear()
     profile = order_profile(symmetric(3))
-    calls = [(1, 2), (1.0, 2.0)] if exact_first else [(1.0, 2.0), (1, 2)]
-    results = [cyclic_excess(profile, 6, *rs) for rs in calls]
-    exact, approximate = results if exact_first else results[::-1]
-    assert type(exact) is Fraction and type(approximate) is float
+    results = [cyclic_excess(profile, 6, *rs)
+               for rs in ((1, 2), (1.0, 2.0), (Fraction(1), Fraction(2)))]
+    assert all(type(value) is Fraction for value in results)
     # three order-2 subgroups add 2 * 2^2, the missing C6 takes 6^2 away
-    assert exact == approximate == 2 * 4 - 36
-    assert cyclic_excess.cache_info().misses == 2
+    assert results == [2 * 4 - 36] * 3
+    assert cyclic_excess.cache_info().misses == 1
 
 
 def test_excess_cache_does_not_keep_domain_errors():
@@ -242,11 +247,14 @@ def test_weighted_order_sum_element_oracle():
 
 
 def test_weighted_order_sum_float_mode():
+    # a root has no rational value: the sum is a float reading, the sign is exact
     s3 = order_profile(symmetric(3))
     val = weighted_order_sum(s3, 6, 0.5, 1.0)
     expect = 1 + 3 * 2 / 1**0.5 + 2 * 3 / 2**0.5
     assert isinstance(val, float)
     assert val == pytest.approx(expect, abs=1e-12)
+    # three order-2 subgroups add 2 * 2 / 1^-0.5, the missing C6 takes 6 / 2^-0.5 away
+    assert excess_sign(s3, 6, 0.5, 1.0) == "neg"
 
 
 # ------------------------------------------------------------ excess
@@ -292,6 +300,93 @@ def test_cyclic_excess_matches_sum_difference():
                     cyclic_profile(g.order), n, r, s
                 )
                 assert cyclic_excess(p, n, r, s) == expect
+
+
+# ------------------------------------------- exact signs, mpmath oracle
+
+CATALOG_64 = sorted({order_profile(g) for g in iter_catalog(default_catalog_spec(order_cap=64))},
+                    key=lambda p: p.key)
+EXPONENTS = st.one_of(
+    st.builds(Fraction, st.integers(-32, 32), st.integers(1, 32)),
+    st.floats(-4, 4, allow_nan=False),
+)
+# ROADMAP item 3: strict signs of excesses below 1e-9, and exact zeros whose
+# float readings are 16384, 0.00195, -0.0117 and 3.0e-08
+NAMED_CASES = [
+    ("E2^2", Fraction(1, 32), -32, "pos"),
+    ("Q8", Fraction(-31, 32), -32, "pos"),
+    ("D4", Fraction(-13, 2), -32, "pos"),
+    ("E2^6", Fraction(121, 2), Fraction(121, 2), "zero"),
+    ("D8", Fraction(81, 2), Fraction(81, 2), "zero"),
+    ("C2xC4xC4", Fraction(81, 2), Fraction(81, 2), "zero"),
+    ("E2^12", Fraction(31, 2), Fraction(31, 2), "zero"),
+]
+
+
+def _named_profile(label):
+    # E2^12 arithmetically: its 4096^2 Cayley table takes seconds to build
+    return abelian_profile([2] * 12) if label == "E2^12" else order_profile(
+        group_from_label(label))
+
+
+def _iv_excess(profile, n, r, s):
+    """The excess as an mpmath interval, term by term at the current iv.dps."""
+    a, b = Fraction(r) - 1, Fraction(s)
+    return sum(((profile.cyclic_count(m) - 1)
+                * iv.mpf(m) ** (iv.mpf(b.numerator) / b.denominator)
+                / iv.mpf(totient(m)) ** (iv.mpf(a.numerator) / a.denominator)
+                for m in divisors(n) if profile.cyclic_count(m) != 1), iv.mpf(0))
+
+
+def _with_examples(test):
+    for label, r, s, _ in NAMED_CASES:
+        test = example(_named_profile(label), r, s)(test)
+    return test
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(st.sampled_from(CATALOG_64),
+              st.lists(st.integers(1, 12), min_size=1, max_size=3).map(abelian_profile)),
+    EXPONENTS,
+    EXPONENTS,
+)
+@_with_examples
+def test_excess_sign_agrees_with_mpmath_intervals(profile, r, s):
+    dps, iv.dps = iv.dps, 130
+    try:
+        for n in divisors(profile.group_order):
+            value = _iv_excess(profile, n, r, s)
+            if value.a > 0 or value.b < 0:  # else the interval cannot tell
+                expected = "pos" if value.a > 0 else "neg"
+                assert excess_sign(profile, n, r, s) == expected, (profile.key, n, r, s)
+    finally:
+        iv.dps = dps
+
+
+@pytest.mark.parametrize("label, r, s, sign", NAMED_CASES)
+def test_named_cases_get_exact_signs_and_consistent_verdicts(label, r, s, sign):
+    profile = _named_profile(label)
+    assert excess_sign(profile, profile.group_order, r, s) == sign
+    if label != "E2^12":
+        verdict = check_nilpotent_sign(group_from_label(label), r, s)
+        assert verdict.sign == sign and verdict.consistent, verdict
+
+
+def test_excess_sign_is_indeterminate_beyond_the_digit_budget(monkeypatch):
+    # E2^2 at (1/32, -32) has terms of both signs: 10 digits are all guard digits
+    monkeypatch.setattr(order_stats_mod, "SIGN_DIGITS", 10)
+    e2_2 = group_from_label("E2^2")
+    assert excess_sign(order_profile(e2_2), 4, Fraction(1, 32), -32) == "indeterminate"
+    for verdict in (check_nilpotent_sign(e2_2, Fraction(1, 32), -32),
+                    check_nonnegative_gap(e2_2, 4, Fraction(1, 32), -32)):
+        assert verdict.sign == "indeterminate" and verdict.consistent, verdict
+        assert verdict.witness.startswith("excess sign indeterminate at 10 digits")
+    # a sum of positive terms only, and an exact zero, need no digits
+    assert excess_sign(order_profile(e2_2), 2, Fraction(1, 2), Fraction(1, 3)) == "pos"
+    assert excess_sign(cyclic_profile(12), 12, Fraction(1, 3), 0.5) == "zero"
+    with pytest.raises(ParameterDomainViolated):
+        excess_sign(order_profile(e2_2), 3, Fraction(1, 2), 0)
 
 
 # ------------------------------------------------- Frobenius expansion

@@ -200,7 +200,7 @@ def _doctored_verdict(group):
     return TheoremVerdict(
         claim="min-cyclic-count", group=group.label, parameters=(("n", group.order),),
         sign="neg", inequality_holds=False, equality_condition_holds=False,
-        consistent=False, mode="exact", witness="forced for the test",
+        consistent=False, witness="forced for the test",
     )
 
 

@@ -103,8 +103,8 @@ def test_nonnegative_gap_cyclic_equality():
 
 
 def test_nonnegative_gap_approximate_mode():
+    # a float exponent is the dyadic rational it is, and its sign is exact
     v = check_nonnegative_gap(symmetric(3), 6, 0.5, 0.0)
-    assert v.mode == "approximate"
     assert v.sign == "pos"
     assert v.consistent
 
@@ -193,8 +193,8 @@ def test_nonpositive_gap_cyclic_equality():
 
 
 def test_nonpositive_gap_approximate():
+    # a float exponent is the dyadic rational it is, and its sign is exact
     v = check_nonpositive_gap(symmetric(3), 0.5, 1.5)
-    assert v.mode == "approximate"
     assert v.sign == "neg"
     assert v.consistent
 
