@@ -105,12 +105,16 @@ def test_cached_frobenius_table_is_read_only():
     assert table.counts == {1: 1, 2: 4, 3: 3, 6: 6}
 
 
-def test_excess_cache_shares_equal_exponents():
-    # 1, 1.0 and Fraction(1) are one exponent: one memo entry, one exact value
+@pytest.mark.parametrize("exact_first", [True, False])
+def test_excess_cache_keeps_exact_and_float_apart(exact_first):
+    # 1, 1.0 and Fraction(1) are one exponent: one memo entry, one exact
+    # value, whichever comes first; a float caller never leaves a float
+    # reading where an exact caller will find it
     cyclic_excess.cache_clear()
     profile = order_profile(symmetric(3))
+    calls = [(1, 2), (1.0, 2.0), (Fraction(1), Fraction(2))]
     results = [cyclic_excess(profile, 6, *rs)
-               for rs in ((1, 2), (1.0, 2.0), (Fraction(1), Fraction(2)))]
+               for rs in (calls if exact_first else calls[::-1])]
     assert all(type(value) is Fraction for value in results)
     # three order-2 subgroups add 2 * 2^2, the missing C6 takes 6^2 away
     assert results == [2 * 4 - 36] * 3
