@@ -243,21 +243,27 @@ def group_from_label(label: str) -> FiniteGroup:
     raise ValueError(f"unrecognized group label {label!r}")
 
 
-def load_group_file(path: str) -> FiniteGroup:
-    """Read one group from a JSON file: either a Cayley table
-    {"label", "order", "table"} or permutation generators
-    {"label", "degree", "generators"}.  Everything is validated; Cayley
-    tables get the full associativity check (Light's test) since files are
-    untrusted.  Error messages do not name the path; callers report it."""
+def read_json(path: str):
+    """The decoded contents of a JSON file.  Every failure is a ValueError
+    whose message does not name the path; callers report it."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            return json.load(handle)
     except OSError as exc:
         raise ValueError(f"cannot read file ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON ({exc})") from exc
     except RecursionError as exc:
         raise ValueError("not valid JSON (nested too deeply)") from exc
+
+
+def load_group_file(path: str) -> FiniteGroup:
+    """Read one group from a JSON file: either a Cayley table
+    {"label", "order", "table"} or permutation generators
+    {"label", "degree", "generators"}.  Everything is validated; Cayley
+    tables get the full associativity check (Light's test) since files are
+    untrusted.  Error messages do not name the path; callers report it."""
+    data = read_json(path)
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object at top level")
     label = data.get("label")

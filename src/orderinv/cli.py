@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import re
 import sys
@@ -28,6 +27,7 @@ from .catalog import (
     group_from_label,
     iter_catalog,
     load_group_file,
+    read_json,
     semidirect_label_parts,
 )
 from .groups import is_int
@@ -43,6 +43,7 @@ from .order_stats import (
 )
 from .report import (
     DEFAULT_GRID_BOUND,
+    _matching_verdict,
     group_invariants,
     matching_as_json,
     run_sweep,
@@ -178,14 +179,9 @@ def _run_compute(args) -> int:
 
 def _load_catalog_spec(path: str, order_cap: int | None) -> tuple[CatalogSpec, list[str]]:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise ValueError(f"{path}: cannot read file ({exc})") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-    except RecursionError as exc:
-        raise ValueError(f"{path}: not valid JSON (nested too deeply)") from exc
+        data = read_json(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
     families = data.get("families", {})
@@ -295,7 +291,6 @@ def _run_match(args) -> int:
     profile = order_profile(group)
     matching = matching_as_json(profile)
     found = matching["status"] == "found"
-    verified = matching["verified"]
     solvable = is_solvable(group)
     payload = {
         "group": group.label,
@@ -306,10 +301,9 @@ def _run_match(args) -> int:
     if args.format == "json":
         output = payload
     else:
-        lines = [f"group {group.label} (order {group.order}): {matching['status']}\n"]
+        status, lines = matching["status"], []
         if found:
-            lines[0] = lines[0].rstrip("\n") + (" and verified\n" if verified else
-                                                " but FAILED verification\n")
+            status += " and verified" if matching["verified"] else " but FAILED verification"
             for d, row in matching["assignment"].items():
                 for e, count in row.items():
                     lines.append(f"  {count} element(s) of order {d} -> slots of C{e}\n")
@@ -324,11 +318,9 @@ def _run_match(args) -> int:
             if not solvable:
                 lines.append("  group is not solvable; recorded as a conjecture event,"
                              " not a violation\n")
-        output = "".join(lines)
+        output = f"group {group.label} (order {group.order}): {status}\n" + "".join(lines)
     _emit(output, args.out)
-    if found:
-        return 0 if verified else 1
-    return 0 if not solvable else 1
+    return 0 if _matching_verdict(group).consistent else 1
 
 
 def _run_example(args) -> int:

@@ -43,10 +43,6 @@ class NotAssociative(GroupConstructionError):
     pass
 
 
-class NoInverse(GroupConstructionError):
-    pass
-
-
 class OrderCapExceeded(GroupConstructionError):
     pass
 
@@ -148,25 +144,22 @@ def _check_associative(mul) -> None:
                 y = next(y for y in range(n) if left[y] != right[y])
                 raise NotAssociative(f"({x}*{a})*{y} != {x}*({a}*{y})")
         generators.append(a)
-        times_generators = itemgetter(0, *generators)  # h * 0 = h keeps a tuple
-        frontier = closure
-        while frontier:
-            products = map(times_generators, map(mul.__getitem__, frontier))
-            frontier = set(itertools.chain.from_iterable(products)) - closure
-            closure |= frontier
+        closure = generated(mul, generators)
 
 
-def _inverses(mul) -> tuple[int, ...]:
-    inv = []
-    for i, row in enumerate(mul):
-        try:
-            j = row.index(0)
-        except ValueError:
-            raise NoInverse(f"element {i} has no right inverse") from None
-        if mul[j][i] != 0:
-            raise NoInverse(f"element {i} has no two-sided inverse")
-        inv.append(j)
-    return tuple(inv)
+def generated(mul, gens) -> frozenset[int]:
+    """The subgroup generated by ``gens``: {0} closed under right
+    multiplication by them, which in a finite group supplies the inverses."""
+    found = {0}
+    words = [0]
+    for x in words:  # grows while it is walked: BFS order
+        row = mul[x]
+        for g in gens:
+            y = row[g]
+            if y not in found:
+                found.add(y)
+                words.append(y)
+    return frozenset(found)
 
 
 def cyclic_powers(mul, x: int) -> list[int]:
@@ -181,18 +174,20 @@ def cyclic_powers(mul, x: int) -> list[int]:
     return powers
 
 
-def _element_orders(mul) -> tuple[int, ...]:
+def _orders_and_inverses(mul) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Walk <x> only for an x not yet reached as a power of an earlier one:
-    if x has order k, then x^e has order k / gcd(e, k)."""
+    if x has order k, then x^e has order k / gcd(e, k) and inverse x^(k-e)."""
     orders = [0] * len(mul)
     orders[0] = 1
+    inv = [0] * len(mul)
     for x in range(1, len(mul)):
         if not orders[x]:
             powers = cyclic_powers(mul, x)
             k = len(powers)
             for e in range(1, k):
                 orders[powers[e]] = k // gcd(e, k)
-    return tuple(orders)
+                inv[powers[e]] = powers[k - e]
+    return tuple(orders), tuple(inv)
 
 
 def _build(mul_rows, label: str, check_associativity: bool = False) -> FiniteGroup:
@@ -202,18 +197,20 @@ def _build(mul_rows, label: str, check_associativity: bool = False) -> FiniteGro
     _check_latin_and_identity(mul)
     if check_associativity:
         _check_associative(mul)
-    inv = _inverses(mul)
+    orders, inv = _orders_and_inverses(mul)
     return FiniteGroup(
         order=len(mul),
         mul=mul,
         inv=inv,
-        element_orders=_element_orders(mul),
+        element_orders=orders,
         label=label,
     )
 
 
 def from_cayley_table(table, label: str) -> FiniteGroup:
-    """Validate an untrusted table against the full group axioms."""
+    """Validate an untrusted table: a Latin square with identity 0 that
+    passes Light's associativity test is a group, so every element has a
+    two-sided inverse."""
     _require_order(len(table), f"table {label!r} of order {len(table)}")
     for i, row in enumerate(table):
         if not isinstance(row, (list, tuple)) or any(  # is_int per distinct type

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 from math import gcd
 from operator import itemgetter
 
-from .groups import FiniteGroup, OrderCapExceeded, cyclic_powers, from_cayley_table, per_group
+from .groups import (
+    FiniteGroup,
+    OrderCapExceeded,
+    cyclic_powers,
+    from_cayley_table,
+    generated,
+    per_group,
+)
 from .numtheory import factorize
 
 # enumeration is quadratic-ish in the subgroup count; keep desk scale honest
@@ -37,9 +44,6 @@ class SubgroupSet:
     def order(self) -> int:
         return len(self.elements)
 
-    def as_set(self) -> frozenset[int]:
-        return frozenset(self.elements)
-
 
 @dataclass(frozen=True)
 class UniqueSubgroupResult:
@@ -54,45 +58,16 @@ class UniqueSubgroupResult:
 
 
 def subgroup_from_indices(group: FiniteGroup, indices) -> SubgroupSet:
-    """Validate that ``indices`` really form a subgroup of ``group``."""
+    """Validate that ``indices`` really form a subgroup of ``group``: a
+    finite set with the identity that is closed under the product is one."""
     sub = SubgroupSet(tuple(sorted(set(indices))))
-    members = sub.as_set()
-    for x in members:
-        if group.inv[x] not in members:
-            raise ValueError(f"set is not closed under inversion at index {x}")
-        for y in members:
-            if group.mul[x][y] not in members:
-                raise ValueError(
-                    f"set is not closed under multiplication at indices ({x}, {y})"
-                )
+    if not is_closed(group, list(sub.elements)):
+        raise ValueError("set is not closed under multiplication")
     if group.order % sub.order:
         raise ValueError(
             f"subgroup size {sub.order} does not divide the group order {group.order}"
         )
     return sub
-
-
-def _generated(group: FiniteGroup, gens: tuple[int, ...]) -> frozenset[int]:
-    """Subgroup generated by ``gens``: all words in the generators.
-
-    Finiteness supplies inverses, so closing under right multiplication
-    by the generators starting from the identity is enough.
-    """
-    mul = group.mul
-    found = {0}
-    queue: deque[int] = deque()
-    for x in gens:
-        if x not in found:
-            found.add(x)
-            queue.append(x)
-    while queue:
-        x = queue.popleft()
-        for s in gens:
-            y = mul[x][s]
-            if y not in found:
-                found.add(y)
-                queue.append(y)
-    return frozenset(found)
 
 
 def _cyclic_generator_map(group: FiniteGroup) -> dict[frozenset[int], int]:
@@ -149,7 +124,7 @@ def enumerate_subgroups(group: FiniteGroup) -> tuple[SubgroupSet, ...]:
             if cyc <= sub:
                 continue
             gens = sub_gens + (x,)
-            join = _generated(group, gens)
+            join = generated(group.mul, gens)
             if join not in found:
                 found[join] = gens
                 queue.append((join, gens))
@@ -218,7 +193,7 @@ def _greedy_closure(group: FiniteGroup, pending: list[int], conjugators=()):
         c = pending.pop()
         if c not in closure:
             gens += (c,)
-            closure = _generated(group, gens)
+            closure = generated(group.mul, gens)
             pending.extend(mul[mul[inv[g]][c]][g] for g in conjugators)
     return gens, closure
 

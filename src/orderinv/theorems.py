@@ -68,10 +68,16 @@ class TheoremVerdict:
     witness: str = ""
 
 
-def _excess_verdict(claim, group, parameters, sign, inequality, condition, witness=""):
-    """Consistent when the inequality holds and the excess vanishes iff the
-    condition does.  An indeterminate sign refutes nothing; its witness
-    names the digits reached."""
+def _verdict(claim, group, parameters, sign, inequality, condition, witness=""):
+    """The rule of every claim of the form "the inequality holds, and the
+    sign is zero exactly when the condition holds": consistent when both
+    parts do.  An indeterminate sign refutes nothing; its witness names the
+    digits reached.
+
+    Two claims have another form and build their own verdicts:
+    ``check_semidirect_count`` compares three counts and a closed form, and
+    ``report._matching_verdict`` lets a non-solvable group lack a matching.
+    """
     undecided = sign == "indeterminate"
     if undecided:
         note = f"excess sign indeterminate at {order_stats.SIGN_DIGITS} digits"
@@ -97,17 +103,10 @@ def check_frobenius_divisibility(group: FiniteGroup) -> TheoremVerdict:
     table = frobenius_table(profile)  # raises FrobeniusViolated if m never divides B(m)
     at_floor = all(table.counts[m] == m for m in table.counts)
     low = [m for m, b in table.counts.items() if b < m]
-    sign = "zero" if at_floor else "pos"
-    condition = is_cyclic(group)
-    return TheoremVerdict(
-        claim="frobenius-divisibility",
-        group=group.label,
-        parameters=(("n", group.order),),
-        sign=sign,
-        inequality_holds=not low,
-        equality_condition_holds=condition,
-        consistent=not low and (at_floor == condition),
-        witness="" if not low else f"B(m) below m at {low}",
+    return _verdict(
+        "frobenius-divisibility", group, (("n", group.order),),
+        "zero" if at_floor else "pos", not low, is_cyclic(group),
+        f"B(m) below m at {low}" if low else "",
     )
 
 
@@ -118,7 +117,7 @@ def check_nonnegative_gap(group: FiniteGroup, n: int, r, s) -> TheoremVerdict:
     profile = order_profile(group)
     sign = excess_sign(profile, n, r, s)
     offending = [m for m in divisors(n) if profile.cyclic_count(m) != 1]
-    return _excess_verdict(
+    return _verdict(
         "gap-nonneg", group, (("n", n), ("r", r), ("s", s)), sign, sign != "neg",
         not offending, f"cyclic subgroup count is not 1 at {offending}" if offending else "",
     )
@@ -158,7 +157,7 @@ def check_diagonal_gap(group: FiniteGroup, n: int, r) -> TheoremVerdict:
                 f"subgroup route says {subgroup_route} (status: {result.status})"
             )
         witness = "equality_route: both-agree"
-    return _excess_verdict(
+    return _verdict(
         "gap-diagonal", group, (("n", n), ("r", r), ("s", r)), sign, sign != "neg",
         condition, witness,
     )
@@ -169,7 +168,7 @@ def check_nonpositive_gap(group: FiniteGroup, r, s) -> TheoremVerdict:
     if not (r <= s - 1 and s >= 1):
         raise ParameterDomainViolated(f"need r <= s-1 and s >= 1, got r={r}, s={s}")
     sign = excess_sign(order_profile(group), group.order, r, s)
-    return _excess_verdict(
+    return _verdict(
         "gap-nonpos", group, (("n", group.order), ("r", r), ("s", s)), sign,
         sign != "pos", is_cyclic(group),
     )
@@ -184,7 +183,7 @@ def check_nilpotent_sign(group: FiniteGroup, r, s) -> TheoremVerdict:
     sign = excess_sign(order_profile(group), group.order, r, s)
     expected = sign_of(r - s)
     matches = sign == expected  # and so the excess vanishes iff r == s
-    return _excess_verdict(
+    return _verdict(
         "nilpotent-sign", group, (("n", group.order), ("r", r), ("s", s)), sign,
         matches, r == s, "" if matches else f"r-s is {expected}",
     )
@@ -195,19 +194,9 @@ def check_min_cyclic_subgroups(group: FiniteGroup) -> TheoremVerdict:
     profile = order_profile(group)
     count = cyclic_subgroup_count(profile, group.order)
     floor = divisor_count(group.order)
-    diff = count - floor
-    sign = sign_of(diff)
-    condition = is_cyclic(group)
-    inequality = diff >= 0
-    return TheoremVerdict(
-        claim="min-cyclic-count",
-        group=group.label,
-        parameters=(("n", group.order),),
-        sign=sign,
-        inequality_holds=inequality,
-        equality_condition_holds=condition,
-        consistent=inequality and ((diff == 0) == condition),
-        witness=f"cyclic subgroups: {count}, divisors: {floor}",
+    return _verdict(
+        "min-cyclic-count", group, (("n", group.order),), sign_of(count - floor),
+        count >= floor, is_cyclic(group), f"cyclic subgroups: {count}, divisors: {floor}",
     )
 
 
@@ -232,20 +221,14 @@ def check_cyclic_part_equivalence(group: FiniteGroup, n: int) -> TheoremVerdict:
         and max(orders[x] for x in solutions) == n
     )
 
+    # the "inequality" is the equivalence; the sign is zero iff (a) holds
     equivalent = at_floor == count_matches and count_matches == solution_set_cyclic
-    return TheoremVerdict(
-        claim="cyclic-part-equivalence",
-        group=group.label,
-        parameters=(("n", n),),
-        sign="zero" if at_floor else "pos",
-        inequality_holds=equivalent,
-        equality_condition_holds=at_floor,
-        consistent=equivalent,
-        witness=(
-            f"solution_counts_at_floor={at_floor}, "
-            f"cyclic_count_matches={count_matches}, "
-            f"solution_set_cyclic={solution_set_cyclic}"
-        ),
+    return _verdict(
+        "cyclic-part-equivalence", group, (("n", n),), "zero" if at_floor else "pos",
+        equivalent, at_floor,
+        f"solution_counts_at_floor={at_floor}, "
+        f"cyclic_count_matches={count_matches}, "
+        f"solution_set_cyclic={solution_set_cyclic}",
     )
 
 
@@ -256,17 +239,11 @@ def check_order_product_maximal(group: FiniteGroup) -> TheoremVerdict:
     mine = product_of_orders(profile)
     baseline = product_of_orders(cyclic_profile(group.order))
     divides = mine.divides(baseline)
-    equal = mine == baseline
-    condition = is_cyclic(group)
-    return TheoremVerdict(
-        claim="order-product-max",
-        group=group.label,
-        parameters=(("n", group.order),),
-        sign="zero" if equal else ("neg" if divides else "pos"),
-        inequality_holds=divides,
-        equality_condition_holds=condition,
-        consistent=divides and (equal == condition),
-        witness=f"product {mine.as_json()} vs cyclic {baseline.as_json()}",
+    return _verdict(
+        "order-product-max", group, (("n", group.order),),
+        "zero" if mine == baseline else ("neg" if divides else "pos"),
+        divides, is_cyclic(group),
+        f"product {mine.as_json()} vs cyclic {baseline.as_json()}",
     )
 
 

@@ -249,6 +249,14 @@ def test_criterion_11_verify_is_deterministic():
         digest = hashlib.sha256(outputs[0]).hexdigest()
         if digest != "898709fe8211c59a64766435e26e81960e22284baa4803d6fc3bacef72338a5d":
             problems.append(f"report SHA-256 changed: {digest}")
+        # --paranoid builds every table twice and must not change a byte
+        proc = subprocess.run(
+            [sys.executable, "-m", "orderinv.cli", "verify", "--paranoid"],
+            capture_output=True,
+        )
+        digest = hashlib.sha256(proc.stdout).hexdigest()
+        if digest != "898709fe8211c59a64766435e26e81960e22284baa4803d6fc3bacef72338a5d":
+            problems.append(f"--paranoid report SHA-256 changed: {digest}")
         proc = subprocess.run(
             [sys.executable, "-m", "orderinv.cli", "verify", "--order-cap", "128"],
             capture_output=True,

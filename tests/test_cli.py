@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import orderinv.cli as cli_mod
 import orderinv.groups as groups_mod
+import orderinv.report as report_mod
 from orderinv.catalog import (
     CatalogSpec,
     build_catalog,
@@ -25,6 +26,7 @@ from orderinv.catalog import (
 )
 from orderinv.cli import main
 from orderinv.groups import elementary_abelian
+from orderinv.matching import DivisibilityMatching
 from orderinv.order_stats import order_profile
 from orderinv.report import run_sweep
 from deadline import time_limit
@@ -181,6 +183,17 @@ def test_match_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "found" and payload["verified"] is True
     assert payload["assignment"]["2"] == {"2": 1, "6": 2}
+
+
+def test_match_exit_code_is_the_matching_verdict(monkeypatch, capsys):
+    # a missing matching is an inconsistency only for a solvable group
+    violated = DivisibilityMatching("violated", {}, frozenset({2}))
+    monkeypatch.setattr(report_mod, "_matching_for", lambda profile: violated)
+    for label, code in (("S3", 1), ("A5", 0)):
+        assert main(["match", "--group", label]) == code
+        assert "blocking orders [2]" in capsys.readouterr().out
+        verdict = report_mod._matching_verdict(group_from_label(label))
+        assert verdict.consistent == (code == 0)
 
 
 def test_example_defaults(capsys):
@@ -462,6 +475,15 @@ def test_verify_rejects_bad_spec_files(tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(spec))
         assert main(["verify", "--catalog", str(bad)]) == 2, spec
+
+
+def test_every_catalog_spec_read_error_names_the_path(tmp_path, capsys):
+    files = {"missing.json": None, "cut.json": b'{"families": {', "latin1.json": b"\xff"}
+    for name, content in files.items():
+        if content is not None:
+            (tmp_path / name).write_bytes(content)
+        assert main(["verify", "--catalog", str(tmp_path / name)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / name}: "), name
 
 
 def test_verify_refuses_a_catalog_above_the_cell_budget():

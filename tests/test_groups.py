@@ -16,7 +16,6 @@ from orderinv.groups import (
     FiniteGroup,
     GroupConstructionError,
     NoIdentity,
-    NoInverse,
     NotAssociative,
     NotClosed,
     OrderCapExceeded,
@@ -31,8 +30,7 @@ from orderinv.groups import (
     inversion_semidirect,
     quaternion_generalized,
     _check_latin_and_identity,
-    _element_orders,
-    _inverses,
+    _orders_and_inverses,
     is_int,
     symmetric,
 )
@@ -148,23 +146,25 @@ def test_light_test_agrees_with_full_scan(data):
     assert table[table[x][a]][y] != table[x][table[a][y]]
 
 
-def test_no_inverse_unreachable_without_associativity_gap():
-    # a Latin square with identity where some element lacks a two-sided
-    # inverse is necessarily non-associative, so NoInverse is shadowed by
-    # NotAssociative on full validation; exercise _inverses via the trusted
-    # path instead
-    from orderinv.groups import _inverses
+def test_latin_square_without_two_sided_inverses_is_not_associative():
+    # 2 * 3 = 0 but 3 * 2 = 1: no two-sided inverse, so Light's test must fail
+    table = [
+        [0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 3, 4, 0, 1],
+        [3, 4, 1, 2, 0],
+        [4, 2, 0, 1, 3],
+    ]
+    with pytest.raises(NotAssociative):
+        from_cayley_table(table, "loop")
 
-    with pytest.raises(NoInverse):
-        _inverses(
-            (
-                (0, 1, 2, 3, 4),
-                (1, 0, 3, 4, 2),
-                (2, 3, 4, 0, 1),
-                (3, 4, 1, 2, 0),
-                (4, 2, 0, 1, 3),
-            )
-        )
+
+def test_every_catalog_element_has_a_two_sided_inverse(catalog64):
+    # the trusted constructors' tables, and the same tables validated again
+    for trusted in catalog64:
+        for g in (trusted, from_cayley_table(trusted.mul, trusted.label)):
+            mul, inv = g.mul, g.inv
+            assert all(mul[x][inv[x]] == mul[inv[x]][x] == 0 for x in range(g.order)), g
 
 
 # ----------------------------------------------------------- permutations
@@ -416,12 +416,10 @@ def inverses_by_cells(mul) -> tuple[int, ...]:
     for i in range(n):
         for j in range(n):
             if mul[i][j] == 0:
-                if mul[j][i] != 0:
-                    raise NoInverse(f"element {i} has no two-sided inverse")
+                assert mul[j][i] == 0, f"element {i} has no two-sided inverse"
                 inv[i] = j
                 break
-        if inv[i] < 0:
-            raise NoInverse(f"element {i} has no right inverse")
+        assert inv[i] >= 0, f"element {i} has no right inverse"
     return tuple(inv)
 
 
@@ -450,7 +448,8 @@ def test_table_kernels_match_per_cell_scans(data):
     n = group.order
     table = relabelled_table(group, [0] + data.draw(st.permutations(range(1, n))))
     valid = tuple(map(tuple, table))
-    assert _element_orders(valid) == element_orders_by_cells(valid)
+    assert _orders_and_inverses(valid) == (
+        element_orders_by_cells(valid), inverses_by_cells(valid))
     i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
     damage = data.draw(st.sampled_from(
         ["none", "cell", "row", "out of range", "rows", "columns", "length"]))
@@ -469,8 +468,6 @@ def test_table_kernels_match_per_cell_scans(data):
         table[i] = table[i][:-1] if data.draw(st.booleans()) else table[i] + [0]
     assert outcome(_check_latin_and_identity, table) == outcome(
         latin_and_identity_by_cells, table)
-    if damage != "length":  # _inverses runs only on square tables
-        assert outcome(_inverses, table) == outcome(inverses_by_cells, table)
 
 
 def dihedral_by_cells(n):

@@ -16,6 +16,7 @@ from orderinv.groups import (
     elementary_abelian,
     from_cayley_table,
     from_permutations,
+    generated,
     inversion_semidirect,
     quaternion_generalized,
     symmetric,
@@ -27,7 +28,6 @@ from synthetic import relabelled_table
 from orderinv.structure import (
     SubgroupSet,
     _cyclic_generator_map,
-    _generated,
     enumerate_subgroups,
     is_closed,
     is_cyclic,
@@ -113,7 +113,7 @@ def is_solvable_by_all_commutators(group):
         commutators = {
             mul[mul[inv[x]][inv[y]]][mul[x][y]] for x in current for y in current
         }
-        derived = _generated(group, tuple(sorted(commutators)))
+        derived = generated(mul, tuple(sorted(commutators)))
         if derived == current:
             return False
         current = derived

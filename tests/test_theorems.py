@@ -17,6 +17,7 @@ from orderinv.groups import (
 )
 from orderinv.numtheory import divisor_count, divisors
 from orderinv.order_stats import cyclic_excess, order_profile
+from orderinv.report import evaluate_claim
 from orderinv.theorems import (
     ParameterDomainViolated,
     PreconditionViolated,
@@ -29,6 +30,7 @@ from orderinv.theorems import (
     check_nonpositive_gap,
     check_order_product_maximal,
     check_semidirect_count,
+    _verdict,
 )
 
 NILPOTENT_NONCYCLIC = [
@@ -102,7 +104,7 @@ def test_nonnegative_gap_cyclic_equality():
             assert v.consistent
 
 
-def test_nonnegative_gap_approximate_mode():
+def test_nonnegative_gap_float_exponent_gets_an_exact_sign():
     # a float exponent is the dyadic rational it is, and its sign is exact
     v = check_nonnegative_gap(symmetric(3), 6, 0.5, 0.0)
     assert v.sign == "pos"
@@ -192,7 +194,7 @@ def test_nonpositive_gap_cyclic_equality():
         assert v.consistent
 
 
-def test_nonpositive_gap_approximate():
+def test_nonpositive_gap_float_exponent_gets_an_exact_sign():
     # a float exponent is the dyadic rational it is, and its sign is exact
     v = check_nonpositive_gap(symmetric(3), 0.5, 1.5)
     assert v.sign == "neg"
@@ -342,3 +344,26 @@ def test_semidirect_grid():
         assert v.consistent, v.witness
         surplus = divisor_count(beta) * (m - divisor_count(m))
         assert v.sign == ("pos" if surplus else "zero")
+
+
+# the claims of the form "the inequality holds, and the sign is zero exactly
+# when the condition holds"
+RULE_CLAIMS = (
+    "frobenius-divisibility", "min-cyclic-count", "gap-nonneg", "gap-diagonal",
+    "gap-nonpos", "nilpotent-sign", "cyclic-part-equivalence", "order-product-max",
+)
+
+
+def test_one_verdict_rule_for_eight_claims(catalog64):
+    for sign in ("neg", "zero", "pos", "indeterminate"):
+        for inequality in (False, True):
+            for condition in (False, True):
+                v = _verdict("claim", cyclic(1), (), sign, inequality, condition)
+                assert v.consistent == (sign == "indeterminate" or (
+                    inequality and (sign == "zero") == condition))
+    verdicts = [v for g in catalog64 for claim in RULE_CLAIMS
+                for v in evaluate_claim(g, claim)]
+    assert {v.claim for v in verdicts} == set(RULE_CLAIMS)
+    for v in verdicts:
+        assert v.sign == "indeterminate" or v.consistent == (
+            v.inequality_holds and (v.sign == "zero") == v.equality_condition_holds), v
