@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import os
 import re
 import sys
@@ -50,6 +51,7 @@ from .report import (
     scalar_json,
     verdict_as_json,
     write_json,
+    write_report,
 )
 from .structure import is_solvable
 from .theorems import EqualityRouteMismatch, check_semidirect_count
@@ -111,14 +113,14 @@ def _resolve_group(spec: str):
     return group_from_label(spec)
 
 
-def _emit(output: str | dict, out: str | None) -> None:
-    """Write a table's text as it is, or stream a JSON payload."""
+def _emit(output: str | dict, out: str | None, write=write_json) -> None:
+    """Write a table's text as it is, or a payload through ``write``."""
     with (contextlib.nullcontext(sys.stdout) if out is None
           else open(out, "w", encoding="utf-8")) as handle:
         if isinstance(output, str):
             handle.write(output)
         else:
-            write_json(output, handle)
+            write(output, handle)
 
 
 def _kv_table(rows: list[tuple[str, object]]) -> str:
@@ -252,7 +254,8 @@ def _run_verify(args) -> int:
         _with_ingested(groups, ingested_paths, spec.order_cap, input_errors),
         claims=claims, bound=args.grid, input_errors=input_errors,
     )
-    _emit(_verify_table(report) if args.format == "table" else report, args.out)
+    _emit(_verify_table(report) if args.format == "table" else report, args.out,
+          write_report)
     return report["exit_status"]
 
 
@@ -268,14 +271,15 @@ def _verify_table(report: dict) -> str:
         ("matchings violated", summary["matchings_violated"]),
         ("exit status", report["exit_status"]),
     ])]
-    for record in report["groups"]:
-        for verdict in record.get("verdicts", ()):
-            if not verdict["consistent"]:
-                params = " ".join(
-                    f"{k}={v}" for k, v in sorted(verdict["parameters"].items()))
-                lines.append(
-                    f"INCONSISTENT {verdict['group']} {verdict['claim']} {params}"
-                    f" {verdict['witness']}\n")
+    for text in report["groups"] if summary["inconsistent"] else ():
+        record = json.loads(text)
+        failed = [(claim, dict(zip(block["parameters"], row)), row[-1])
+                  for claim, block in record["verdicts"].items()
+                  for row in block["rows"] if not row[-2]]  # row[-2]: consistent
+        failed.sort(key=lambda f: (f[0], json.dumps(f[1], sort_keys=True)))
+        for claim, parameters, witness in failed:
+            params = " ".join(f"{k}={v}" for k, v in sorted(parameters.items()))
+            lines.append(f"INCONSISTENT {record['label']} {claim} {params} {witness}\n")
     for anomaly in report["anomalies"]:
         lines.append(
             f"ANOMALY {anomaly['group']} {anomaly['claim']} {anomaly['error']}\n")

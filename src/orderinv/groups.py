@@ -20,7 +20,7 @@ import weakref
 from dataclasses import dataclass
 from functools import wraps
 from math import gcd
-from operator import itemgetter
+from operator import eq, itemgetter
 
 from .numtheory import is_prime
 
@@ -85,15 +85,17 @@ class FiniteGroup:
 
 
 def per_group(fn):
-    """Memoise fn(group) for as long as the group lives: the memo holds its
-    groups weakly, so a dropped group takes its entry along."""
+    """Memoise fn(group, *args) for as long as the group lives: the memo
+    holds its groups weakly, so a dropped group takes its entries along."""
     memo = weakref.WeakKeyDictionary()
 
     @wraps(fn)
-    def memoised(group):
-        if group not in memo:
-            memo[group] = fn(group)
-        return memo[group]
+    def memoised(group, *args):
+        try:
+            return memo[group][args]
+        except KeyError:
+            value = memo.setdefault(group, {})[args] = fn(group, *args)
+            return value
 
     return memoised
 
@@ -109,9 +111,11 @@ def _check_latin_and_identity(mul) -> None:
             if bad:
                 raise NotClosed(f"row {i} contains out-of-range entry {bad[0]}")
             raise NotClosed(f"row {i} is not a permutation of 0..{n - 1}")
-    for j, column in enumerate(zip(*mul)):
-        if sorted(column) != full:
-            raise NotClosed(f"column {j} is not a permutation of 0..{n - 1}")
+    # a table equal to its transpose has its rows for columns: they passed
+    if not all(map(eq, map(tuple, mul), zip(*mul))):
+        for j, column in enumerate(zip(*mul)):
+            if sorted(column) != full:
+                raise NotClosed(f"column {j} is not a permutation of 0..{n - 1}")
     for i in range(n):
         if mul[0][i] != i:
             raise NoIdentity(f"0 is not a left identity at element {i}")
@@ -147,9 +151,11 @@ def _check_associative(mul) -> None:
         closure = generated(mul, generators)
 
 
-def generated(mul, gens) -> frozenset[int]:
+def generated(mul, gens, limit: int | None = None) -> frozenset[int]:
     """The subgroup generated by ``gens``: {0} closed under right
-    multiplication by them, which in a finite group supplies the inverses."""
+    multiplication by them, which in a finite group supplies the inverses.
+    With a ``limit``, the walk stops as soon as it has more elements than
+    that, and returns those: a set larger than ``limit`` but no subgroup."""
     found = {0}
     words = [0]
     for x in words:  # grows while it is walked: BFS order
@@ -159,6 +165,8 @@ def generated(mul, gens) -> frozenset[int]:
             if y not in found:
                 found.add(y)
                 words.append(y)
+        if limit is not None and len(found) > limit:
+            break
     return frozenset(found)
 
 

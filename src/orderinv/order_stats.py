@@ -62,10 +62,13 @@ class OrderProfile:
     group_order: int
     counts: Mapping[int, int] = field(default_factory=dict, compare=False)
     key: tuple[tuple[int, int], ...] = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
         object.__setattr__(self, "key", tuple(sorted(self.counts.items())))
+        # every memo lookup hashes the profile: hash the counts once
+        object.__setattr__(self, "_hash", hash((self.group_order, self.key)))
         n = self.group_order
         if n < 1:
             raise ValueError(f"group order must be positive, got {n}")
@@ -84,6 +87,9 @@ class OrderProfile:
             total += count
         if total != n:
             raise ValueError(f"profile counts sum to {total}, expected {n}")
+
+    def __hash__(self):
+        return self._hash
 
     def count(self, d: int) -> int:
         return self.counts.get(d, 0)
@@ -156,17 +162,35 @@ def weighted_order_sum(profile: OrderProfile, n: int, r, s) -> Scalar:
 
 
 @lru_cache(maxsize=4096)
+def excess_terms(profile: OrderProfile, n: int) -> tuple[tuple[int, int, int], ...]:
+    """(c_m - 1, m, phi(m)) for each divisor m of n whose cyclic subgroup
+    count c_m is not 1: the terms of cyclic_excess, in divisor order."""
+    require_divisor(profile, n)
+    return tuple((profile.cyclic_count(m) - 1, m, totient(m))
+                 for m in divisors(n) if profile.cyclic_count(m) != 1)
+
+
+@lru_cache(maxsize=4096)
 def cyclic_excess(profile: OrderProfile, n: int, r, s) -> Scalar:
     """Weighted order sum minus the same sum for the cyclic group of equal
     order; the divisor-restricted comparison invariant.
 
     The cyclic baseline needs no group construction: a cyclic group has one
-    cyclic subgroup per divisor, so its sum over orders dividing n is
-    sum_{m|n} m^s/phi(m)^(r-1).  Vanishes identically at r = s = 0.
+    cyclic subgroup per divisor, so the excess is the sum over m | n of
+    (c_m - 1) m^s / phi(m)^(r-1).  Vanishes identically at r = s = 0.  At
+    integer r and s the terms are summed as integers over one common
+    denominator, and the Fraction is made once.
     """
-    require_divisor(profile, n)
-    return sum(((profile.cyclic_count(m) - 1) * weight(m, r - 1, s)
-                for m in divisors(n) if profile.cyclic_count(m) != 1), Fraction(0))
+    terms = excess_terms(profile, n)
+    (a, qa), (b, qb) = r.as_integer_ratio(), s.as_integer_ratio()
+    if qa != 1 or qb != 1:
+        return sum((c * weight(m, r - 1, s) for c, m, _ in terms), Fraction(0))
+    a -= 1  # each term is c m^b / phi^a: powers with a negative exponent go below
+    up_m, down_m, up_phi, down_phi = max(b, 0), max(-b, 0), max(-a, 0), max(a, 0)
+    below = [m**down_m * phi**down_phi for _, m, phi in terms]
+    common = lcm(*below)
+    return Fraction(sum(c * m**up_m * phi**up_phi * (common // d)
+                        for (c, m, phi), d in zip(terms, below)), common)
 
 
 def sign_of(value) -> str:
@@ -192,15 +216,13 @@ def excess_sign(profile: OrderProfile, n: int, r, s) -> str:
     require_divisor(profile, n)
     (a, qa), (b, qb) = r.as_integer_ratio(), s.as_integer_ratio()
     q = lcm(qa, qb)
-    if q == 1:
-        return sign_of(cyclic_excess(profile, n, r, s))
+    if q == 1:  # a Fraction has the sign of its numerator
+        return sign_of(cyclic_excess(profile, n, r, s).numerator)
     a, b = (a - qa) * (q // qa), b * (q // qb)
     coefficients: dict[tuple, Fraction] = {}
-    for m in divisors(n):
-        if profile.cyclic_count(m) == 1:
-            continue
-        in_m, in_phi = dict(factorize(m).factors), dict(factorize(totient(m)).factors)
-        coefficient, radicand = Fraction(profile.cyclic_count(m) - 1), []
+    for c, m, phi in excess_terms(profile, n):
+        in_m, in_phi = dict(factorize(m).factors), dict(factorize(phi).factors)
+        coefficient, radicand = Fraction(c), []
         for p in sorted(in_m.keys() | in_phi.keys()):
             whole, rho = divmod(b * in_m.get(p, 0) - a * in_phi.get(p, 0), q)
             coefficient *= Fraction(p) ** whole
@@ -228,6 +250,7 @@ def excess_sign(profile: OrderProfile, n: int, r, s) -> str:
         digits = min(2 * digits, SIGN_DIGITS)
 
 
+@lru_cache(maxsize=1024)
 def product_of_orders(profile: OrderProfile) -> FactoredInteger:
     """prod over all elements of o(x), via the closed form n^n / prod p^(B_p)
     where B_p = sum_{j=1..c_p} B(n / p^j).

@@ -1,6 +1,6 @@
 """Catalog sweeps: run every claim over every group, emit a deterministic report.
 
-The report is plain JSON with sorted keys and no timestamps, so two runs
+The report is compact JSON with sorted keys and no timestamps, so two runs
 over the same catalog are byte-identical.  Exit status is part of the
 payload: 1 means some verdict came back inconsistent (or a claim raised),
 2 means the only defects were malformed input files.
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from json.encoder import encode_basestring_ascii as _string_text
 
 from .catalog import semidirect_label_parts
 from .groups import FiniteGroup
@@ -60,10 +59,8 @@ ALL_CLAIMS = (
 DEFAULT_GRID_BOUND = 3
 # full-divisor sweeps only below this order; above it n = |G| alone
 DIVISOR_SWEEP_LIMIT = 48
-# json.dumps(sort_keys=True) with one encoder; a tuple key would reorder "1}" < "12}"
-_sorted_json = json.JSONEncoder(sort_keys=True).encode
-# write_json's strings per write: bounds both the system calls and the text held
-JSON_WRITE_BATCH = 1024
+# the report's encoder: json's C encoder, compact, with sorted keys
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def integer_pairs(bound: int) -> list[tuple[int, int]]:
@@ -190,6 +187,19 @@ def verdict_as_json(verdict: TheoremVerdict) -> dict:
     }
 
 
+def verdict_rows(verdicts: list[TheoremVerdict]) -> dict:
+    """One claim's verdicts on one group as a report block: the parameter
+    names once, then a row per verdict in generation order, holding the
+    parameter values, sign, inequality_holds, equality_condition_holds,
+    consistent and witness."""
+    return {
+        "parameters": [key for key, _ in verdicts[0].parameters],
+        "rows": [[*(scalar_json(value) for _, value in v.parameters), v.sign,
+                  v.inequality_holds, v.equality_condition_holds, v.consistent,
+                  v.witness] for v in verdicts],
+    }
+
+
 def matching_as_json(profile) -> dict:
     """The divisibility matching of a profile, and whether it checks out."""
     matching = _matching_for(profile)
@@ -217,14 +227,17 @@ def group_invariants(group: FiniteGroup, profile) -> dict:
     }
 
 
+@lru_cache(maxsize=1024)
+def _excess_grid(profile, bound: int) -> tuple[tuple[int, int, str], ...]:
+    # keyed by profile value, as twins have one grid
+    n = profile.group_order
+    return tuple((r, s, str(cyclic_excess(profile, n, r, s))) for r, s in integer_pairs(bound))
+
+
 def group_record(group: FiniteGroup, bound: int = DEFAULT_GRID_BOUND) -> dict:
     """Static per-group facts: profile, structure flags, invariants, excess grid."""
     profile = order_profile(group)
     table = frobenius_table(profile)
-    grid = [
-        [r, s, str(cyclic_excess(profile, group.order, r, s))]
-        for r, s in integer_pairs(bound)
-    ]
     return {
         "label": group.label,
         "order": group.order,
@@ -233,59 +246,31 @@ def group_record(group: FiniteGroup, bound: int = DEFAULT_GRID_BOUND) -> dict:
         "solution_ratios": {str(m): q for m, q in table.ratios.items()},
         **group_invariants(group, profile),
         "cyclic_subgroup_count": count_cyclic_subgroups(group),
-        "excess_grid": grid,
+        "excess_grid": _excess_grid(profile, bound),
         "matching": matching_as_json(profile),
     }
 
 
-# json's text of each scalar by exact type: a Fraction, set or subclass is a TypeError
-_SCALAR_TEXT = {
-    str: _string_text,
-    int: int.__repr__,
-    float: json.dumps,  # float.__repr__, or NaN, Infinity and -Infinity
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): {None: "null"}.__getitem__,
-}
-
-
 def write_json(payload, handle) -> None:
-    """Write ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` in one
-    recursive pass, one string per key and scalar: ``json`` indents with a generator."""
-    parts: list[str] = []
+    """Write ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline:
+    the output of every command but ``verify``."""
+    handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
-    def emit(value, lead: str, indent: str) -> None:
-        # lead: what precedes value on its line; indent: newline and value's indentation
-        kind = type(value)
-        if kind is not dict and kind is not list and kind is not tuple:
-            if kind not in _SCALAR_TEXT:
-                raise TypeError(f"type {kind.__name__} is not JSON serializable")
-            return parts.append(lead + _SCALAR_TEXT[kind](value))
-        opener, closer = "{}" if kind is dict else "[]"
-        inner = indent + "  "
-        separator, comma = lead + opener + inner, "," + inner
-        if kind is dict:  # a key that is not a str is a TypeError from the encoder
-            for key, item in sorted(value.items()):
-                text = _SCALAR_TEXT.get(type(item))
-                if text is None:
-                    emit(item, f"{separator}{_string_text(key)}: ", inner)
-                else:
-                    parts.append(f"{separator}{_string_text(key)}: {text(item)}")
-                separator = comma
-        else:
-            for item in value:
-                text = _SCALAR_TEXT.get(type(item))
-                if text is None:
-                    emit(item, separator, inner)
-                else:
-                    parts.append(separator + text(item))
-                separator = comma
-        parts.append(indent + closer if value else lead + opener + closer)
-        if len(parts) >= JSON_WRITE_BATCH:
-            handle.write("".join(parts))
-            parts.clear()
 
-    emit(payload, "", "\n")
-    handle.write("".join(parts) + "\n")
+def write_report(report: dict, handle) -> None:
+    """Write a ``run_sweep`` report as compact JSON with sorted keys and a
+    final newline: the top level around the records' texts, each record
+    on a line of its own and in one write, so the text is never joined."""
+    keys = sorted(report)
+    at = keys.index("groups")
+    head = _encode({key: report[key] for key in keys[:at]})
+    tail = _encode({key: report[key] for key in keys[at + 1:]})
+    handle.write(head[:-1] + ',"groups":[')
+    separator = "\n"
+    for text in report["groups"]:
+        handle.write(separator + text)
+        separator = ",\n"
+    handle.write("\n]," + tail[1:] + "\n")
 
 
 def run_sweep(
@@ -295,8 +280,11 @@ def run_sweep(
     input_errors=(),
 ) -> dict:
     """Evaluate the selected claims on each group of an iterable, consumed
-    once and in any order, and keep only its record; ``input_errors`` is
-    read after the last group, so the groups' stream may still add to it."""
+    once and in any order, and keep only its record, encoded; ``input_errors``
+    is read after the last group, so the groups' stream may still add to it.
+
+    Returns the report as a dict whose ``groups`` holds each record's JSON
+    text, ordered by (order, label), for ``write_report`` to write out."""
     if claims is None:
         selected = list(ALL_CLAIMS)
     else:
@@ -306,9 +294,11 @@ def run_sweep(
         selected = [c for c in ALL_CLAIMS if c in set(claims)]
 
     anomalies: list[dict] = []
-    records: dict[str, dict] = {}
+    texts: dict[str, tuple[int, str]] = {}  # label -> (order, record text)
+    verdicts = inconsistent = found = violated = 0
+    conjecture_events = []
     for group in groups:
-        if group.label in records:
+        if group.label in texts:
             raise ValueError("group labels must be unique within a sweep")
         try:
             record = group_record(group, bound)
@@ -319,35 +309,29 @@ def run_sweep(
                 "claim": "group-record",
                 "error": f"{type(exc).__name__}: {exc}",
             })
-        rows: list[dict] = []
+        blocks: dict[str, dict] = {}
         for claim in selected:
             try:
-                rows.extend([
-                    verdict_as_json(v) for v in evaluate_claim(group, claim, bound=bound)
-                ])
+                results = evaluate_claim(group, claim, bound=bound)
+                if results:
+                    blocks[claim] = verdict_rows(results)
             except Exception as exc:  # noqa: BLE001
                 anomalies.append({
                     "group": group.label,
                     "claim": claim,
                     "error": f"{type(exc).__name__}: {exc}",
                 })
-        rows.sort(key=lambda v: (v["claim"], _sorted_json(v["parameters"])))
-        record["verdicts"] = rows
-        records[group.label] = record
+            else:
+                verdicts += len(results)
+                inconsistent += sum(not v.consistent for v in results)
+        record["verdicts"] = blocks
+        status = record.get("matching", {}).get("status")
+        found += status == "found"
+        violated += status == "violated"
+        if status == "violated" and not record.get("is_solvable", True):
+            conjecture_events.append(group.label)
+        texts[group.label] = (group.order, _encode(record))
     anomalies.sort(key=lambda a: (a["group"], a["claim"], a["error"]))
-    ordered = sorted(records.values(), key=lambda r: (r["order"], r["label"]))
-
-    flat = [v for record in ordered for v in record["verdicts"]]
-    inconsistent = [v for v in flat if not v["consistent"]]
-    matching_rows = [record.get("matching") for record in ordered]
-    found = sum(1 for m in matching_rows if m and m["status"] == "found")
-    violated = sum(1 for m in matching_rows if m and m["status"] == "violated")
-    conjecture_events = sorted(
-        record["label"]
-        for record in ordered
-        if record.get("matching", {}).get("status") == "violated"
-        and not record.get("is_solvable", True)
-    )
     errors = [dict(e) for e in input_errors]
     errors.sort(key=lambda e: (e.get("path", ""), e.get("error", "")))
 
@@ -359,21 +343,21 @@ def run_sweep(
         exit_status = 0
 
     return {
-        "schema_version": 1,
+        "schema_version": 2,
         "tool_version": TOOL_VERSION,
         "grid_bound": bound,
         "claims": selected,
-        "groups": ordered,
+        "groups": [text for _, (_, text) in sorted(
+            texts.items(), key=lambda item: (item[1][0], item[0]))],
         "anomalies": anomalies,
         "input_errors": errors,
         "summary": {
-            "groups": len(ordered),
-            "verdicts": len(flat),
-            "inconsistent": len(inconsistent),
-            "inconsistent_exact": len(inconsistent),  # the same, as every sign is exact
+            "groups": len(texts),
+            "verdicts": verdicts,
+            "inconsistent": inconsistent,
             "matchings_found": found,
             "matchings_violated": violated,
-            "conjecture_events": conjecture_events,
+            "conjecture_events": sorted(conjecture_events),
             "anomalies": len(anomalies),
             "input_errors": len(errors),
         },

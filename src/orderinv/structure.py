@@ -3,20 +3,18 @@
 Cyclicity, nilpotency and solvability are decided directly from the
 multiplication table, the derived series by normal closures (Holt, Eick and
 O'Brien, Handbook of Computational Group Theory, 2005); subgroups are
-enumerated explicitly by closing joins of cyclic subgroups, so "unique
-subgroup of order n" questions are answered by exhaustion, not by theory.
+found by closing joins of cyclic subgroups, so "unique subgroup of order
+n" questions are answered by search, not by theory.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from math import gcd
 from operator import itemgetter
 
 from .groups import (
     FiniteGroup,
-    OrderCapExceeded,
     cyclic_powers,
     from_cayley_table,
     generated,
@@ -24,7 +22,7 @@ from .groups import (
 )
 from .numtheory import factorize
 
-# enumeration is quadratic-ish in the subgroup count; keep desk scale honest
+# gap-diagonal takes its subgroup route only up to this order
 DEFAULT_SUBGROUP_CAP = 200
 
 
@@ -97,55 +95,46 @@ def count_cyclic_subgroups(group: FiniteGroup) -> int:
     return 1 + len(_cyclic_generator_map(group))
 
 
-@per_group
-def enumerate_subgroups(group: FiniteGroup) -> tuple[SubgroupSet, ...]:
-    """All subgroups, sorted by (order, element indices).
-
-    Seeds with the cyclic subgroups and repeatedly joins every known
-    subgroup with every cyclic one until no new subgroup appears; every
-    subgroup is a join of cyclic ones, so the fixpoint is exhaustive.
-    """
-    if group.order > DEFAULT_SUBGROUP_CAP:
-        raise OrderCapExceeded(
-            f"group order {group.order} exceeds the subgroup enumeration cap"
-            f" {DEFAULT_SUBGROUP_CAP}"
-        )
-    cyc_gen = _cyclic_generator_map(group)
-    trivial = frozenset({0})
-    # remember a small generating set per subgroup to keep joins cheap
-    found: dict[frozenset[int], tuple[int, ...]] = {trivial: ()}
-    for elems, x in cyc_gen.items():
-        found.setdefault(elems, (x,))
-    queue: deque[tuple[frozenset[int], tuple[int, ...]]] = deque(found.items())
-    cyclics = list(cyc_gen.items())
-    while queue:
-        sub, sub_gens = queue.popleft()
-        for cyc, x in cyclics:
-            if cyc <= sub:
-                continue
-            gens = sub_gens + (x,)
-            join = generated(group.mul, gens)
-            if join not in found:
-                found[join] = gens
-                queue.append((join, gens))
-    ordered = sorted(found, key=lambda s: (len(s), sorted(s)))
-    return tuple(subgroup_from_indices(group, s) for s in ordered)
-
-
 def unique_subgroup_of_order(group: FiniteGroup, n: int) -> UniqueSubgroupResult:
-    """Classify the order-``n`` subgroups as unique, multiple or absent."""
+    """Classify the order-``n`` subgroups as unique, multiple or absent.
+
+    A subgroup of order n is reached from one of its cyclic subgroups by
+    joining one more at a time, and each join on the way is a subgroup
+    whose order divides n.  So the search joins the cyclic subgroups whose
+    order divides n, depth-first and largest first, closes each join with
+    ``generated`` capped at n elements, and stops at a second subgroup of
+    order n.
+    """
     if n < 1 or group.order % n:
         raise ValueError(f"{n} does not divide the group order {group.order}")
     if n == 1:
         return UniqueSubgroupResult("unique", SubgroupSet((0,)))
     if n == group.order:
         return UniqueSubgroupResult("unique", SubgroupSet(tuple(range(group.order))))
-    matches = [s for s in enumerate_subgroups(group) if s.order == n]
-    if not matches:
+    cyclics = sorted(((c, x) for c, x in _cyclic_generator_map(group).items()
+                      if n % len(c) == 0), key=lambda cx: len(cx[0]))
+    stack = [(c, (x,)) for c, x in cyclics]  # the largest is popped first
+    seen, hits = set(), []
+    while stack:
+        sub, gens = stack.pop()
+        if sub in seen:
+            continue
+        seen.add(sub)
+        if len(sub) == n:
+            hits.append(sub)
+            if len(hits) == 2:
+                return UniqueSubgroupResult("multiple", None)
+            continue
+        joins = []
+        for c, x in cyclics:
+            if not c <= sub:
+                join = generated(group.mul, gens + (x,), limit=n)
+                if n % len(join) == 0 and join not in seen:  # len(join) > n fails too
+                    joins.append((join, gens + (x,)))
+        stack.extend(sorted(joins, key=lambda jg: len(jg[0])))
+    if not hits:
         return UniqueSubgroupResult("none", None)
-    if len(matches) > 1:
-        return UniqueSubgroupResult("multiple", None)
-    return UniqueSubgroupResult("unique", matches[0])
+    return UniqueSubgroupResult("unique", subgroup_from_indices(group, hits[0]))
 
 
 def subgroup_as_group(group: FiniteGroup, sub: SubgroupSet) -> FiniteGroup:

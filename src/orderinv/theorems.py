@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import order_stats
-from .groups import FiniteGroup, inversion_semidirect
+from .groups import FiniteGroup, inversion_semidirect, per_group
 from .numtheory import divisor_count, divisor_power_sum, divisors, totient
 from .order_stats import (
     ParameterDomainViolated,
@@ -23,6 +23,7 @@ from .order_stats import (
     cyclic_profile,
     cyclic_subgroup_count,
     excess_sign,
+    excess_terms,
     frobenius_table,
     order_profile,
     product_of_orders,
@@ -116,11 +117,25 @@ def check_nonnegative_gap(group: FiniteGroup, n: int, r, s) -> TheoremVerdict:
         raise ParameterDomainViolated(f"need s < r and s <= 0, got r={r}, s={s}")
     profile = order_profile(group)
     sign = excess_sign(profile, n, r, s)
-    offending = [m for m in divisors(n) if profile.cyclic_count(m) != 1]
+    offending = [m for _, m, _ in excess_terms(profile, n)]
     return _verdict(
         "gap-nonneg", group, (("n", n), ("r", r), ("s", s)), sign, sign != "neg",
         not offending, f"cyclic subgroup count is not 1 at {offending}" if offending else "",
     )
+
+
+@per_group
+def _subgroup_route(group: FiniteGroup, n: int) -> tuple[bool, str]:
+    """Whether the group has exactly one subgroup of order n and it is
+    nilpotent, with the search's status; the same at every exponent."""
+    result = unique_subgroup_of_order(group, n)
+    if result.status != "unique":
+        return False, result.status
+    if n == group.order:
+        return is_nilpotent(group), result.status
+    if n == 1:
+        return True, result.status
+    return is_nilpotent(subgroup_as_group(group, result.subgroup)), result.status
 
 
 def check_diagonal_gap(group: FiniteGroup, n: int, r) -> TheoremVerdict:
@@ -128,7 +143,7 @@ def check_diagonal_gap(group: FiniteGroup, n: int, r) -> TheoremVerdict:
 
     The equality condition is evaluated two independent ways: through the
     solution counts (B(k) = k for every divisor k of n coprime to n/k) and,
-    when enumeration is feasible, by literally counting order-n subgroups.
+    up to DEFAULT_SUBGROUP_CAP, by searching the order-n subgroups.
     Disagreement raises EqualityRouteMismatch: it would mean one of two
     proved-equivalent criteria is implemented wrong.
     """
@@ -142,19 +157,11 @@ def check_diagonal_gap(group: FiniteGroup, n: int, r) -> TheoremVerdict:
     )
     witness = "equality_route: solution-counts"
     if n in (1, group.order) or group.order <= DEFAULT_SUBGROUP_CAP:
-        result = unique_subgroup_of_order(group, n)
-        if result.status != "unique":
-            subgroup_route = False
-        elif n == group.order:
-            subgroup_route = is_nilpotent(group)
-        elif n == 1:
-            subgroup_route = True
-        else:
-            subgroup_route = is_nilpotent(subgroup_as_group(group, result.subgroup))
+        subgroup_route, status = _subgroup_route(group, n)
         if subgroup_route != condition:
             raise EqualityRouteMismatch(
                 f"{group.label}, n={n}: solution-count route says {condition}, "
-                f"subgroup route says {subgroup_route} (status: {result.status})"
+                f"subgroup route says {subgroup_route} (status: {status})"
             )
         witness = "equality_route: both-agree"
     return _verdict(

@@ -6,12 +6,15 @@ test can compare it with the package's own route.  Exact arithmetic only.
 """
 
 import io
-from collections import Counter
+import json
+from collections import Counter, deque
 from fractions import Fraction
 
+from orderinv.groups import FiniteGroup, OrderCapExceeded, generated
 from orderinv.numtheory import FactoredInteger, divisors, factorize, weight
 from orderinv.order_stats import OrderProfile, frobenius_table, require_divisor
-from orderinv.report import write_json
+from orderinv.report import write_json, write_report
+from orderinv.structure import DEFAULT_SUBGROUP_CAP, SubgroupSet, subgroup_from_indices
 
 
 def moebius(n: int) -> int:
@@ -123,8 +126,71 @@ def product_of_orders_direct(profile: OrderProfile) -> FactoredInteger:
     return factored_product((factorize(d), a) for d, a in profile.counts.items())
 
 
+def enumerate_subgroups(group: FiniteGroup) -> tuple[SubgroupSet, ...]:
+    """All subgroups, sorted by (order, element indices).
+
+    Seeds with the cyclic subgroups and repeatedly joins every known
+    subgroup with every cyclic one until no new subgroup appears; every
+    subgroup is a join of cyclic ones, so the fixpoint is exhaustive.
+    """
+    if group.order > DEFAULT_SUBGROUP_CAP:
+        raise OrderCapExceeded(
+            f"group order {group.order} exceeds the subgroup enumeration cap"
+            f" {DEFAULT_SUBGROUP_CAP}"
+        )
+    cyclics = {generated(group.mul, (x,)): x for x in range(1, group.order)}
+    # remember a small generating set per subgroup to keep joins cheap
+    found: dict[frozenset[int], tuple[int, ...]] = {frozenset({0}): ()}
+    for elems, x in cyclics.items():
+        found.setdefault(elems, (x,))
+    queue = deque(found.items())
+    while queue:
+        sub, sub_gens = queue.popleft()
+        for cyc, x in cyclics.items():
+            if cyc <= sub:
+                continue
+            gens = sub_gens + (x,)
+            join = generated(group.mul, gens)
+            if join not in found:
+                found[join] = gens
+                queue.append((join, gens))
+    ordered = sorted(found, key=lambda s: (len(s), sorted(s)))
+    return tuple(subgroup_from_indices(group, s) for s in ordered)
+
+
 def json_text(payload) -> str:
     """``write_json``'s text, in memory."""
     buffer = io.StringIO()
     write_json(payload, buffer)
     return buffer.getvalue()
+
+
+def report_text(report: dict) -> str:
+    """``write_report``'s text, in memory."""
+    buffer = io.StringIO()
+    write_report(report, buffer)
+    return buffer.getvalue()
+
+
+def records(report: dict) -> list[dict]:
+    """The group records of a ``run_sweep`` report, decoded."""
+    return [json.loads(text) for text in report["groups"]]
+
+
+def v1_verdicts(record: dict) -> list[dict]:
+    """A record's verdict rows expanded into the verdict dicts of report
+    schema 1, sorted as that schema sorted them: by claim, then by the
+    JSON text of the parameters."""
+    out = []
+    for claim, block in record["verdicts"].items():
+        names = block["parameters"]
+        for row in block["rows"]:
+            sign, inequality, condition, consistent, witness = row[len(names):]
+            out.append({
+                "claim": claim, "group": record["label"],
+                "parameters": dict(zip(names, row)), "sign": sign,
+                "inequality_holds": inequality, "equality_condition_holds": condition,
+                "consistent": consistent, "mode": "exact", "witness": witness,
+            })
+    out.sort(key=lambda v: (v["claim"], json.dumps(v["parameters"], sort_keys=True)))
+    return out

@@ -247,7 +247,7 @@ def test_criterion_11_verify_is_deterministic():
             problems.append("empty report")
         # the default report's SHA-256 pinned in ROADMAP.md
         digest = hashlib.sha256(outputs[0]).hexdigest()
-        if digest != "898709fe8211c59a64766435e26e81960e22284baa4803d6fc3bacef72338a5d":
+        if digest != "2fb55f6a46e57eea9f66e60c81480939068913bb0a96dd06ccb4dc732ebaef38":
             problems.append(f"report SHA-256 changed: {digest}")
         # --paranoid builds every table twice and must not change a byte
         proc = subprocess.run(
@@ -255,12 +255,12 @@ def test_criterion_11_verify_is_deterministic():
             capture_output=True,
         )
         digest = hashlib.sha256(proc.stdout).hexdigest()
-        if digest != "898709fe8211c59a64766435e26e81960e22284baa4803d6fc3bacef72338a5d":
+        if digest != "2fb55f6a46e57eea9f66e60c81480939068913bb0a96dd06ccb4dc732ebaef38":
             problems.append(f"--paranoid report SHA-256 changed: {digest}")
         proc = subprocess.run(
             [sys.executable, "-m", "orderinv.cli", "verify", "--order-cap", "128"],
             capture_output=True,
         )
         digest = hashlib.sha256(proc.stdout).hexdigest()
-        if digest != "f78949579b6e06ea42b3bf9529556be89fb3326f79c7314c9a0c67b1bee5aaa4":
+        if digest != "02dab87fa337c333aa76a75b71ec304026523a9a946fe7e56c70b2f6c2bd4983":
             problems.append(f"cap-128 report SHA-256 changed: {digest}")

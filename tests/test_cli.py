@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import operator
@@ -30,7 +31,7 @@ from orderinv.matching import DivisibilityMatching
 from orderinv.order_stats import order_profile
 from orderinv.report import run_sweep
 from deadline import time_limit
-from oracles import json_text
+from oracles import report_text, v1_verdicts
 from synthetic import relabelled_table
 
 CHILD_ADDRESS_SPACE = 1_500_000_000  # bytes; an uncapped table dies here, not the host
@@ -83,7 +84,7 @@ def test_compute_json_output(capsys):
     assert payload["is_nilpotent"] is True and payload["is_cyclic"] is False
 
 
-def test_compute_approximate_exponents(capsys):
+def test_compute_fractional_exponents_get_exact_signs(capsys):
     # non-integer exponents get an exact sign too; only the values are float readings
     assert main(["compute", "--group", "C6", "--r", "0.5", "--s", "1/2",
                  "--format", "json"]) == 0
@@ -326,7 +327,7 @@ def test_verify_paranoid_gives_the_same_report():
 
 
 def test_verify_streams_the_same_bytes_to_stdout_and_out_file(tmp_path):
-    expected = json_text(
+    expected = report_text(
         run_sweep(build_catalog(default_catalog_spec(order_cap=24)))).encode()
     unbuffered = run_cli("verify", "--order-cap", "24", env={"PYTHONUNBUFFERED": "1"},
                          text=False)
@@ -345,7 +346,7 @@ def test_verify_claim_selection(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["claims"] == ["frobenius-divisibility", "min-cyclic-count"]
     for record in payload["groups"]:
-        assert {v["claim"] for v in record["verdicts"]} == set(payload["claims"])
+        assert {v["claim"] for v in v1_verdicts(record)} == set(payload["claims"])
 
 
 def test_verify_out_file(tmp_path, capsys):
@@ -459,6 +460,30 @@ def test_verify_table_format(tmp_path, capsys):
     out = capsys.readouterr().out
     assert parse_table(out)["groups"] == "3"
     assert "INCONSISTENT" not in out
+
+
+def test_verify_table_lists_inconsistent_verdicts_in_parameter_text_order(
+        tmp_path, monkeypatch, capsys):
+    # generated at (r, s) = (-2, -3), (-1, -3), (-1, -2); listed as the JSON
+    # text of their parameters sorts
+    real = report_mod.check_nonnegative_gap
+
+    def doctored(group, n, r, s):
+        verdict = real(group, n, r, s)
+        return dataclasses.replace(verdict, consistent=False) if n == 2 and r < 0 else verdict
+
+    monkeypatch.setattr(report_mod, "check_nonnegative_gap", doctored)
+    spec = tmp_path / "cat.json"
+    spec.write_text(json.dumps({"families": {"cyclic": [1, 3]}}))
+    assert main(["verify", "--catalog", str(spec), "--claims",
+                 "gap-nonneg,min-cyclic-count", "--format", "table"]) == 1
+    out = capsys.readouterr().out
+    assert parse_table(out)["inconsistent"] == "3"
+    assert [line for line in out.splitlines() if line.startswith("INCONSISTENT")] == [
+        "INCONSISTENT C2 gap-nonneg n=2 r=-1 s=-2 ",
+        "INCONSISTENT C2 gap-nonneg n=2 r=-1 s=-3 ",
+        "INCONSISTENT C2 gap-nonneg n=2 r=-2 s=-3 ",
+    ]
 
 
 def test_verify_rejects_bad_spec_files(tmp_path):

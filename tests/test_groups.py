@@ -31,6 +31,7 @@ from orderinv.groups import (
     quaternion_generalized,
     _check_latin_and_identity,
     _orders_and_inverses,
+    cyclic_powers,
     is_int,
     symmetric,
 )
@@ -67,6 +68,14 @@ def test_rejects_non_latin():
         from_cayley_table([[0, 7], [1, 0]], "bad")
     with pytest.raises(NotClosed):
         from_cayley_table([[0, 1], [1]], "bad")
+
+
+def test_power_walk_stops_on_a_table_that_never_returns_to_identity():
+    # not Latin: 1 * 1 = 2 and 2 * 1 = 2, so the powers of 1 stay at 2; the
+    # guard is what bounds the walk when an unvalidated table reaches it
+    table = ((0, 1, 2), (1, 2, 2), (2, 2, 2))
+    with pytest.raises(NotClosed, match="powers of element 1 do not return to identity"):
+        cyclic_powers(table, 1)
 
 
 def test_rejects_missing_identity():
@@ -452,9 +461,12 @@ def test_table_kernels_match_per_cell_scans(data):
         element_orders_by_cells(valid), inverses_by_cells(valid))
     i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
     damage = data.draw(st.sampled_from(
-        ["none", "cell", "row", "out of range", "rows", "columns", "length"]))
+        ["none", "cell", "mirrored cell", "row", "out of range", "rows", "columns",
+         "length"]))
     if damage == "cell":  # usually breaks a row and a column
         table[i][j] = data.draw(st.integers(0, n - 1))
+    elif damage == "mirrored cell":  # an abelian table stays symmetric, not Latin
+        table[i][j] = table[j][i] = data.draw(st.integers(0, n - 1))
     elif damage == "row":  # rows stay permutations, columns usually break
         table[i] = data.draw(st.permutations(range(n)))
     elif damage == "out of range":

@@ -24,6 +24,7 @@ from orderinv.numtheory import (
     divisors,
     factorize,
     totient,
+    weight,
 )
 from orderinv.order_stats import (
     FrobeniusViolated,
@@ -285,6 +286,19 @@ def test_cyclic_excess_spots():
     assert cyclic_excess(q8, 8, 1, 0) == 5 - 4
     with pytest.raises(ParameterDomainViolated):  # checked on every call, cached or not
         cyclic_excess(s3, 4, 0, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=3).map(abelian_profile),
+       st.integers(-3, 3), st.integers(-3, 3), st.sampled_from([int, float, Fraction]))
+def test_integer_excess_is_the_fraction_sum(profile, r, s, kind):
+    # the integer path against the defining sum of (c_m - 1) weight(m, r - 1, s)
+    cyclic_excess.cache_clear()
+    for n in divisors(profile.group_order):
+        expected = sum(((profile.cyclic_count(m) - 1) * weight(m, r - 1, s)
+                        for m in divisors(n)), Fraction(0))
+        value = cyclic_excess(profile, n, kind(r), kind(s))
+        assert type(value) is Fraction and value == expected, (profile.key, n, r, s)
 
 
 def test_cyclic_excess_of_cyclic_groups_is_zero():

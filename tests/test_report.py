@@ -23,7 +23,6 @@ from orderinv.groups import cyclic
 from orderinv.order_stats import frobenius_table
 from orderinv.report import (
     ALL_CLAIMS,
-    JSON_WRITE_BATCH,
     diagonal_exponents,
     evaluate_claim,
     group_record,
@@ -31,11 +30,13 @@ from orderinv.report import (
     nonneg_pairs,
     nonpos_pairs,
     run_sweep,
+    verdict_as_json,
     write_json,
+    write_report,
 )
 from orderinv.theorems import TheoremVerdict
 from deadline import time_limit
-from oracles import json_text
+from oracles import json_text, records, report_text, v1_verdicts
 
 
 def test_exponent_pair_helpers():
@@ -60,8 +61,8 @@ def test_semidirect_label_parts():
 def test_sweep_claim_mix_for_s3():
     rep = run_sweep([group_from_label("S3")])
     assert rep["exit_status"] == 0
-    record = rep["groups"][0]
-    mix = Counter(v["claim"] for v in record["verdicts"])
+    verdicts = v1_verdicts(records(rep)[0])
+    mix = Counter(v["claim"] for v in verdicts)
     assert mix == {
         "frobenius-divisibility": 1,
         "min-cyclic-count": 1,
@@ -72,7 +73,7 @@ def test_sweep_claim_mix_for_s3():
         "order-product-max": 1,
         "divisibility-matching": 1,
     }
-    assert all(v["consistent"] for v in record["verdicts"])
+    assert all(v["consistent"] for v in verdicts)
 
 
 def test_claim_applicability():
@@ -106,14 +107,14 @@ def test_cyclic_groups_have_flat_excess_grid():
     groups = [cyclic(n) for n in range(1, 13)]
     rep = run_sweep(groups)
     assert rep["exit_status"] == 0
-    for record in rep["groups"]:
+    for record in records(rep):
         assert all(cell[2] == "0" for cell in record["excess_grid"])
 
 
 def test_sweep_is_deterministic():
     groups = [group_from_label(lbl) for lbl in ("S3", "Q8", "C12", "C3:C10")]
-    first = json_text(run_sweep(groups))
-    second = json_text(run_sweep(groups))
+    first = report_text(run_sweep(groups))
+    second = report_text(run_sweep(groups))
     assert first == second
 
 
@@ -122,7 +123,7 @@ def test_claim_selection_and_order():
                                                       "frobenius-divisibility"])
     # registry order, not request order
     assert rep["claims"] == ["frobenius-divisibility", "min-cyclic-count"]
-    claims_seen = {v["claim"] for v in rep["groups"][0]["verdicts"]}
+    claims_seen = {v["claim"] for v in v1_verdicts(records(rep)[0])}
     assert claims_seen == {"frobenius-divisibility", "min-cyclic-count"}
     with pytest.raises(ValueError, match="unknown claims"):
         run_sweep([group_from_label("C6")], claims=["bogus"])
@@ -130,7 +131,7 @@ def test_claim_selection_and_order():
 
 def test_sweep_order_does_not_matter(catalog64):
     # records are ordered by (order, label) however the groups arrive
-    assert json_text(run_sweep(reversed(catalog64))) == json_text(run_sweep(catalog64))
+    assert report_text(run_sweep(reversed(catalog64))) == report_text(run_sweep(catalog64))
 
 
 @pytest.mark.parametrize("arrival", ["stream", "reversed list"])
@@ -141,7 +142,7 @@ def test_profile_memos_miss_once_per_distinct_profile(catalog64, arrival):
     frobenius_table.cache_clear()
     report_mod._matching_for.cache_clear()
     rep = run_sweep(groups)
-    distinct = {json_text(record["profile"]) for record in rep["groups"]}
+    distinct = {json.dumps(record["profile"], sort_keys=True) for record in records(rep)}
     assert len(distinct) == 117
     assert frobenius_table.cache_info().misses == len(distinct)
     assert report_mod._matching_for.cache_info().misses == len(distinct)
@@ -184,9 +185,8 @@ def test_streamed_sweep_holds_one_table_at_a_time():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the cap-128 report (about 14.5 MB of objects) outweighs its 13.7 MB of
-    # tables, so what is bounded is the peak beyond the report: caches and one
-    # group's work, where holding every table would add all 13.7 MB
+    # what is bounded is the peak beyond the report's record texts: caches and
+    # one group's work, where holding every table would add all 13.7 MB
     beyond_report = peak - _deep_size(payload, set())
     assert beyond_report < tables / 2, (beyond_report, tables)
 
@@ -208,7 +208,7 @@ def test_exact_inconsistency_forces_exit_one(monkeypatch):
     monkeypatch.setattr(report_mod, "check_min_cyclic_subgroups", _doctored_verdict)
     rep = run_sweep([group_from_label("C4")], claims=["min-cyclic-count"])
     assert rep["exit_status"] == 1
-    assert rep["summary"]["inconsistent_exact"] == 1
+    assert rep["summary"]["inconsistent"] == 1
 
 
 def test_anomaly_forces_exit_one(monkeypatch):
@@ -223,7 +223,7 @@ def test_anomaly_forces_exit_one(monkeypatch):
         "error": "RuntimeError: synthetic failure",
     }]
     # the static record survives the claim failure
-    assert rep["groups"][0]["profile"] == {"1": 1, "2": 1, "4": 2}
+    assert records(rep)[0]["profile"] == {"1": 1, "2": 1, "4": 2}
 
 
 def test_input_errors_alone_exit_two(monkeypatch):
@@ -244,19 +244,6 @@ def test_all_claims_registry_is_complete():
     for claim in ALL_CLAIMS:
         for verdict in evaluate_claim(group, claim):
             assert verdict.claim == claim
-
-
-PARAMETER_VALUES = st.one_of(
-    st.integers(-1000, 1000),
-    st.builds(lambda a, b: str(Fraction(a, b)), st.integers(-99, 99), st.integers(1, 99)),
-)
-
-
-@given(st.dictionaries(st.sampled_from(["n", "r", "s", "m", "beta", "u"]),
-                       PARAMETER_VALUES, min_size=1))
-def test_row_sort_key_is_sorted_json(parameters):
-    # one shared encoder, the same text as a json.dumps call per verdict
-    assert report_mod._sorted_json(parameters) == json.dumps(parameters, sort_keys=True)
 
 
 class _CountingHandle:
@@ -283,23 +270,15 @@ _json_values = st.recursive(
                    | st.dictionaries(_json_text_values, inner)),
     max_leaves=30,
 )
-# repeating one value up to twice the batch size puts payloads across batch ends
-_json_payloads = _json_values | st.builds(
-    lambda value, copies: {"rows": [value] * copies, "value": value},
-    _json_values, st.integers(0, 2 * JSON_WRITE_BATCH),
-)
 
 
 @settings(max_examples=60, deadline=None)
-@given(_json_payloads)
+@given(_json_values)
 def test_write_json_matches_json_dumps_in_few_writes(payload):
+    # the writer of compute, match, example and ingest: one write
     writes = []
     write_json(payload, SimpleNamespace(write=writes.append))
-    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    assert "".join(writes) == expected
-    assert json_text(payload) == expected
-    chunks = sum(1 for _ in json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload))
-    assert len(writes) <= math.ceil(chunks / JSON_WRITE_BATCH) + 1
+    assert writes == [json.dumps(payload, indent=2, sort_keys=True) + "\n"]
 
 
 def test_streamed_report_holds_no_copy_of_its_text(catalog64):
@@ -307,7 +286,7 @@ def test_streamed_report_holds_no_copy_of_its_text(catalog64):
     sink = _CountingHandle()
     tracemalloc.start()
     try:
-        write_json(payload, sink)
+        write_report(payload, sink)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -323,17 +302,38 @@ def test_write_json_matches_json_dumps_on_edge_values(payload):
 
 
 @pytest.mark.parametrize("payload", [
-    Fraction(1, 2), {1, 2}, {1: "one"}, {"rows": [{"n": Fraction(1, 3)}]},
-], ids=["fraction", "set", "int key", "nested fraction"])
+    Fraction(1, 2), {1, 2}, {"rows": [{"n": Fraction(1, 3)}]},
+], ids=["fraction", "set", "nested fraction"])
 def test_write_json_rejects_what_json_cannot_print_as_is(payload):
-    # json would print the int key as "1"; every key of a report is a str already
     with pytest.raises(TypeError):
         json_text(payload)
 
 
 def test_report_text_is_json_dumps_of_the_payload(catalog64):
     payload = run_sweep(catalog64)
-    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    # lists of lines: pytest names the first line that differs, where a diff of
-    # the two 1.6 MB strings would take minutes
-    assert json_text(payload).split("\n") == expected.split("\n")
+    text = report_text(payload)
+    lines = text.split("\n")
+    # the top level, then one record per line, as run_sweep encoded it
+    assert [line.rstrip(",") for line in lines[1:-2]] == payload["groups"]
+    assert lines[-1] == "" and len(lines) == len(payload["groups"]) + 3
+    decoded = {**payload, "groups": records(payload)}
+    assert json.loads(text) == decoded
+    # without its line breaks, the text is the compact encoding with sorted keys
+    assert text.replace("\n", "") == json.dumps(decoded, sort_keys=True, separators=(",", ":"))
+    assert decoded["schema_version"] == 2 and "inconsistent_exact" not in decoded["summary"]
+
+
+@pytest.mark.parametrize("cap", [64, 128])
+def test_rows_expand_to_the_schema_1_verdicts(cap):
+    # each record holds the facts of group_record, and its rows, expanded,
+    # are the verdict dicts schema 1 carried, in schema 1's order
+    by_label = {r["label"]: r for r in records(run_sweep(iter_catalog(default_catalog_spec(cap))))}
+    for group in iter_catalog(default_catalog_spec(cap)):
+        record = by_label.pop(group.label)
+        expected = [verdict_as_json(v) for claim in ALL_CLAIMS
+                    for v in evaluate_claim(group, claim)]
+        expected.sort(key=lambda v: (v["claim"], json.dumps(v["parameters"], sort_keys=True)))
+        assert v1_verdicts(record) == expected, group.label
+        del record["verdicts"]
+        assert record == json.loads(json.dumps(group_record(group))), group.label
+    assert by_label == {}

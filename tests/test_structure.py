@@ -24,11 +24,11 @@ from orderinv.groups import (
 from orderinv.numtheory import divisor_count, divisors
 from orderinv.order_stats import frobenius_table, order_profile
 from deadline import time_limit
+from oracles import enumerate_subgroups
 from synthetic import relabelled_table
 from orderinv.structure import (
     SubgroupSet,
     _cyclic_generator_map,
-    enumerate_subgroups,
     is_closed,
     is_cyclic,
     is_nilpotent,
@@ -224,6 +224,16 @@ def test_cyclic_group_has_one_subgroup_per_divisor(n):
 def test_enumeration_cap():
     with pytest.raises(OrderCapExceeded, match="enumeration cap 200"):
         enumerate_subgroups(cyclic(201))
+
+
+def test_targeted_search_agrees_with_full_enumeration(catalog64):
+    for g in catalog64:
+        subgroups = enumerate_subgroups(g)
+        for n in divisors(g.order):
+            of_order_n = [s for s in subgroups if s.order == n]
+            result = unique_subgroup_of_order(g, n)
+            assert result.status == ("none", "unique", "multiple")[min(len(of_order_n), 2)]
+            assert result.subgroup == (of_order_n[0] if result.status == "unique" else None)
 
 
 def test_subgroups_are_validated_sets():
