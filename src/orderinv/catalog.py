@@ -215,12 +215,8 @@ def semidirect_label_parts(label: str) -> tuple[int, int, int] | None:
     m, alpha = int(hit.group(1)), int(hit.group(2))
     if alpha % 2 or not alpha:
         return None
-    u = 0
-    beta = alpha
-    while beta % 2 == 0:
-        beta //= 2
-        u += 1
-    return m, beta, u
+    u = (alpha & -alpha).bit_length() - 1  # the power of 2 in alpha
+    return m, alpha >> u, u
 
 
 def group_from_label(label: str) -> FiniteGroup:

@@ -4,27 +4,29 @@ A group of order n lives on indices 0..n-1 with the identity pinned at
 index 0.  Instances are immutable and carry their element orders, so all
 order statistics downstream are pure table reads.
 
-Construction comes in two flavors: trusted family constructors (cyclic,
-dihedral, generalized quaternion, symmetric, elementary abelian, direct
-products, and the odd-by-inversion semidirect family) whose tables are
-correct by construction, and untrusted ingestion (``from_cayley_table``)
-which validates the full group axioms, associativity by Light's test in
-O(n^2 log n).  Every constructor checks the order against ``MAX_ORDER``
-before it allocates anything, so no input can ask for an unbounded table.
+Construction comes in two flavors: trusted family constructors, whose tables
+are correct by construction and come from ``_metacyclic_rows`` (cyclic,
+dihedral, quaternion, semidirect), ``_product_rows`` (direct and elementary
+abelian products) or the closure ``from_permutations`` (symmetric, A5); and
+untrusted ingestion (``from_cayley_table``), which validates the full group
+axioms, associativity by Light's test in O(n^2 log n).  Every constructor
+checks the order against ``MAX_ORDER`` before it allocates anything, so no
+input can ask for an unbounded table.
 """
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from dataclasses import dataclass
-from functools import wraps
-from math import gcd
+from functools import partial, wraps
+from itertools import chain
+from math import factorial, gcd
 from operator import eq, itemgetter
 
 from .numtheory import is_prime
 
 MAX_ORDER = 5000
+_CAP_BITS = MAX_ORDER.bit_length()  # 2**_CAP_BITS > MAX_ORDER: bound exponents by it
 
 
 class GroupConstructionError(ValueError):
@@ -295,29 +297,45 @@ def _product_rows(mul_a, mul_b) -> list[tuple[int, ...]]:
     for xb, row_b in enumerate(mul_b):
         shifted = [tuple(map(block.__getitem__, row_b)) for block in blocks]
         rows[xb::nb] = [
-            tuple(itertools.chain.from_iterable(map(shifted.__getitem__, row_a)))
+            tuple(chain.from_iterable(map(shifted.__getitem__, row_a)))
             for row_a in mul_a
         ]
     return rows
 
 
-def _dicyclic_rows(m: int, shift: int) -> list[tuple[int, ...]]:
-    """Table on pairs (i, j), i mod m and j mod 2, indexed i + m*j, with
-    (i1, 0)(i2, j2) = (i1 + i2, j2), (i1, 1)(i2, 0) = (i1 - i2, 1) and
-    (i1, 1)(i2, 1) = (i1 - i2 + shift, 0), for 0 <= shift < m."""
-    up, flip = tuple(range(m)) * 3, tuple(range(m, 2 * m)) * 3
-    # up[i : i + m] runs i, i + 1, ... and up[i + m : i : -1] runs i, i - 1, ...
-    return [up[i : i + m] + flip[i : i + m] for i in range(m)] + [
-        flip[i + m : i : -1] + up[i + shift + m : i + shift : -1] for i in range(m)
-    ]
+def _metacyclic_rows(m: int, k: int, t: int, c: int) -> list[tuple[int, ...]]:
+    """Table of <a, b | a^m = 1, b^k = a^c, b a b^-1 = a^t> on a^i b^j at
+    index i + m*j, for t^k = 1 and c*(t - 1) = 0 (mod m).
+
+    Row a^i1 b^j1 is a^(i1 + s*i2) b^(j1 + j2), s = t^j1, times a^c where
+    j1 + j2 wraps: k windows of the lane s*i2 mod m, run twice.  A later j1
+    with the s of an earlier j0 is row (i1, j0) moved left j1 - j0 blocks,
+    then the head of row (i1 + c, j0)."""
+    cells = tuple(range(m * k))  # one int object per element, shared by the rows
+    rows = [()] * (m * k)
+    first = {}  # t^j1 mod m -> the first j1 acting by it
+    for j1 in range(k):
+        s, block = pow(t, j1, m), slice(m * j1, m * j1 + m)
+        j0 = m * first.setdefault(s, j1)
+        if d := m * j1 - j0:
+            rows[block] = [rows[i + j0][d:] + rows[(i + c) % m + j0][:d] for i in range(m)]
+            continue
+        lane = [s * i % m for i in range(m)] * 2
+        blocks = list(map(itemgetter(*lane), [cells[m * j : m * j + m] for j in range(k)]))
+        # window o of a block is the lane of row i1 = s*o; wrapped blocks read row i1 + c's
+        here = [slice(o, o + m) for o in sorted(range(m), key=lane.__getitem__)]
+        wrapped = here[c % m :] + here[: c % m]
+        windows = zip(*[map(b.__getitem__, here) for b in blocks[j1:]],
+                      *[map(b.__getitem__, wrapped) for b in blocks[:j1]])
+        rows[block] = map(partial(sum, start=()), windows)
+    return rows
 
 
 def cyclic(n: int) -> FiniteGroup:
     _require_order(n, f"C{n}")
     if n < 1:
         raise GroupConstructionError(f"cyclic group needs order >= 1, got {n}")
-    doubled = tuple(range(n)) * 2  # row i is range(n) rotated left by i
-    return _build([doubled[i : i + n] for i in range(n)], f"C{n}")
+    return _build(_metacyclic_rows(n, 1, 1, 0), f"C{n}")
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -326,7 +344,7 @@ def dihedral(n: int) -> FiniteGroup:
     _require_order(2 * n, f"D{n} of order {2 * n}")
     if n < 1:
         raise GroupConstructionError(f"dihedral parameter must be >= 1, got {n}")
-    return _build(_dicyclic_rows(n, 0), f"D{n}")
+    return _build(_metacyclic_rows(n, 2, -1, 0), f"D{n}")
 
 
 def quaternion_generalized(order: int) -> FiniteGroup:
@@ -337,39 +355,27 @@ def quaternion_generalized(order: int) -> FiniteGroup:
             f"generalized quaternion groups exist for 2-power orders >= 8, got {order}"
         )
     m = order // 2  # index of the cyclic half <a>; b^2 = a^(m/2), b a b^-1 = a^-1
-    return _build(_dicyclic_rows(m, m // 2), f"Q{order}")
+    return _build(_metacyclic_rows(m, 2, -1, m // 2), f"Q{order}")
 
 
 def symmetric(k: int) -> FiniteGroup:
-    """All permutations of k points, in lexicographic order (identity first)."""
-    order = 1
-    for j in range(2, k + 1):  # stops at the first factorial above the cap
-        order *= j
-        _require_order(order, f"S{k}")
+    """All permutations of k points, identity first, the rest in BFS closure order."""
     if k < 1:
         raise GroupConstructionError(f"symmetric group parameter must be >= 1, got {k}")
-    elements = sorted(itertools.permutations(range(k)))
-    index = {p: i for i, p in enumerate(elements)}
-    mul = [
-        tuple(index[tuple(a[b[t]] for t in range(k))] for b in elements)
-        for a in elements
-    ]
-    return _build(mul, f"S{k}")
+    _require_order(factorial(min(k, _CAP_BITS)), f"S{k}")
+    gens = ((*range(1, k), 0), (*range(k)[1::-1], *range(2, k)))  # a k-cycle and (0 1)
+    return from_permutations(PermutationGenSet(k, gens), f"S{k}")
 
 
 def elementary_abelian(p: int, k: int) -> FiniteGroup:
     """(Z/p)^k with componentwise addition; element index is base-p digits."""
-    _require_order(p, f"E{p}^{k}")  # before the trial-division primality test
-    if not is_prime(p):
-        raise GroupConstructionError(f"elementary abelian base {p} is not prime")
     if k < 1:
         raise GroupConstructionError(f"elementary abelian rank must be >= 1, got {k}")
-    n = 1
-    for _ in range(k):  # never p**k for an unbounded k
-        n *= p
-        _require_order(n, f"E{p}^{k}")
+    _require_order(p ** min(k, _CAP_BITS), f"E{p}^{k}")  # before the primality test
+    if not is_prime(p):
+        raise GroupConstructionError(f"elementary abelian base {p} is not prime")
     # the k-fold product of C_p, digits added independently in any order
-    mul = cp = cyclic(p).mul
+    mul = cp = _metacyclic_rows(p, 1, 1, 0)
     for _ in range(k - 1):
         mul = _product_rows(cp, mul)
     return _build(mul, f"E{p}^{k}")
@@ -384,15 +390,17 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
 
 def inversion_semidirect(m: int, beta: int, u: int) -> FiniteGroup:
     """Odd cyclic group of order m extended by a cyclic group of order
-    2^u * beta whose odd-index elements act by inversion.
+    alpha = 2^u * beta whose odd-index elements act by inversion.
 
-    Elements are pairs (i, j) with i mod m, j mod alpha, indexed i*alpha + j;
+    Elements are pairs (i, j) with i mod m, j mod alpha, indexed i + m*j;
     the product is (i1 + (-1)^j1 * i2 mod m, j1 + j2 mod alpha).
     """
     if m < 1 or beta < 1 or u < 1:
         raise GroupConstructionError(
             f"semidirect parameters must be positive, got ({m}, {beta}, {u})"
         )
+    # no 2^u for a huge u, and no product too long to print
+    _require_order(m * beta << min(u, _CAP_BITS), f"C{m}:C(2^{u}*{beta})")
     alpha = 2**u * beta
     if gcd(m, alpha) != 1:
         raise CoprimalityViolated(
@@ -402,9 +410,4 @@ def inversion_semidirect(m: int, beta: int, u: int) -> FiniteGroup:
         raise ParityViolated(f"m = {m} must be odd")
     if beta % 2 == 0:
         raise ParityViolated(f"beta = {beta} must be odd")
-    _require_order(m * alpha, f"C{m}:C{alpha} of order {m * alpha}")
-    # rows with odd j are those of C_m x C_alpha with column (i2, j2) read at (-i2, j2)
-    mul = _product_rows(cyclic(m).mul, cyclic(alpha).mul)
-    negate = itemgetter(*[(-i % m) * alpha + j for i in range(m) for j in range(alpha)])
-    mul[1::2] = map(negate, mul[1::2])  # alpha is even, so j and the index share parity
-    return _build(mul, f"C{m}:C{alpha}")
+    return _build(_metacyclic_rows(m, alpha, -1, 0), f"C{m}:C{alpha}")

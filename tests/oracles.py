@@ -9,6 +9,7 @@ import io
 import json
 from collections import Counter, deque
 from fractions import Fraction
+from math import factorial, gcd, lcm, prod
 
 from orderinv.groups import FiniteGroup, OrderCapExceeded, generated
 from orderinv.numtheory import FactoredInteger, divisors, factorize, weight
@@ -156,6 +157,44 @@ def enumerate_subgroups(group: FiniteGroup) -> tuple[SubgroupSet, ...]:
                 queue.append((join, gens))
     ordered = sorted(found, key=lambda s: (len(s), sorted(s)))
     return tuple(subgroup_from_indices(group, s) for s in ordered)
+
+
+def metacyclic_orders(m: int, k: int, t: int, c: int) -> tuple[int, ...]:
+    """Element orders of <a, b | a^m = 1, b^k = a^c, b a b^-1 = a^t>, with
+    a^i b^j at index i + m*j, by arithmetic and no table.
+
+    The image of a^i b^j in <b>/<b^k> has order o = k/gcd(j, k), and
+    (a^i b^j)^o = a^e with e = i*(1 + t^j + ... + t^(j(o-1))) + c*j*o/k, so
+    the order is o * m/gcd(m, e).
+    """
+    orders = []
+    for j in range(k):
+        o = k // gcd(j, k)
+        spread = sum(pow(t, j * l, m) for l in range(o))
+        for i in range(m):
+            e = (i * spread + c * j * o // k) % m
+            orders.append(o * (m // gcd(m, e)))
+    return tuple(orders)
+
+
+def partitions(k: int, largest: int | None = None):
+    """The partitions of k, as non-increasing tuples of parts."""
+    if k == 0:
+        yield ()
+        return
+    for part in range(min(k, largest or k), 0, -1):
+        for rest in partitions(k - part, part):
+            yield (part,) + rest
+
+
+def symmetric_order_counts(k: int) -> dict[int, int]:
+    """Element orders of S_k by cycle type: k!/z elements of order lcm(parts)
+    for each partition of k, with z = prod over part sizes i of i^m_i * m_i!."""
+    counts: Counter = Counter()
+    for shape in partitions(k):
+        z = prod(i**mult * factorial(mult) for i, mult in Counter(shape).items())
+        counts[lcm(*shape)] += factorial(k) // z
+    return dict(counts)
 
 
 def json_text(payload) -> str:

@@ -124,6 +124,11 @@ def test_compute_bad_inputs(capsys):
         assert proc.returncode == 2, (label, proc.stderr)
         assert "exceeds the order cap 5000" in proc.stderr, label
         assert "Traceback" not in proc.stderr, label
+    # the semidirect cap is checked on m, beta and u, before any product is printed
+    huge = 10**4000
+    proc = run_cli("compute", "--group", f"C{huge + 1}:C{2 * (huge + 3)}")
+    assert proc.returncode == 2 and "exceeds the order cap" in proc.stderr, proc.stderr[-300:]
+    assert "Traceback" not in proc.stderr
     # exponents beyond the bound are refused before any arithmetic
     for exponents in (("--r", "0.5", "--s", "1e300"), ("--s", "100000"),
                       ("--r", "0", "--s", "1000000000"), ("--s", "1e-999999999"),

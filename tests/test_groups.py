@@ -1,8 +1,10 @@
 """Group model: constructors, validation of untrusted tables, order laws."""
 
 import re
+import tracemalloc
 from collections import Counter
 from enum import IntEnum
+from itertools import chain
 from math import gcd, lcm
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
+from orderinv.catalog import default_catalog_spec, iter_catalog
 from orderinv.groups import (
     MAX_ORDER,
     CoprimalityViolated,
@@ -30,6 +33,7 @@ from orderinv.groups import (
     inversion_semidirect,
     quaternion_generalized,
     _check_latin_and_identity,
+    _metacyclic_rows,
     _orders_and_inverses,
     cyclic_powers,
     is_int,
@@ -37,6 +41,8 @@ from orderinv.groups import (
 )
 from orderinv.numtheory import totient
 from orderinv.order_stats import order_profile
+from deadline import time_limit
+from oracles import metacyclic_orders, symmetric_order_counts
 from synthetic import relabelled_table
 
 
@@ -287,6 +293,27 @@ def test_symmetric4():
     assert order_counts(s4) == {1: 1, 2: 9, 3: 8, 4: 6}
 
 
+def test_symmetric_profiles_are_cycle_type_counts():
+    for k in range(1, 7):
+        assert order_counts(symmetric(k)) == symmetric_order_counts(k), k
+
+
+@st.composite
+def metacyclic_parameters(draw):
+    """(m, k, t, c) with mk <= 96, t^k = 1 and c(t - 1) = 0 (mod m)."""
+    m, k = draw(st.sampled_from([(m, k) for m in range(1, 97) for k in range(1, 96 // m + 1)]))
+    t = draw(st.sampled_from([t for t in range(m) if pow(t, k, m) == 1 % m]))
+    c = draw(st.sampled_from([c for c in range(m) if c * (t - 1) % m == 0]))
+    return m, k, t, c
+
+
+@settings(max_examples=200, deadline=None)
+@given(metacyclic_parameters())
+def test_metacyclic_table_is_a_group_with_arithmetic_orders(params):
+    g = from_cayley_table(_metacyclic_rows(*params), "M")  # Latin and Light
+    assert g.element_orders == metacyclic_orders(*params)
+
+
 def test_elementary_abelian():
     e = elementary_abelian(2, 2)
     assert sorted(e.element_orders) == [1, 2, 2, 2]
@@ -351,18 +378,30 @@ def test_semidirect_odd_slice_orders():
         alpha = 2**u * beta
         for i in range(m):
             for j in range(1, alpha, 2):
-                assert g.element_orders[i * alpha + j] == alpha // gcd(alpha, j)
+                assert g.element_orders[i + m * j] == alpha // gcd(alpha, j)
         # even j commutes with the normal factor
         for i in range(m):
             for j in range(0, alpha, 2):
                 expect = lcm(m // gcd(m, i), alpha // gcd(alpha, j))
-                assert g.element_orders[i * alpha + j] == expect
+                assert g.element_orders[i + m * j] == expect
+
+
+def test_semidirect_cap_is_checked_before_the_acting_order_is_formed():
+    # 2^(10^9) alone is a 125 MB integer, and m * alpha has too many digits to print
+    tracemalloc.start()
+    try:
+        with time_limit(5), pytest.raises(OrderCapExceeded, match="exceeds the order cap"):
+            inversion_semidirect(3, 1, 10**9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_paranoid_revalidation():
     # verify --paranoid passes every trusted table through the untrusted path
     a5 = PermutationGenSet(5, ((1, 2, 0, 3, 4), (1, 2, 3, 4, 0)))
-    for g in (
+    samples = [
         cyclic(12),
         dihedral(6),
         quaternion_generalized(8),
@@ -371,10 +410,15 @@ def test_paranoid_revalidation():
         inversion_semidirect(3, 5, 1),
         direct_product(cyclic(2), cyclic(2)),
         from_permutations(a5, "A5"),
-    ):
+    ]
+    checked = 0
+    # and so does every default-catalog group at cap 128, one table at a time
+    for g in chain(samples, iter_catalog(default_catalog_spec(128))):
         again = from_cayley_table(g.mul, g.label)
         assert (again.mul, again.inv, again.element_orders) == (
             g.mul, g.inv, g.element_orders)
+        checked += 1
+    assert checked == len(samples) + 304
 
 
 def test_lagrange_and_totient_divisibility():
@@ -530,9 +574,9 @@ def direct_product_by_cells(a, b):
 
 def semidirect_by_cells(m, alpha):
     return tuple(
-        tuple(((i1 + (-1) ** j1 * i2) % m) * alpha + (j1 + j2) % alpha
-              for i2 in range(m) for j2 in range(alpha))
-        for i1 in range(m) for j1 in range(alpha)
+        tuple((i1 + (-1) ** j1 * i2) % m + m * ((j1 + j2) % alpha)
+              for j2 in range(alpha) for i2 in range(m))
+        for j1 in range(alpha) for i1 in range(m)
     )
 
 
