@@ -20,6 +20,7 @@ from .groups import (
     FiniteGroup,
     OrderCapExceeded,
     PermutationGenSet,
+    bounded_int,
     cyclic,
     dihedral,
     direct_product,
@@ -151,9 +152,11 @@ def iter_catalog(spec: CatalogSpec, paranoid: bool = False) -> Iterator[FiniteGr
     builder stays within ``spec.order_cap``, and the catalog must fit in
     MAX_ORDER**2 table cells, the size of the largest single table, which
     bounds the build work of one catalog.  The iterator returned builds one
-    group per step, validates it again as untrusted input if ``paranoid``,
-    refuses a repeated label and keeps nothing.  Group files are loaded by
-    the caller, one by one with load_group_file, so each bad file is reported.
+    group per step, refuses a repeated label and keeps nothing.  The family
+    tables are correct by construction and not scanned (S_n and A5, closed
+    from permutations, get the Latin scan); with ``paranoid`` every table
+    also gets from_cayley_table's full check, the one group files get.
+    Group files are loaded by the caller, one by one with load_group_file.
     """
     cells, builders = 0, []
     for name, params in spec.families:
@@ -188,18 +191,12 @@ def build_catalog(spec: CatalogSpec, paranoid: bool = False) -> list[FiniteGroup
 _SEMIDIRECT_LABEL = re.compile(r"^C(\d+):C(\d+)$")
 
 _LABEL_PATTERNS: tuple[tuple[re.Pattern, object], ...] = (
-    (re.compile(r"^C(\d+)$"), lambda m: cyclic(int(m.group(1)))),
-    (re.compile(r"^D(\d+)$"), lambda m: dihedral(int(m.group(1)))),
-    (re.compile(r"^Q(\d+)$"), lambda m: quaternion_generalized(int(m.group(1)))),
-    (re.compile(r"^S(\d+)$"), lambda m: symmetric(int(m.group(1)))),
-    (
-        re.compile(r"^E(\d+)\^(\d+)$"),
-        lambda m: elementary_abelian(int(m.group(1)), int(m.group(2))),
-    ),
-    (
-        re.compile(r"^A5$"),
-        lambda m: from_permutations(ALTERNATING5_GENERATORS, "A5"),
-    ),
+    (re.compile(r"^C(\d+)$"), cyclic),
+    (re.compile(r"^D(\d+)$"), dihedral),
+    (re.compile(r"^Q(\d+)$"), quaternion_generalized),
+    (re.compile(r"^S(\d+)$"), symmetric),
+    (re.compile(r"^E(\d+)\^(\d+)$"), elementary_abelian),
+    (re.compile(r"^A5$"), partial(from_permutations, ALTERNATING5_GENERATORS, "A5")),
 )
 
 
@@ -212,7 +209,7 @@ def semidirect_label_parts(label: str) -> tuple[int, int, int] | None:
     hit = _SEMIDIRECT_LABEL.match(label)
     if not hit:
         return None
-    m, alpha = int(hit.group(1)), int(hit.group(2))
+    m, alpha = bounded_int(hit.group(1)), bounded_int(hit.group(2))
     if alpha % 2 or not alpha:
         return None
     u = (alpha & -alpha).bit_length() - 1  # the power of 2 in alpha
@@ -227,15 +224,11 @@ def group_from_label(label: str) -> FiniteGroup:
     if parts is not None:
         return inversion_semidirect(*parts)
     if "x" in text:
-        parts = text.split("x")
-        group = group_from_label(parts[0])
-        for part in parts[1:]:
-            group = direct_product(group, group_from_label(part))
-        return group
+        return reduce(direct_product, map(group_from_label, text.split("x")))
     for pattern, build in _LABEL_PATTERNS:
         match = pattern.match(text)
         if match:
-            return build(match)
+            return build(*map(bounded_int, match.groups()))
     raise ValueError(f"unrecognized group label {label!r}")
 
 

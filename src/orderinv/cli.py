@@ -31,7 +31,7 @@ from .catalog import (
     read_json,
     semidirect_label_parts,
 )
-from .groups import is_int
+from .groups import OrderCapExceeded, bounded_int, is_int
 from .numtheory import divisor_count, divisor_power_sum, divisors, totient
 from .order_stats import (
     FrobeniusViolated,
@@ -59,7 +59,9 @@ from .theorems import EqualityRouteMismatch, check_semidirect_count
 
 def _positive_int(text: str) -> int:
     try:
-        value = int(text)
+        value = bounded_int(text)
+    except OrderCapExceeded as exc:  # a ValueError too: keep the cap in the message
+        raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 1:
@@ -92,9 +94,8 @@ def _exponent(text: str):
 
 
 def _grid(text: str) -> int:
-    value = _positive_int(text)
     _exponent(text)  # the grid's exponents reach +-value: the same bound
-    return value
+    return _positive_int(text)
 
 
 def _factored_text(exponents: dict) -> str:
@@ -191,9 +192,8 @@ def _load_catalog_spec(path: str, order_cap: int | None) -> tuple[CatalogSpec, l
         raise ValueError(f"{path}: 'families' must map family names to parameter lists")
     for name, params in families.items():
         if not isinstance(params, list) or not all(is_int(p) for p in params):
-            raise ValueError(
-                f"{path}: parameters of family {name!r} must be a list of integers"
-            )
+            raise ValueError(f"{path}: parameters of family {name!r} must be a list"
+                             " of integers")
     ingested = data.get("ingested", [])
     if not isinstance(ingested, list) or not all(isinstance(p, str) for p in ingested):
         raise ValueError(f"{path}: 'ingested' must be a list of file paths")
@@ -202,11 +202,8 @@ def _load_catalog_spec(path: str, order_cap: int | None) -> tuple[CatalogSpec, l
         raise ValueError(f"{path}: 'order_cap' must be a positive integer")
     base = os.path.dirname(os.path.abspath(path))
     paths = [p if os.path.isabs(p) else os.path.join(base, p) for p in ingested]
-    spec = CatalogSpec(
-        families=tuple((name, tuple(params)) for name, params in families.items()),
-        order_cap=cap,
-    )
-    return spec, paths
+    families = tuple((name, tuple(params)) for name, params in families.items())
+    return CatalogSpec(families, cap), paths
 
 
 def _with_ingested(catalog, paths: list[str], cap: int, input_errors: list[dict]):
@@ -296,12 +293,8 @@ def _run_match(args) -> int:
     matching = matching_as_json(profile)
     found = matching["status"] == "found"
     solvable = is_solvable(group)
-    payload = {
-        "group": group.label,
-        "order": group.order,
-        **matching,
-        "is_solvable": solvable,
-    }
+    payload = {"group": group.label, "order": group.order, **matching,
+               "is_solvable": solvable}
     if args.format == "json":
         output = payload
     else:

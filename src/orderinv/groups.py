@@ -4,18 +4,20 @@ A group of order n lives on indices 0..n-1 with the identity pinned at
 index 0.  Instances are immutable and carry their element orders, so all
 order statistics downstream are pure table reads.
 
-Construction comes in two flavors: trusted family constructors, whose tables
-are correct by construction and come from ``_metacyclic_rows`` (cyclic,
-dihedral, quaternion, semidirect), ``_product_rows`` (direct and elementary
-abelian products) or the closure ``from_permutations`` (symmetric, A5); and
-untrusted ingestion (``from_cayley_table``), which validates the full group
-axioms, associativity by Light's test in O(n^2 log n).  Every constructor
-checks the order against ``MAX_ORDER`` before it allocates anything, so no
-input can ask for an unbounded table.
+Trusted family constructors check nothing: their tables come from
+``_metacyclic_rows`` (cyclic, dihedral, quaternion, semidirect) or
+``_product_rows`` (direct and elementary abelian products), correct by
+construction, and tests and ``verify --paranoid`` send them through the
+untrusted path.  The untrusted entry points validate: ``from_permutations``
+(group files, symmetric, A5) scans for a Latin square with identity, and
+``from_cayley_table`` adds Light's associativity test, O(n^2 log n).  Every
+constructor checks the order against ``MAX_ORDER`` before it allocates
+anything, so no input can ask for an unbounded table.
 """
 
 from __future__ import annotations
 
+import re
 import weakref
 from dataclasses import dataclass
 from functools import partial, wraps
@@ -61,6 +63,16 @@ def _require_order(n: int, what: str) -> None:
     """Refuse a group of order n (or at least n) above MAX_ORDER."""
     if n > MAX_ORDER:
         raise OrderCapExceeded(f"{what} exceeds the order cap {MAX_ORDER}")
+
+
+def bounded_int(text: str) -> int:
+    """int(text) for a number that bounds a group order.  More than 640
+    digits, leading zeros aside, exceed the order cap: refused before int()
+    could meet any limit Python sets on the length of a conversion."""
+    text = re.sub(r"^(\s*[+-]?)(?:0_?)*(?=\d)", r"\1", text)
+    if (digits := len(text.strip().lstrip("+-"))) > 640:
+        raise OrderCapExceeded(f"a number of {digits} digits exceeds the order cap {MAX_ORDER}")
+    return int(text)
 
 
 def is_int(value) -> bool:
@@ -178,7 +190,7 @@ def cyclic_powers(mul, x: int) -> list[int]:
     y = x
     while y != 0:
         powers.append(y)
-        if len(powers) > len(mul):  # cannot happen once the table validated
+        if len(powers) > len(mul):  # bounds the walk on a table nobody validated
             raise NotClosed(f"powers of element {x} do not return to identity")
         y = mul[y][x]
     return powers
@@ -200,21 +212,11 @@ def _orders_and_inverses(mul) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(orders), tuple(inv)
 
 
-def _build(mul_rows, label: str, check_associativity: bool = False) -> FiniteGroup:
-    mul = tuple(tuple(row) for row in mul_rows)
-    if not mul:
-        raise NotClosed("empty multiplication table")
-    _check_latin_and_identity(mul)
-    if check_associativity:
-        _check_associative(mul)
+def _build(mul_rows, label: str) -> FiniteGroup:
+    """No check: the caller validated the table or built it correct."""
+    mul = tuple(map(tuple, mul_rows))
     orders, inv = _orders_and_inverses(mul)
-    return FiniteGroup(
-        order=len(mul),
-        mul=mul,
-        inv=inv,
-        element_orders=orders,
-        label=label,
-    )
+    return FiniteGroup(len(mul), mul, inv, orders, label)
 
 
 def from_cayley_table(table, label: str) -> FiniteGroup:
@@ -226,7 +228,12 @@ def from_cayley_table(table, label: str) -> FiniteGroup:
         if not isinstance(row, (list, tuple)) or any(  # is_int per distinct type
                 t is bool or not issubclass(t, int) for t in set(map(type, row))):
             raise GroupConstructionError(f"row {i} is not a list of integers")
-    return _build(table, label, check_associativity=True)
+    mul = tuple(map(tuple, table))
+    if not mul:
+        raise NotClosed("empty multiplication table")
+    _check_latin_and_identity(mul)
+    _check_associative(mul)
+    return _build(mul, label)
 
 
 @dataclass(frozen=True)
@@ -283,7 +290,9 @@ def from_permutations(gens: PermutationGenSet, label: str) -> FiniteGroup:
     columns = [tuple(range(len(elements)))]
     for j in range(1, len(elements)):
         columns.append(tuple(map(right[via[j]].__getitem__, columns[parent[j]])))
-    return _build(zip(*columns), label)
+    mul = tuple(zip(*columns))
+    _check_latin_and_identity(mul)
+    return _build(mul, label)
 
 
 # ----------------------------------------------------------- families

@@ -153,7 +153,7 @@ def is_cyclic(group: FiniteGroup) -> bool:
 def is_closed(group: FiniteGroup, elements: list[int]) -> bool:
     """Whether every product of two of ``elements`` is one of them."""
     members = set(elements)
-    if len(members) == group.order:  # the whole validated table
+    if len(members) == group.order:  # the whole group
         return True
     pick = itemgetter(0, *elements)  # x * 0 = x; a tuple even for one element
     return all(members.issuperset(pick(group.mul[x])) for x in elements)

@@ -129,6 +129,23 @@ def test_compute_bad_inputs(capsys):
     proc = run_cli("compute", "--group", f"C{huge + 1}:C{2 * (huge + 3)}")
     assert proc.returncode == 2 and "exceeds the order cap" in proc.stderr, proc.stderr[-300:]
     assert "Traceback" not in proc.stderr
+    # numbers too long for int() name the cap, or the family's own refusal
+    # once their leading zeros are gone
+    zeros, nines = "0" * 5000, "9" * 5000
+    over = "a number of {} digits exceeds the order cap 5000".format
+    for argv, message in (
+        (["compute", "--group", f"C{nines}"], f"error: {over(5000)}"),
+        (["compute", "--group", f"C3:C2{zeros}"], f"error: {over(5001)}"),
+        (["match", "--group", f"E2^{nines}"], f"error: {over(5000)}"),
+        (["example", "--group", f"C{nines}:C2"], f"error: {over(5000)}"),
+        (["compute", "--group", f"C{zeros}"], "error: cyclic group needs order >= 1, got 0"),
+        (["compute", "--group", f"C2:C{zeros}6"], "error: gcd(2, 2^1*3) = 2, expected 1"),
+        (["compute", "--group", "C12", "--n", f"1{zeros}"], f"argument --n: {over(5001)}"),
+        (["verify", "--order-cap", f"1{zeros}"], f"argument --order-cap: {over(5001)}"),
+    ):
+        code, _, err = _main_in_process(argv)
+        assert code == 2 and message in err, (argv[:2], err[-200:])
+    assert _main_in_process(["compute", "--group", f"C{zeros}7", "--n", f"{zeros}7"])[0] == 0
     # exponents beyond the bound are refused before any arithmetic
     for exponents in (("--r", "0.5", "--s", "1e300"), ("--s", "100000"),
                       ("--r", "0", "--s", "1000000000"), ("--s", "1e-999999999"),
@@ -259,6 +276,21 @@ LOOP5 = [  # a loop with two-sided identity that is not associative
     [3, 4, 1, 2, 0],
     [4, 2, 0, 1, 3],
 ]
+
+
+def test_ingest_refuses_each_table_that_is_no_group(tmp_path, capsys):
+    # every ingested table gets the Latin scan and Light's test
+    path = tmp_path / "bad.json"
+    for table, message in (
+        ([[0, 1], [1, 1]], "row 1 is not a permutation of 0..1"),
+        ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], "column 1 is not a permutation of 0..2"),
+        ([[(i - j) % 3 for j in range(3)] for i in range(3)],
+         "0 is not a left identity at element 1"),
+        (LOOP5, "(1*1)*2 != 1*(1*2)"),
+    ):
+        path.write_text(json.dumps({"label": "bad", "table": table}))
+        assert main(["ingest", str(path)]) == 2, message
+        assert capsys.readouterr().out == f"ERROR {path}: {message}\n"
 
 
 def test_ingest_names_each_path_once(tmp_path, capsys):

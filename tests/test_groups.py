@@ -12,7 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
-from orderinv.catalog import default_catalog_spec, iter_catalog
+import orderinv.groups as groups_mod
+from orderinv.catalog import (
+    ALTERNATING5_GENERATORS,
+    default_catalog_spec,
+    group_from_label,
+    iter_catalog,
+)
 from orderinv.groups import (
     MAX_ORDER,
     CoprimalityViolated,
@@ -39,7 +45,7 @@ from orderinv.groups import (
     is_int,
     symmetric,
 )
-from orderinv.numtheory import totient
+from orderinv.numtheory import is_prime, totient
 from orderinv.order_stats import order_profile
 from deadline import time_limit
 from oracles import metacyclic_orders, symmetric_order_counts
@@ -419,6 +425,78 @@ def test_paranoid_revalidation():
             g.mul, g.inv, g.element_orders)
         checked += 1
     assert checked == len(samples) + 304
+
+
+def count_latin_scans(monkeypatch) -> list[int]:
+    """The orders of the tables _check_latin_and_identity sees from now on."""
+    scanned, scan = [], groups_mod._check_latin_and_identity
+    monkeypatch.setattr(groups_mod, "_check_latin_and_identity",
+                        lambda mul: scanned.append(len(mul)) or scan(mul))
+    return scanned
+
+
+def test_trusted_constructors_skip_the_latin_scan(monkeypatch):
+    s3, a5 = symmetric(3), from_permutations(ALTERNATING5_GENERATORS, "A5")  # scanned here
+    scanned = count_latin_scans(monkeypatch)
+    built = [
+        cyclic(12), dihedral(6), quaternion_generalized(16), elementary_abelian(3, 2),
+        elementary_abelian(2, 5), inversion_semidirect(3, 5, 1),
+        direct_product(cyclic(2), dihedral(4)), direct_product(s3, cyclic(5)),
+        direct_product(direct_product(cyclic(2), quaternion_generalized(8)), a5),
+        group_from_label("C3:C10xE2^2xD5"),
+    ]
+    assert [g.order for g in built] == [12, 12, 16, 9, 32, 30, 16, 30, 960, 1200]
+    assert scanned == []
+
+
+def test_untrusted_paths_run_the_latin_scan(monkeypatch):
+    scanned = count_latin_scans(monkeypatch)
+    from_cayley_table(cyclic(6).mul, "c6")
+    from_permutations(ALTERNATING5_GENERATORS, "A5")
+    symmetric(4)  # the closure of a 4-cycle and a transposition
+    assert scanned == [6, 60, 24]
+    # paranoid adds one scan per catalog group to those of the closures
+    spec = default_catalog_spec(32)
+    scanned.clear()
+    plain = list(iter_catalog(spec))
+    closures = Counter(scanned)
+    scanned.clear()
+    checked = list(iter_catalog(spec, paranoid=True))
+    assert closures == Counter([1, 2, 6, 24])  # S1 to S4
+    assert Counter(scanned) == closures + Counter(g.order for g in plain)
+    assert [g.label for g in checked] == [g.label for g in plain]
+
+
+# (label, order) of each group a family builds from its label, up to order 512
+FAMILY_LABELS_TO_512 = {
+    "cyclic": [(f"C{n}", n) for n in range(1, 513)],
+    "dihedral": [(f"D{n}", 2 * n) for n in range(1, 257)],
+    "quaternion": [(f"Q{2**k}", 2**k) for k in range(3, 10)],
+    "permutations": [("S1", 1), ("S2", 2), ("S3", 6), ("S4", 24), ("S5", 120), ("A5", 60)],
+    "elementary abelian": [(f"E{p}^{k}", p**k) for p in range(2, 513) if is_prime(p)
+                           for k in range(1, 10) if p**k <= 512],
+    "semidirect": [(f"C{m}:C{alpha}", m * alpha) for m in range(1, 256, 2)
+                   for alpha in range(2, 513, 2) if gcd(m, alpha) == 1 and m * alpha <= 512],
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_labels_to_order_512_pass_the_untrusted_path(data):
+    # what compute builds beyond the catalog, products of up to three factors
+    # included, is a group by the full check, with the profile it was built with
+    factors, order = [], 1
+    for _ in range(data.draw(st.integers(1, 3))):
+        fits = {family: [(label, n) for label, n in labels if order * n <= 512]
+                for family, labels in FAMILY_LABELS_TO_512.items()}
+        family = data.draw(st.sampled_from(sorted(f for f in fits if fits[f])))
+        label, n = data.draw(st.sampled_from(fits[family]))
+        factors.append(label)
+        order *= n
+    group = group_from_label("x".join(factors))
+    assert group.order == order
+    again = from_cayley_table(group.mul, group.label)
+    assert order_profile(again) == order_profile(group)
 
 
 def test_lagrange_and_totient_divisibility():
