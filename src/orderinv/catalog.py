@@ -183,11 +183,6 @@ def _build_each(builders, paranoid: bool) -> Iterator[FiniteGroup]:
         yield group
 
 
-def build_catalog(spec: CatalogSpec, paranoid: bool = False) -> list[FiniteGroup]:
-    """The whole catalog at once, sorted by (order, label)."""
-    return sorted(iter_catalog(spec, paranoid), key=lambda g: (g.order, g.label))
-
-
 _SEMIDIRECT_LABEL = re.compile(r"^C(\d+):C(\d+)$")
 
 _LABEL_PATTERNS: tuple[tuple[re.Pattern, object], ...] = (
@@ -237,11 +232,14 @@ def read_json(path: str):
     whose message does not name the path; callers report it."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            text = handle.read()  # a UnicodeDecodeError keeps its own message
     except OSError as exc:
         raise ValueError(f"cannot read file ({exc})") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"not valid JSON ({exc})") from exc
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or int() refusing a long number
+        reason = str(exc).partition(";")[0]  # without int()'s advice to raise its limit
+        raise ValueError(f"not valid JSON ({reason})") from exc
     except RecursionError as exc:
         raise ValueError("not valid JSON (nested too deeply)") from exc
 

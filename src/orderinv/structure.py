@@ -4,68 +4,18 @@ Cyclicity, nilpotency and solvability are decided directly from the
 multiplication table, the derived series by normal closures (Holt, Eick and
 O'Brien, Handbook of Computational Group Theory, 2005); subgroups are
 found by closing joins of cyclic subgroups, so "unique subgroup of order
-n" questions are answered by search, not by theory.
+n" questions are answered by search, not by theory.  A subgroup is what
+``generated`` returns, the frozenset of its element indices in its parent's
+table, and predicates on it read that table: none is rebuilt on its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import itemgetter
 
-from .groups import (
-    FiniteGroup,
-    cyclic_powers,
-    from_cayley_table,
-    generated,
-    per_group,
-)
+from .groups import FiniteGroup, cyclic_powers, generated, per_group
 from .numtheory import factorize
-
-# gap-diagonal takes its subgroup route only up to this order
-DEFAULT_SUBGROUP_CAP = 200
-
-
-@dataclass(frozen=True)
-class SubgroupSet:
-    """A subgroup stored as the sorted tuple of its element indices."""
-
-    elements: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.elements or self.elements[0] != 0:
-            raise ValueError("a subgroup must contain the identity index 0")
-        if any(a >= b for a, b in zip(self.elements, self.elements[1:])):
-            raise ValueError("element indices must be strictly increasing")
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-
-@dataclass(frozen=True)
-class UniqueSubgroupResult:
-    """Outcome of asking for the subgroup of a given order.
-
-    ``status`` is "unique", "multiple" or "none"; ``subgroup`` is set
-    only in the unique case.
-    """
-
-    status: str
-    subgroup: SubgroupSet | None
-
-
-def subgroup_from_indices(group: FiniteGroup, indices) -> SubgroupSet:
-    """Validate that ``indices`` really form a subgroup of ``group``: a
-    finite set with the identity that is closed under the product is one."""
-    sub = SubgroupSet(tuple(sorted(set(indices))))
-    if not is_closed(group, list(sub.elements)):
-        raise ValueError("set is not closed under multiplication")
-    if group.order % sub.order:
-        raise ValueError(
-            f"subgroup size {sub.order} does not divide the group order {group.order}"
-        )
-    return sub
 
 
 def _cyclic_generator_map(group: FiniteGroup) -> dict[frozenset[int], int]:
@@ -95,8 +45,9 @@ def count_cyclic_subgroups(group: FiniteGroup) -> int:
     return 1 + len(_cyclic_generator_map(group))
 
 
-def unique_subgroup_of_order(group: FiniteGroup, n: int) -> UniqueSubgroupResult:
-    """Classify the order-``n`` subgroups as unique, multiple or absent.
+def unique_subgroup_of_order(group: FiniteGroup, n: int) -> tuple[str, frozenset[int] | None]:
+    """Classify the order-``n`` subgroups as "unique", "multiple" or "none",
+    with the subgroup's element indices in the unique case.
 
     A subgroup of order n is reached from one of its cyclic subgroups by
     joining one more at a time, and each join on the way is a subgroup
@@ -108,9 +59,9 @@ def unique_subgroup_of_order(group: FiniteGroup, n: int) -> UniqueSubgroupResult
     if n < 1 or group.order % n:
         raise ValueError(f"{n} does not divide the group order {group.order}")
     if n == 1:
-        return UniqueSubgroupResult("unique", SubgroupSet((0,)))
+        return "unique", frozenset({0})
     if n == group.order:
-        return UniqueSubgroupResult("unique", SubgroupSet(tuple(range(group.order))))
+        return "unique", frozenset(range(group.order))
     cyclics = sorted(((c, x) for c, x in _cyclic_generator_map(group).items()
                       if n % len(c) == 0), key=lambda cx: len(cx[0]))
     stack = [(c, (x,)) for c, x in cyclics]  # the largest is popped first
@@ -123,7 +74,7 @@ def unique_subgroup_of_order(group: FiniteGroup, n: int) -> UniqueSubgroupResult
         if len(sub) == n:
             hits.append(sub)
             if len(hits) == 2:
-                return UniqueSubgroupResult("multiple", None)
+                return "multiple", None
             continue
         joins = []
         for c, x in cyclics:
@@ -132,18 +83,7 @@ def unique_subgroup_of_order(group: FiniteGroup, n: int) -> UniqueSubgroupResult
                 if n % len(join) == 0 and join not in seen:  # len(join) > n fails too
                     joins.append((join, gens + (x,)))
         stack.extend(sorted(joins, key=lambda jg: len(jg[0])))
-    if not hits:
-        return UniqueSubgroupResult("none", None)
-    return UniqueSubgroupResult("unique", subgroup_from_indices(group, hits[0]))
-
-
-def subgroup_as_group(group: FiniteGroup, sub: SubgroupSet) -> FiniteGroup:
-    """Reindex a subgroup into a standalone group (identity stays at 0)."""
-    index = {e: i for i, e in enumerate(sub.elements)}
-    table = [
-        [index[group.mul[a][b]] for b in sub.elements] for a in sub.elements
-    ]
-    return from_cayley_table(table, f"{group.label} sub({sub.order})")
+    return ("unique", hits[0]) if hits else ("none", None)
 
 
 def is_cyclic(group: FiniteGroup) -> bool:
@@ -160,13 +100,16 @@ def is_closed(group: FiniteGroup, elements: list[int]) -> bool:
 
 
 @per_group
-def is_nilpotent(group: FiniteGroup) -> bool:
-    """True iff for every prime p the p-power-order elements form a
-    full Sylow subgroup, i.e. the group is the product of its Sylows."""
+def is_nilpotent(group: FiniteGroup, elements: frozenset[int] | None = None) -> bool:
+    """Whether the subgroup on ``elements``, the whole group by default, is
+    nilpotent: true iff for every prime p its p-power-order elements form a
+    full Sylow subgroup, i.e. it is the product of its Sylows.  A subgroup
+    is read in its parent's table, where its elements keep their orders."""
     orders = group.element_orders
-    for p, a in factorize(group.order).factors:
-        sylow = p**a  # o(x) divides |G|: a power of p iff it divides p^a
-        part = [x for x in range(group.order) if sylow % orders[x] == 0]
+    members = range(group.order) if elements is None else elements
+    for p, a in factorize(len(members)).factors:
+        sylow = p**a  # o(x) divides |H|: a power of p iff it divides p^a
+        part = [x for x in members if sylow % orders[x] == 0]
         if len(part) != sylow or not is_closed(group, part):
             return False
     return True

@@ -31,12 +31,10 @@ from .order_stats import (
     sign_of,
 )
 from .structure import (
-    DEFAULT_SUBGROUP_CAP,
     count_cyclic_subgroups,
     is_closed,
     is_cyclic,
     is_nilpotent,
-    subgroup_as_group,
     unique_subgroup_of_order,
 )
 
@@ -128,22 +126,21 @@ def check_nonnegative_gap(group: FiniteGroup, n: int, r, s) -> TheoremVerdict:
 def _subgroup_route(group: FiniteGroup, n: int) -> tuple[bool, str]:
     """Whether the group has exactly one subgroup of order n and it is
     nilpotent, with the search's status; the same at every exponent."""
-    result = unique_subgroup_of_order(group, n)
-    if result.status != "unique":
-        return False, result.status
-    if n == group.order:
-        return is_nilpotent(group), result.status
-    if n == 1:
-        return True, result.status
-    return is_nilpotent(subgroup_as_group(group, result.subgroup)), result.status
+    status, elements = unique_subgroup_of_order(group, n)
+    if status != "unique":
+        return False, status
+    if n == group.order:  # shares is_nilpotent(group)'s memo with the other claims
+        return is_nilpotent(group), status
+    return is_nilpotent(group, elements), status
 
 
 def check_diagonal_gap(group: FiniteGroup, n: int, r) -> TheoremVerdict:
     """For r = s < 0: excess >= 0, zero iff a unique (nilpotent) subgroup of order n.
 
-    The equality condition is evaluated two independent ways: through the
-    solution counts (B(k) = k for every divisor k of n coprime to n/k) and,
-    up to DEFAULT_SUBGROUP_CAP, by searching the order-n subgroups.
+    The equality condition is evaluated two independent ways, for any group
+    and divisor n: through the solution counts (B(k) = k for every divisor
+    k of n coprime to n/k), and by searching the order-n subgroups and
+    testing the one found for nilpotency in the group's table.
     Disagreement raises EqualityRouteMismatch: it would mean one of two
     proved-equivalent criteria is implemented wrong.
     """
@@ -155,18 +152,15 @@ def check_diagonal_gap(group: FiniteGroup, n: int, r) -> TheoremVerdict:
     condition = all(
         table.counts[k] == k for k in divisors(n) if gcd(k, n // k) == 1
     )
-    witness = "equality_route: solution-counts"
-    if n in (1, group.order) or group.order <= DEFAULT_SUBGROUP_CAP:
-        subgroup_route, status = _subgroup_route(group, n)
-        if subgroup_route != condition:
-            raise EqualityRouteMismatch(
-                f"{group.label}, n={n}: solution-count route says {condition}, "
-                f"subgroup route says {subgroup_route} (status: {status})"
-            )
-        witness = "equality_route: both-agree"
+    subgroup_route, status = _subgroup_route(group, n)
+    if subgroup_route != condition:
+        raise EqualityRouteMismatch(
+            f"{group.label}, n={n}: solution-count route says {condition}, "
+            f"subgroup route says {subgroup_route} (status: {status})"
+        )
     return _verdict(
         "gap-diagonal", group, (("n", n), ("r", r), ("s", r)), sign, sign != "neg",
-        condition, witness,
+        condition, "equality_route: both-agree",
     )
 
 

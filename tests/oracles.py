@@ -11,11 +11,13 @@ from collections import Counter, deque
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 
-from orderinv.groups import FiniteGroup, OrderCapExceeded, generated
+from orderinv.groups import FiniteGroup, OrderCapExceeded, from_cayley_table, generated
 from orderinv.numtheory import FactoredInteger, divisors, factorize, weight
 from orderinv.order_stats import OrderProfile, frobenius_table, require_divisor
 from orderinv.report import write_json, write_report
-from orderinv.structure import DEFAULT_SUBGROUP_CAP, SubgroupSet, subgroup_from_indices
+from orderinv.structure import is_closed
+
+ENUMERATION_CAP = 200  # enumerate_subgroups refuses larger groups
 
 
 def moebius(n: int) -> int:
@@ -127,17 +129,17 @@ def product_of_orders_direct(profile: OrderProfile) -> FactoredInteger:
     return factored_product((factorize(d), a) for d, a in profile.counts.items())
 
 
-def enumerate_subgroups(group: FiniteGroup) -> tuple[SubgroupSet, ...]:
-    """All subgroups, sorted by (order, element indices).
+def enumerate_subgroups(group: FiniteGroup) -> tuple[frozenset[int], ...]:
+    """All subgroups as sets of element indices, sorted by (order, indices).
 
     Seeds with the cyclic subgroups and repeatedly joins every known
     subgroup with every cyclic one until no new subgroup appears; every
     subgroup is a join of cyclic ones, so the fixpoint is exhaustive.
     """
-    if group.order > DEFAULT_SUBGROUP_CAP:
+    if group.order > ENUMERATION_CAP:
         raise OrderCapExceeded(
             f"group order {group.order} exceeds the subgroup enumeration cap"
-            f" {DEFAULT_SUBGROUP_CAP}"
+            f" {ENUMERATION_CAP}"
         )
     cyclics = {generated(group.mul, (x,)): x for x in range(1, group.order)}
     # remember a small generating set per subgroup to keep joins cheap
@@ -155,8 +157,19 @@ def enumerate_subgroups(group: FiniteGroup) -> tuple[SubgroupSet, ...]:
             if join not in found:
                 found[join] = gens
                 queue.append((join, gens))
-    ordered = sorted(found, key=lambda s: (len(s), sorted(s)))
-    return tuple(subgroup_from_indices(group, s) for s in ordered)
+    for sub in found:
+        assert is_closed(group, list(sub)) and group.order % len(sub) == 0
+    return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
+
+
+def subgroup_as_group(group: FiniteGroup, elements) -> FiniteGroup:
+    """A subgroup rebuilt as a group of its own: its sorted elements
+    reindexed (the identity stays at 0) and the table sent through
+    ``from_cayley_table``'s Latin scan and Light's test."""
+    members = sorted(elements)
+    index = {e: i for i, e in enumerate(members)}
+    table = [[index[group.mul[a][b]] for b in members] for a in members]
+    return from_cayley_table(table, f"{group.label} sub({len(members)})")
 
 
 def metacyclic_orders(m: int, k: int, t: int, c: int) -> tuple[int, ...]:

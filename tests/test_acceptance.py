@@ -264,3 +264,11 @@ def test_criterion_11_verify_is_deterministic():
         digest = hashlib.sha256(proc.stdout).hexdigest()
         if digest != "02dab87fa337c333aa76a75b71ec304026523a9a946fe7e56c70b2f6c2bd4983":
             problems.append(f"cap-128 report SHA-256 changed: {digest}")
+        # cap 256 is the default catalog with groups above order 200
+        proc = subprocess.run(
+            [sys.executable, "-m", "orderinv.cli", "verify", "--order-cap", "256"],
+            capture_output=True,
+        )
+        digest = hashlib.sha256(proc.stdout).hexdigest()
+        if digest != "362bb6abf898dea01b164b7074e6ab0ee8c393ed238d5ee903e92b78048263ba":
+            problems.append(f"cap-256 report SHA-256 changed: {digest}")

@@ -6,7 +6,6 @@ from orderinv.catalog import (
     CatalogSpec,
     UnknownFamily,
     _family_plan,
-    build_catalog,
     default_catalog_spec,
     group_from_label,
     iter_catalog,
@@ -50,13 +49,13 @@ def test_default_catalog_family_counts(catalog64):
 
 def test_catalog_spec_single_family():
     spec = CatalogSpec(families=(("cyclic", (1, 12)),), order_cap=12)
-    groups = build_catalog(spec)
+    groups = iter_catalog(spec)
     assert [g.label for g in groups] == [f"C{n}" for n in range(1, 13)]
 
 
 def test_order_cap_trims_families():
     spec = default_catalog_spec(order_cap=24)
-    groups = build_catalog(spec)
+    groups = list(iter_catalog(spec))
     labels = {g.label for g in groups}
     assert {"Q8", "Q16"} <= labels and "Q32" not in labels
     assert "A5" not in labels
@@ -75,7 +74,7 @@ def test_catalog_cell_budget():
     assert planned_cells(default_catalog_spec(256)) == 12_247_554
     assert planned_cells(default_catalog_spec(320)) == 23_615_513 <= MAX_ORDER**2
     with pytest.raises(OrderCapExceeded, match="order cap 384 exceeds 25000000 table cells"):
-        build_catalog(default_catalog_spec(384))
+        iter_catalog(default_catalog_spec(384))
 
 
 def test_catalog_plan_is_checked_before_the_stream_starts():
@@ -91,13 +90,13 @@ def test_catalog_plan_is_checked_before_the_stream_starts():
 def test_unknown_family_rejected():
     spec = CatalogSpec(families=(("sporadic", ()),), order_cap=64)
     with pytest.raises(UnknownFamily):
-        build_catalog(spec)
+        iter_catalog(spec)
 
 
 def test_duplicate_labels_rejected():
     spec = CatalogSpec(families=(("cyclic", (1, 4)), ("cyclic", (2, 6))), order_cap=8)
     with pytest.raises(ValueError, match="duplicate"):
-        build_catalog(spec)
+        list(iter_catalog(spec))
 
 
 def test_every_label_round_trips(catalog64):

@@ -20,9 +20,9 @@ import orderinv.groups as groups_mod
 import orderinv.report as report_mod
 from orderinv.catalog import (
     CatalogSpec,
-    build_catalog,
     default_catalog_spec,
     group_from_label,
+    iter_catalog,
     semidirect_label_parts,
 )
 from orderinv.cli import main
@@ -267,6 +267,12 @@ def test_ingest_reports_and_exit_codes(tmp_path, capsys):
         bad.write_text(json.dumps(data))
         assert main(["ingest", str(bad)]) == 2, data
         assert "ERROR" in capsys.readouterr().out, data
+    # an integer too long for int() is no valid JSON, and int()'s advice stays out
+    bad.write_text('{"label": "x", "table": [[' + "9" * 5001 + "]]}")
+    assert main(["ingest", str(bad)]) == 2
+    assert capsys.readouterr().out == (
+        f"ERROR {bad}: not valid JSON (Exceeds the limit (4300 digits) for integer"
+        " string conversion: value has 5001 digits)\n")
 
 
 LOOP5 = [  # a loop with two-sided identity that is not associative
@@ -365,7 +371,7 @@ def test_verify_paranoid_gives_the_same_report():
 
 def test_verify_streams_the_same_bytes_to_stdout_and_out_file(tmp_path):
     expected = report_text(
-        run_sweep(build_catalog(default_catalog_spec(order_cap=24)))).encode()
+        run_sweep(iter_catalog(default_catalog_spec(order_cap=24)))).encode()
     unbuffered = run_cli("verify", "--order-cap", "24", env={"PYTHONUNBUFFERED": "1"},
                          text=False)
     out = tmp_path / "report.json"
@@ -537,6 +543,10 @@ def test_verify_rejects_bad_spec_files(tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(spec))
         assert main(["verify", "--catalog", str(bad)]) == 2, spec
+    bad.write_text('{"order_cap": ' + "9" * 5001 + "}")
+    code, _, err = _main_in_process(["verify", "--catalog", str(bad)])
+    assert code == 2 and err.startswith(f"error: {bad}: not valid JSON (Exceeds the limit")
+    assert "set_int_max_str_digits" not in err
 
 
 def test_every_catalog_spec_read_error_names_the_path(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orderinv.catalog import default_catalog_spec, iter_catalog
 from orderinv.groups import (
     cyclic,
     dihedral,
@@ -157,15 +158,25 @@ def test_diagonal_gap_nilpotent_groups_vanish_at_full_order():
 
 
 def test_diagonal_gap_cap_fallback_still_answers():
-    # order 202 is above the subgroup enumeration cap of 200
+    # order 202: the subgroup route runs at every divisor, at any order
     big = dihedral(101)
     v = check_diagonal_gap(big, 2, -1)
-    assert v.witness == "equality_route: solution-counts"
+    assert v.witness == "equality_route: both-agree"
     assert v.consistent
-    # full-order and trivial divisors dodge enumeration entirely
     whole = check_diagonal_gap(big, 202, -1)
     assert whole.witness == "equality_route: both-agree"
     assert check_diagonal_gap(big, 1, -1).sign == "zero"
+
+
+def test_diagonal_gap_takes_both_routes_above_order_200():
+    # every divisor of every cap-256 catalog group above order 200
+    verdicts = [check_diagonal_gap(g, n, -1)
+                for g in iter_catalog(default_catalog_spec(256)) if g.order > 200
+                for n in divisors(g.order)]
+    assert len(verdicts) == 805
+    assert len({v.group for v in verdicts}) == 122
+    assert all(v.consistent and v.witness == "equality_route: both-agree"
+               for v in verdicts)
 
 
 def test_diagonal_gap_all_divisors_consistent():
