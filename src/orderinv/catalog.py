@@ -11,9 +11,9 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import partial, reduce
 from math import gcd
+from typing import NamedTuple
 
 from .groups import (
     MAX_ORDER,
@@ -28,6 +28,7 @@ from .groups import (
     from_cayley_table,
     from_permutations,
     inversion_semidirect,
+    is_int,
     quaternion_generalized,
     symmetric,
 )
@@ -47,8 +48,7 @@ class UnknownFamily(ValueError):
     """A catalog family name with no registered builder."""
 
 
-@dataclass(frozen=True)
-class CatalogSpec:
+class CatalogSpec(NamedTuple):
     """What to build: named families under an order cap."""
 
     families: tuple[tuple[str, tuple[int, ...]], ...]
@@ -218,8 +218,9 @@ def group_from_label(label: str) -> FiniteGroup:
     parts = semidirect_label_parts(text)
     if parts is not None:
         return inversion_semidirect(*parts)
-    if "x" in text:
-        return reduce(direct_product, map(group_from_label, text.split("x")))
+    # a product; one with an empty factor (C2x, C2xxC3) is refused below, by its whole label
+    if "x" in text and all(factors := text.split("x")):
+        return reduce(direct_product, map(group_from_label, factors))
     for pattern, build in _LABEL_PATTERNS:
         match = pattern.match(text)
         if match:
@@ -261,6 +262,8 @@ def load_group_file(path: str) -> FiniteGroup:
         order = data.get("order")
         if not isinstance(table, list):
             raise ValueError("'table' must be a list of rows")
+        if order is not None and not is_int(order):  # 2.0 and true equal 2 and 1
+            raise ValueError(f"'order' must be an integer, got {order!r}")
         if order is not None and order != len(table):
             raise ValueError(
                 f"'order' ({order}) does not match the table size ({len(table)})"

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import re
 import weakref
-from dataclasses import dataclass
-from functools import partial, wraps
+from functools import wraps
 from itertools import chain
 from math import factorial, gcd
 from operator import eq, itemgetter
 
-from .numtheory import is_prime
+from .numtheory import Frozen, is_prime
 
 MAX_ORDER = 5000
 _CAP_BITS = MAX_ORDER.bit_length()  # 2**_CAP_BITS > MAX_ORDER: bound exponents by it
@@ -80,19 +79,18 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteGroup:
-    """Immutable multiplication structure; equality is identity.
+class FiniteGroup(Frozen):
+    """Immutable, weakly referenceable multiplication structure; equality is identity.
 
     mul[i][j] is the product of elements i and j, inv[i] the inverse,
     element_orders[i] the multiplicative order of i.
     """
 
-    order: int
-    mul: tuple[tuple[int, ...], ...]
-    inv: tuple[int, ...]
-    element_orders: tuple[int, ...]
-    label: str
+    __slots__ = ("order", "mul", "inv", "element_orders", "label", "__weakref__")
+
+    def __init__(self, order: int, mul: tuple, inv: tuple, element_orders: tuple, label: str):
+        for name, value in zip(self.__slots__, (order, mul, inv, element_orders, label)):
+            object.__setattr__(self, name, value)
 
     def __repr__(self):  # tables are bulky; keep reprs scannable
         return f"FiniteGroup({self.label!r}, order={self.order})"
@@ -236,29 +234,25 @@ def from_cayley_table(table, label: str) -> FiniteGroup:
     return _build(mul, label)
 
 
-@dataclass(frozen=True)
-class PermutationGenSet:
+class PermutationGenSet(Frozen):
     """Generators as 0-based image tuples on 0..degree-1."""
 
-    degree: int
-    generators: tuple[tuple[int, ...], ...]
+    __slots__ = ("degree", "generators")
 
-    def __post_init__(self):
-        if not is_int(self.degree) or self.degree < 1:
+    def __init__(self, degree: int, generators: tuple[tuple[int, ...], ...]):
+        if not is_int(degree) or degree < 1:
             raise GroupConstructionError(
-                f"permutation degree must be a positive integer, got {self.degree!r}"
+                f"permutation degree must be a positive integer, got {degree!r}"
             )
-        _require_order(self.degree, f"permutation degree {self.degree}")
-        full = frozenset(range(self.degree))
-        for g in self.generators:
-            if (
-                len(g) != self.degree
-                or not all(is_int(x) for x in g)
-                or frozenset(g) != full
-            ):
+        _require_order(degree, f"permutation degree {degree}")
+        full = frozenset(range(degree))
+        for g in generators:
+            if len(g) != degree or not all(is_int(x) for x in g) or frozenset(g) != full:
                 raise GroupConstructionError(
-                    f"generator {g} is not a permutation of 0..{self.degree - 1}"
+                    f"generator {g} is not a permutation of 0..{degree - 1}"
                 )
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "generators", generators)
 
 
 def from_permutations(gens: PermutationGenSet, label: str) -> FiniteGroup:
@@ -336,7 +330,8 @@ def _metacyclic_rows(m: int, k: int, t: int, c: int) -> list[tuple[int, ...]]:
         wrapped = here[c % m :] + here[: c % m]
         windows = zip(*[map(b.__getitem__, here) for b in blocks[j1:]],
                       *[map(b.__getitem__, wrapped) for b in blocks[:j1]])
-        rows[block] = map(partial(sum, start=()), windows)
+        # one concatenation joins two windows; more are chained, as a sum is quadratic in k
+        rows[block] = [sum(w, ()) if k <= 2 else tuple(chain.from_iterable(w)) for w in windows]
     return rows
 
 

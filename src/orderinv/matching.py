@@ -12,14 +12,13 @@ of orders whose combined supply provably exceeds its available slots.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .numtheory import divisors, totient
 from .order_stats import OrderProfile
 
 
-@dataclass(frozen=True)
-class DivisibilityMatching:
+class DivisibilityMatching(NamedTuple):
     """Either a complete assignment or a deficiency certificate.
 
     ``assignment`` maps element order d -> {target order e -> count};

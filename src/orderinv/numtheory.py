@@ -8,7 +8,6 @@ rational value; ``weight`` returns its float reading, and signs come from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Union
@@ -28,9 +27,23 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FactoredInteger:
-    """A positive integer kept as its prime factorization.
+class Frozen:
+    """Base of the slotted value types: __init__ sets each slot once."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state):  # copy and pickle restore (None, {slot: value})
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class FactoredInteger(Frozen):
+    """A positive integer kept as its prime factorization, equal by value.
 
     ``factors`` holds (prime, exponent) pairs with strictly increasing primes
     and exponents >= 1; the integer 1 is the empty tuple.  Products of many
@@ -38,14 +51,24 @@ class FactoredInteger:
     exponent-sized instead of overflowing into astronomically long ints.
     """
 
-    factors: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
+    def __init__(self, factors: tuple[tuple[int, int], ...] = ()):
         last = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= last or e < 1 or not is_prime(p):
                 raise ValueError(f"malformed factorization entry ({p}, {e})")
             last = p
+        object.__setattr__(self, "factors", factors)
+
+    def __eq__(self, other):
+        return type(other) is FactoredInteger and self.factors == other.factors
+
+    def __hash__(self):
+        return hash(self.factors)
+
+    def __repr__(self):
+        return f"FactoredInteger(factors={self.factors!r})"
 
     @classmethod
     def from_exponents(cls, exponents: Mapping[int, int]) -> "FactoredInteger":

@@ -20,16 +20,17 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .groups import FiniteGroup, per_group
 from .numtheory import (
     FactoredInteger,
+    Frozen,
     Scalar,
     divisors,
     factorize,
@@ -46,8 +47,7 @@ class ParameterDomainViolated(ValueError):
     """n or (r, s) lies outside the domain an invariant or claim is stated for."""
 
 
-@dataclass(frozen=True)
-class OrderProfile:
+class OrderProfile(Frozen):
     """Counts of elements by exact order; the sole input to every invariant.
 
     Only orders that occur are present, values are positive.  ``counts`` is
@@ -59,23 +59,20 @@ class OrderProfile:
     multiples of phi(d), and they sum to the group order.
     """
 
-    group_order: int
-    counts: Mapping[int, int] = field(default_factory=dict, compare=False)
-    key: tuple[tuple[int, int], ...] = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("group_order", "counts", "key", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
-        object.__setattr__(self, "key", tuple(sorted(self.counts.items())))
+    def __init__(self, group_order: int, counts: Mapping[int, int] = MappingProxyType({})):
+        n, counts = group_order, MappingProxyType(dict(counts))
+        key = tuple(sorted(counts.items()))
         # every memo lookup hashes the profile: hash the counts once
-        object.__setattr__(self, "_hash", hash((self.group_order, self.key)))
-        n = self.group_order
+        for name, value in zip(self.__slots__, (n, counts, key, hash((n, key)))):
+            object.__setattr__(self, name, value)
         if n < 1:
             raise ValueError(f"group order must be positive, got {n}")
-        if self.counts.get(1) != 1:
+        if counts.get(1) != 1:
             raise ValueError("a profile needs exactly one element of order 1")
         total = 0
-        for d, count in self.counts.items():
+        for d, count in counts.items():
             if d < 1 or n % d:
                 raise ValueError(f"order {d} does not divide the group order {n}")
             if count < 1:
@@ -88,8 +85,15 @@ class OrderProfile:
         if total != n:
             raise ValueError(f"profile counts sum to {total}, expected {n}")
 
+    def __eq__(self, other):
+        return (type(other) is OrderProfile and self.group_order == other.group_order
+                and self.key == other.key)
+
     def __hash__(self):
         return self._hash
+
+    def __repr__(self):
+        return f"OrderProfile(group_order={self.group_order!r}, counts={self.counts!r})"
 
     def count(self, d: int) -> int:
         return self.counts.get(d, 0)
@@ -99,8 +103,7 @@ class OrderProfile:
         return self.counts.get(d, 0) // totient(d)
 
 
-@dataclass(frozen=True, eq=False)
-class FrobeniusTable:
+class FrobeniusTable(NamedTuple):
     """B(m) = #{x : x^m = 1} and the integer ratios B(m)/m, per divisor m;
     read-only views, as frobenius_table hands one cached instance to all."""
 

@@ -174,17 +174,9 @@ def scalar_json(value):
 
 
 def verdict_as_json(verdict: TheoremVerdict) -> dict:
-    return {
-        "claim": verdict.claim,
-        "group": verdict.group,
-        "parameters": {key: scalar_json(value) for key, value in verdict.parameters},
-        "sign": verdict.sign,
-        "inequality_holds": verdict.inequality_holds,
-        "equality_condition_holds": verdict.equality_condition_holds,
-        "consistent": verdict.consistent,
-        "mode": "exact",  # every sign is exact; the key stays for readers of v1
-        "witness": verdict.witness,
-    }
+    # every sign is exact; "mode" stays for readers of v1
+    return {**verdict._asdict(), "mode": "exact",
+            "parameters": {key: scalar_json(value) for key, value in verdict.parameters}}
 
 
 def verdict_rows(verdicts: list[TheoremVerdict]) -> dict:

@@ -10,9 +10,9 @@ condition and their agreement are reported as separate fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from . import order_stats
 from .groups import FiniteGroup, inversion_semidirect, per_group
@@ -47,8 +47,7 @@ class EqualityRouteMismatch(RuntimeError):
     """Two supposedly equivalent equality criteria disagreed."""
 
 
-@dataclass(frozen=True)
-class TheoremVerdict:
+class TheoremVerdict(NamedTuple):
     """One claim evaluated on one group at one parameter point.
 
     ``consistent`` is the headline: the analytic side (sign of the

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import operator
@@ -117,6 +116,10 @@ def test_compute_bad_inputs(capsys):
             assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error: "), argv
     assert run_cli("compute", "--group", "C4", "--r", "abc").returncode == 2
+    # a product with an empty factor is refused by the label as given
+    for label in ("C2x", "xC2", "C2xxC3"):
+        code, _, err = _main_in_process(["compute", "--group", label])
+        assert (code, err) == (2, f"error: unrecognized group label {label!r}\n"), label
     # oversize labels are refused before any table is allocated
     for label in ("C20000", "S12", "D100000", "Q65536", "E2^100000000",
                   "C100xC100", "C101:C64"):
@@ -273,6 +276,40 @@ def test_ingest_reports_and_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().out == (
         f"ERROR {bad}: not valid JSON (Exceeds the limit (4300 digits) for integer"
         " string conversion: value has 5001 digits)\n")
+
+
+def test_group_file_order_must_be_an_integer(tmp_path, capsys):
+    # 2.0 and true compare equal to a table size; "2" does not, and got a
+    # message about the size
+    path, spec = tmp_path / "g.json", tmp_path / "cat.json"
+    spec.write_text(json.dumps({"families": {}, "ingested": ["g.json"]}))
+    for order, shown in ((2.0, "2.0"), (True, "True"), ("2", "'2'")):
+        path.write_text(json.dumps({"label": "g", "order": order, "table": [[0, 1], [1, 0]]}))
+        message = f"'order' must be an integer, got {shown}"
+        assert main(["ingest", str(path)]) == 2, order
+        assert capsys.readouterr().out == f"ERROR {path}: {message}\n"
+        assert main(["compute", "--group", str(path)]) == 2, order
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert main(["verify", "--catalog", str(spec)]) == 2, order
+        assert json.loads(capsys.readouterr().out)["input_errors"] == [
+            {"path": str(path), "error": message}]
+    for order in (2, None):  # an integer or null order is read as before
+        path.write_text(json.dumps({"label": "g", "order": order, "table": [[0, 1], [1, 0]]}))
+        assert main(["ingest", str(path)]) == 0, order
+        assert capsys.readouterr().out.startswith("OK ")
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # both cost start-up time in every one-shot process; no value type needs them
+    probe = ("import sys; before = set(sys.modules); import orderinv.cli; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    src = os.path.dirname(os.path.dirname(cli_mod.__file__))  # the package under test
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    added = proc.stdout.split()
+    assert "orderinv.cli" in added and "orderinv.order_stats" in added, added
+    assert "dataclasses" not in added and "inspect" not in added, added
 
 
 LOOP5 = [  # a loop with two-sided identity that is not associative
@@ -513,7 +550,7 @@ def test_verify_table_lists_inconsistent_verdicts_in_parameter_text_order(
 
     def doctored(group, n, r, s):
         verdict = real(group, n, r, s)
-        return dataclasses.replace(verdict, consistent=False) if n == 2 and r < 0 else verdict
+        return verdict._replace(consistent=False) if n == 2 and r < 0 else verdict
 
     monkeypatch.setattr(report_mod, "check_nonnegative_gap", doctored)
     spec = tmp_path / "cat.json"

@@ -1,5 +1,9 @@
 """Order statistics: frozen spot values, dual-route identities, oracles."""
 
+import copy
+import pickle
+import re
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -10,6 +14,8 @@ from mpmath import iv
 import orderinv.order_stats as order_stats_mod
 from orderinv.catalog import default_catalog_spec, group_from_label, iter_catalog
 from orderinv.groups import (
+    GroupConstructionError,
+    PermutationGenSet,
     cyclic,
     dihedral,
     direct_product,
@@ -18,6 +24,7 @@ from orderinv.groups import (
     quaternion_generalized,
     symmetric,
 )
+from orderinv.matching import find_divisibility_matching
 from orderinv.numtheory import (
     FactoredInteger,
     divisor_count,
@@ -40,7 +47,11 @@ from orderinv.order_stats import (
     weighted_order_sum,
 )
 from orderinv.report import _matching_for
-from orderinv.theorems import check_nilpotent_sign, check_nonnegative_gap
+from orderinv.theorems import (
+    check_frobenius_divisibility,
+    check_nilpotent_sign,
+    check_nonnegative_gap,
+)
 from oracles import frobenius_expansion, log_mobius_kernel, product_of_orders_direct
 from synthetic import abelian_profile, random_abelian_profiles
 
@@ -80,6 +91,68 @@ def test_profile_validation():
         OrderProfile(6, {1: 1, 4: 5})  # 4 does not divide 6
     with pytest.raises(ValueError):
         OrderProfile(6, {1: 1, 3: 3, 2: 2})  # 3 not a multiple of phi(3)
+
+
+def test_construction_checks_keep_their_messages():
+    for build, error, message in (
+        (lambda: OrderProfile(0, {}), ValueError, "group order must be positive, got 0"),
+        (lambda: OrderProfile(6), ValueError, "a profile needs exactly one element of order 1"),
+        (lambda: OrderProfile(6, {1: 1, 4: 5}), ValueError,
+         "order 4 does not divide the group order 6"),
+        (lambda: OrderProfile(4, {1: 1, 2: 0, 4: 3}), ValueError,
+         "count for order 2 must be positive, got 0"),
+        (lambda: OrderProfile(6, {1: 1, 3: 3, 2: 2}), ValueError,
+         "count 3 for order 3 is not a multiple of phi(3)=2"),
+        (lambda: OrderProfile(6, {1: 1, 2: 2}), ValueError, "profile counts sum to 3, expected 6"),
+        (lambda: FactoredInteger(((3, 1), (2, 1))), ValueError,
+         "malformed factorization entry (2, 1)"),
+        (lambda: FactoredInteger(((4, 1),)), ValueError, "malformed factorization entry (4, 1)"),
+        (lambda: PermutationGenSet(2.0, ()), GroupConstructionError,
+         "permutation degree must be a positive integer, got 2.0"),
+        (lambda: PermutationGenSet(10**9, ()), GroupConstructionError,
+         "permutation degree 1000000000 exceeds the order cap 5000"),
+        (lambda: PermutationGenSet(3, ((0, 0, 1),)), GroupConstructionError,
+         "generator (0, 0, 1) is not a permutation of 0..2"),
+    ):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build()
+
+
+def test_value_types_are_immutable_and_compare_as_documented():
+    group = cyclic(6)
+    profile = order_profile(group)
+    matching = find_divisibility_matching(profile)
+    verdict = check_frobenius_divisibility(group)
+    for value, name in (
+        (factorize(12), "factors"),
+        (group, "order"),
+        (PermutationGenSet(2, ((1, 0),)), "degree"),
+        (profile, "counts"),
+        (frobenius_table(profile), "counts"),
+        (matching, "status"),
+        (default_catalog_spec(), "order_cap"),
+        (verdict, "consistent"),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    # the named tuples unpack and take _replace
+    status, assignment, violator = matching
+    assert status == "found" and violator is None and assignment == matching.assignment
+    assert verdict._replace(consistent=False).consistent is False and verdict.consistent
+    # a profile is a value: twins are equal and hash alike
+    twin = order_profile(direct_product(cyclic(2), cyclic(3)))
+    assert twin is not profile and twin == profile and hash(twin) == hash(profile)
+    assert profile != cyclic_profile(12) and profile != profile.key
+    assert factorize(12) == FactoredInteger(((2, 2), (3, 1)))
+    assert hash(factorize(12)) == hash(FactoredInteger(((2, 2), (3, 1))))
+    # a group is itself only, and per_group memos may hold it weakly
+    assert group != cyclic(6) and weakref.ref(group)() is group
+    # copy and pickle restore the slots, which assignment may not
+    clone = pickle.loads(pickle.dumps(group))
+    assert (clone.label, clone.mul, clone.inv) == (group.label, group.mul, group.inv)
+    assert copy.deepcopy(factorize(12)) == factorize(12) and copy.copy(profile) == profile
 
 
 def test_cached_profile_is_read_only():
