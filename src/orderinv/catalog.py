@@ -214,18 +214,29 @@ def semidirect_label_parts(label: str) -> tuple[int, int, int] | None:
 def group_from_label(label: str) -> FiniteGroup:
     """Rebuild a catalog group from its label (e.g. C12, D6, Q16, S4,
     E3^2, A5, C3:C10, C2xC3)."""
-    text = label.strip()
+    build = _label_builder(label.strip())
+    if build is None:
+        raise ValueError(f"unrecognized group label {label!r}")
+    return build()
+
+
+def _label_builder(text: str):
+    """A function of no arguments that builds the group a label names, or
+    None when it names none; a product (C2xC3) names one only when every
+    factor does, so C2xfoo and C2xxC3 are refused by their whole label."""
     parts = semidirect_label_parts(text)
     if parts is not None:
-        return inversion_semidirect(*parts)
-    # a product; one with an empty factor (C2x, C2xxC3) is refused below, by its whole label
-    if "x" in text and all(factors := text.split("x")):
-        return reduce(direct_product, map(group_from_label, factors))
+        return partial(inversion_semidirect, *parts)
+    if "x" in text:
+        factors = [_label_builder(factor.strip()) for factor in text.split("x")]
+        if None in factors:
+            return None
+        return lambda: reduce(direct_product, (build() for build in factors))
     for pattern, build in _LABEL_PATTERNS:
         match = pattern.match(text)
         if match:
-            return build(*map(bounded_int, match.groups()))
-    raise ValueError(f"unrecognized group label {label!r}")
+            return partial(build, *map(bounded_int, match.groups()))
+    return None
 
 
 def read_json(path: str):

@@ -24,6 +24,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import mul
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -173,7 +174,31 @@ def excess_terms(profile: OrderProfile, n: int) -> tuple[tuple[int, int, int], .
                  for m in divisors(n) if profile.cyclic_count(m) != 1)
 
 
-@lru_cache(maxsize=4096)
+# the last few groups' tables: at a large grid bound g a (2g+1)^2 table is large
+@lru_cache(maxsize=128)
+def excess_table(profile: OrderProfile, n: int, rs: range, ss: range) -> tuple[int, tuple]:
+    """cyclic_excess at every integer (r, s) in rs x ss, in integers: a
+    denominator D and rows, with rows[i][j] the numerator at (rs[i], ss[j]).
+
+    With a = max(-min ss, 0) and b = max(max rs - 1, 0), every term
+    (c_m - 1) m^s / phi(m)^(r-1) of the box has its denominator dividing
+    m^a phi(m)^b, so over D = lcm of those the numerator at (r, s) is
+    sum (c_m - 1) (D / m^a phi^b) m^(s+a) phi^(b+1-r): one dot product of
+    a vector made once per s with one made once per r.  Keyed by value: the
+    claims of a group at one n read one table, and so does a twin met while
+    it is held.
+    """
+    terms = excess_terms(profile, n)
+    a, b = max(-ss[0], 0), max(rs[-1] - 1, 0)
+    below = [m**a * phi**b for _, m, phi in terms]
+    common = lcm(*below)
+    scaled = [c * (common // d) for (c, _, _), d in zip(terms, below)]
+    by_s = [[k * m ** (s + a) for k, (_, m, _) in zip(scaled, terms)] for s in ss]
+    by_r = [[phi ** (b + 1 - r) for _, _, phi in terms] for r in rs]
+    rows = tuple(tuple(sum(map(mul, u, v)) for u in by_s) for v in by_r)
+    return common, rows
+
+
 def cyclic_excess(profile: OrderProfile, n: int, r, s) -> Scalar:
     """Weighted order sum minus the same sum for the cyclic group of equal
     order; the divisor-restricted comparison invariant.
@@ -181,19 +206,15 @@ def cyclic_excess(profile: OrderProfile, n: int, r, s) -> Scalar:
     The cyclic baseline needs no group construction: a cyclic group has one
     cyclic subgroup per divisor, so the excess is the sum over m | n of
     (c_m - 1) m^s / phi(m)^(r-1).  Vanishes identically at r = s = 0.  At
-    integer r and s the terms are summed as integers over one common
-    denominator, and the Fraction is made once.
+    integer r and s it is read off the 1 x 1 excess_table, exactly; else it
+    is a float reading.
     """
-    terms = excess_terms(profile, n)
     (a, qa), (b, qb) = r.as_integer_ratio(), s.as_integer_ratio()
     if qa != 1 or qb != 1:
-        return sum((c * weight(m, r - 1, s) for c, m, _ in terms), Fraction(0))
-    a -= 1  # each term is c m^b / phi^a: powers with a negative exponent go below
-    up_m, down_m, up_phi, down_phi = max(b, 0), max(-b, 0), max(-a, 0), max(a, 0)
-    below = [m**down_m * phi**down_phi for _, m, phi in terms]
-    common = lcm(*below)
-    return Fraction(sum(c * m**up_m * phi**up_phi * (common // d)
-                        for (c, m, phi), d in zip(terms, below)), common)
+        return sum((c * weight(m, r - 1, s) for c, m, _ in excess_terms(profile, n)),
+                   Fraction(0))
+    denominator, ((numerator,),) = excess_table(profile, n, range(a, a + 1), range(b, b + 1))
+    return Fraction(numerator, denominator)
 
 
 def sign_of(value) -> str:
@@ -208,7 +229,45 @@ SIGN_DIGITS = 960
 def excess_sign(profile: OrderProfile, n: int, r, s) -> str:
     """The exact sign of cyclic_excess for rational r and s (a float is the
     dyadic rational it is): "neg", "zero", "pos", or "indeterminate" when
-    SIGN_DIGITS digits cannot tell the sum from 0.
+    SIGN_DIGITS digits cannot tell the sum from 0.  At an integer point it
+    is the sign of the numerator in the 1 x 1 excess_table.
+    """
+    require_divisor(profile, n)
+    (a, qa), (b, qb) = r.as_integer_ratio(), s.as_integer_ratio()
+    if qa == qb == 1:
+        _, ((numerator,),) = excess_table(profile, n, range(a, a + 1), range(b, b + 1))
+        return sign_of(numerator)
+    return _radicand_sign(profile, n, a, qa, b, qb)
+
+
+def excess_signs(profile: OrderProfile, n: int, points) -> list[str]:
+    """excess_sign at each (r, s) of points, in order.
+
+    The integer points are read off one excess_table over [-g, g]^2, g the
+    largest |r| or |s| among them: at grid bound g every claim and the
+    report's excess grid at this (profile, n) read that one table.
+    """
+    require_divisor(profile, n)
+    ratios = [(r.as_integer_ratio(), s.as_integer_ratio()) for r, s in points]
+    g = max((max(abs(a), abs(b)) for (a, qa), (b, qb) in ratios if qa == qb == 1),
+            default=None)
+    if g is not None:
+        _, rows = excess_table(profile, n, range(-g, g + 1), range(-g, g + 1))
+    return [sign_of(rows[a + g][b + g]) if qa == qb == 1
+            else _radicand_sign(profile, n, a, qa, b, qb)
+            for (a, qa), (b, qb) in ratios]
+
+
+@lru_cache(maxsize=1024)
+def _ln(p: int, digits: int) -> Decimal:
+    """ln p to ``digits`` significant digits, correctly rounded."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return Decimal(p).ln()
+
+
+def _radicand_sign(profile: OrderProfile, n: int, a: int, qa: int, b: int, qb: int) -> str:
+    """The sign of cyclic_excess at r = a/qa, s = b/qb, not both integers.
 
     With r - 1 = a/q and s = b/q, each term (c_m - 1) m^s / phi(m)^(r-1) is a
     rational times the q-th root of prod p^rho_p, 0 <= rho_p < q.  Such roots
@@ -216,11 +275,7 @@ def excess_sign(profile: OrderProfile, n: int, r, s) -> str:
     so the sum is 0 iff the coefficients of each radicand cancel.  Otherwise
     decimal bounds each root as exp(sum (rho_p/q) ln p), never forming p^rho_p.
     """
-    require_divisor(profile, n)
-    (a, qa), (b, qb) = r.as_integer_ratio(), s.as_integer_ratio()
     q = lcm(qa, qb)
-    if q == 1:  # a Fraction has the sign of its numerator
-        return sign_of(cyclic_excess(profile, n, r, s).numerator)
     a, b = (a - qa) * (q // qa), b * (q // qb)
     coefficients: dict[tuple, Fraction] = {}
     for c, m, phi in excess_terms(profile, n):
@@ -241,7 +296,7 @@ def excess_sign(profile: OrderProfile, n: int, r, s) -> str:
         with localcontext() as ctx:
             ctx.prec = digits
             values = [Decimal(c.numerator) / c.denominator * sum(
-                (Decimal(rho) / q * Decimal(p).ln() for p, rho in key), Decimal(0)).exp()
+                (Decimal(rho) / q * _ln(p, digits) for p, rho in key), Decimal(0)).exp()
                 for c, key in terms]
             total = sum(values)
             # each ln, exp, product and sum rounds to `digits` digits: all of it

@@ -9,6 +9,7 @@ payload: 1 means some verdict came back inconsistent (or a claim raised),
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from functools import lru_cache
 
 from .catalog import semidirect_label_parts
@@ -16,8 +17,8 @@ from .groups import FiniteGroup
 from .matching import DivisibilityMatching, find_divisibility_matching, verify_matching
 from .numtheory import divisors
 from .order_stats import (
-    cyclic_excess,
     cyclic_profile,
+    excess_table,
     frobenius_table,
     order_profile,
     product_of_orders,
@@ -133,23 +134,18 @@ def evaluate_claim(
     if claim == "min-cyclic-count":
         return [check_min_cyclic_subgroups(group)]
     if claim == "gap-nonneg":
-        return [
-            check_nonnegative_gap(group, n, r, s)
-            for n in _sweep_orders(group)
-            for r, s in nonneg_pairs(bound)
-        ]
+        pairs = nonneg_pairs(bound)
+        return [v for n in _sweep_orders(group) for v in check_nonnegative_gap(group, n, pairs)]
     if claim == "gap-diagonal":
-        return [
-            check_diagonal_gap(group, n, r)
-            for n in _sweep_orders(group)
-            for r in diagonal_exponents(bound)
-        ]
+        exponents = diagonal_exponents(bound)
+        return [v for n in _sweep_orders(group)
+                for v in check_diagonal_gap(group, n, exponents)]
     if claim == "gap-nonpos":
-        return [check_nonpositive_gap(group, r, s) for r, s in nonpos_pairs(bound)]
+        return check_nonpositive_gap(group, nonpos_pairs(bound))
     if claim == "nilpotent-sign":
         if not is_nilpotent(group) or is_cyclic(group):
             return []
-        return [check_nilpotent_sign(group, r, s) for r, s in integer_pairs(bound)]
+        return check_nilpotent_sign(group, integer_pairs(bound))
     if claim == "cyclic-part-equivalence":
         return [
             check_cyclic_part_equivalence(group, n)
@@ -162,7 +158,7 @@ def evaluate_claim(
         if parts is None:
             return []
         m, beta, u = parts
-        return [check_semidirect_count(m, beta, u, grid=bound)]
+        return [check_semidirect_count(m, beta, u, grid=bound, group=group)]
     if claim == "divisibility-matching":
         return [_matching_verdict(group)]
     raise ValueError(f"unknown claim {claim!r}")
@@ -221,9 +217,11 @@ def group_invariants(group: FiniteGroup, profile) -> dict:
 
 @lru_cache(maxsize=1024)
 def _excess_grid(profile, bound: int) -> tuple[tuple[int, int, str], ...]:
-    # keyed by profile value, as twins have one grid
-    n = profile.group_order
-    return tuple((r, s, str(cyclic_excess(profile, n, r, s))) for r, s in integer_pairs(bound))
+    # keyed by profile value, as twins have one grid; the claims at n = |G| read its table
+    span = range(-bound, bound + 1)
+    denominator, rows = excess_table(profile, profile.group_order, span, span)
+    return tuple((r, s, str(Fraction(numerator, denominator)))
+                 for r, row in zip(span, rows) for s, numerator in zip(span, row))
 
 
 def group_record(group: FiniteGroup, bound: int = DEFAULT_GRID_BOUND) -> dict:

@@ -19,10 +19,10 @@ from .groups import FiniteGroup, inversion_semidirect, per_group
 from .numtheory import divisor_count, divisor_power_sum, divisors, totient
 from .order_stats import (
     ParameterDomainViolated,
-    cyclic_excess,
     cyclic_profile,
     cyclic_subgroup_count,
-    excess_sign,
+    excess_signs,
+    excess_table,
     excess_terms,
     frobenius_table,
     order_profile,
@@ -108,17 +108,22 @@ def check_frobenius_divisibility(group: FiniteGroup) -> TheoremVerdict:
     )
 
 
-def check_nonnegative_gap(group: FiniteGroup, n: int, r, s) -> TheoremVerdict:
-    """For s < r, s <= 0: excess >= 0, zero iff one cyclic subgroup per divisor of n."""
-    if not (s < r and s <= 0):
-        raise ParameterDomainViolated(f"need s < r and s <= 0, got r={r}, s={s}")
+def check_nonnegative_gap(group: FiniteGroup, n: int, points) -> list[TheoremVerdict]:
+    """For s < r, s <= 0: excess >= 0, zero iff one cyclic subgroup per divisor of n.
+
+    One verdict per (r, s) of points, in order; the condition and its
+    witness are the same at every point.
+    """
+    for r, s in points:
+        if not (s < r and s <= 0):
+            raise ParameterDomainViolated(f"need s < r and s <= 0, got r={r}, s={s}")
     profile = order_profile(group)
-    sign = excess_sign(profile, n, r, s)
+    signs = excess_signs(profile, n, points)
     offending = [m for _, m, _ in excess_terms(profile, n)]
-    return _verdict(
-        "gap-nonneg", group, (("n", n), ("r", r), ("s", s)), sign, sign != "neg",
-        not offending, f"cyclic subgroup count is not 1 at {offending}" if offending else "",
-    )
+    witness = f"cyclic subgroup count is not 1 at {offending}" if offending else ""
+    return [_verdict("gap-nonneg", group, (("n", n), ("r", r), ("s", s)), sign,
+                     sign != "neg", not offending, witness)
+            for (r, s), sign in zip(points, signs)]
 
 
 @per_group
@@ -133,20 +138,22 @@ def _subgroup_route(group: FiniteGroup, n: int) -> tuple[bool, str]:
     return is_nilpotent(group, elements), status
 
 
-def check_diagonal_gap(group: FiniteGroup, n: int, r) -> TheoremVerdict:
+def check_diagonal_gap(group: FiniteGroup, n: int, rs) -> list[TheoremVerdict]:
     """For r = s < 0: excess >= 0, zero iff a unique (nilpotent) subgroup of order n.
 
-    The equality condition is evaluated two independent ways, for any group
-    and divisor n: through the solution counts (B(k) = k for every divisor
-    k of n coprime to n/k), and by searching the order-n subgroups and
-    testing the one found for nilpotency in the group's table.
-    Disagreement raises EqualityRouteMismatch: it would mean one of two
-    proved-equivalent criteria is implemented wrong.
+    One verdict per r of rs, in order.  The equality condition, the same at
+    every r, is evaluated two independent ways, for any group and divisor
+    n: through the solution counts (B(k) = k for every divisor k of n
+    coprime to n/k), and by searching the order-n subgroups and testing the
+    one found for nilpotency in the group's table.  Disagreement raises
+    EqualityRouteMismatch: it would mean one of two proved-equivalent
+    criteria is implemented wrong.
     """
-    if not r < 0:
-        raise ParameterDomainViolated(f"need r < 0, got r={r}")
+    for r in rs:
+        if not r < 0:
+            raise ParameterDomainViolated(f"need r < 0, got r={r}")
     profile = order_profile(group)
-    sign = excess_sign(profile, n, r, r)
+    signs = excess_signs(profile, n, [(r, r) for r in rs])
     table = frobenius_table(profile)
     condition = all(
         table.counts[k] == k for k in divisors(n) if gcd(k, n // k) == 1
@@ -157,36 +164,45 @@ def check_diagonal_gap(group: FiniteGroup, n: int, r) -> TheoremVerdict:
             f"{group.label}, n={n}: solution-count route says {condition}, "
             f"subgroup route says {subgroup_route} (status: {status})"
         )
-    return _verdict(
-        "gap-diagonal", group, (("n", n), ("r", r), ("s", r)), sign, sign != "neg",
-        condition, "equality_route: both-agree",
-    )
+    return [_verdict("gap-diagonal", group, (("n", n), ("r", r), ("s", r)), sign,
+                     sign != "neg", condition, "equality_route: both-agree")
+            for r, sign in zip(rs, signs)]
 
 
-def check_nonpositive_gap(group: FiniteGroup, r, s) -> TheoremVerdict:
-    """For r <= s-1, s >= 1, at n = |G|: excess <= 0, zero iff the group is cyclic."""
-    if not (r <= s - 1 and s >= 1):
-        raise ParameterDomainViolated(f"need r <= s-1 and s >= 1, got r={r}, s={s}")
-    sign = excess_sign(order_profile(group), group.order, r, s)
-    return _verdict(
-        "gap-nonpos", group, (("n", group.order), ("r", r), ("s", s)), sign,
-        sign != "pos", is_cyclic(group),
-    )
+def check_nonpositive_gap(group: FiniteGroup, points) -> list[TheoremVerdict]:
+    """For r <= s-1, s >= 1, at n = |G|: excess <= 0, zero iff the group is cyclic.
+
+    One verdict per (r, s) of points, in order.
+    """
+    for r, s in points:
+        if not (r <= s - 1 and s >= 1):
+            raise ParameterDomainViolated(f"need r <= s-1 and s >= 1, got r={r}, s={s}")
+    signs = excess_signs(order_profile(group), group.order, points)
+    cyclic = is_cyclic(group)
+    return [_verdict("gap-nonpos", group, (("n", group.order), ("r", r), ("s", s)), sign,
+                     sign != "pos", cyclic)
+            for (r, s), sign in zip(points, signs)]
 
 
-def check_nilpotent_sign(group: FiniteGroup, r, s) -> TheoremVerdict:
-    """Nilpotent non-cyclic groups: the excess has the sign of r - s."""
+def check_nilpotent_sign(group: FiniteGroup, points) -> list[TheoremVerdict]:
+    """Nilpotent non-cyclic groups: the excess has the sign of r - s.
+
+    One verdict per (r, s) of points, in order.
+    """
     if not is_nilpotent(group):
         raise PreconditionViolated(f"{group.label} is not nilpotent")
     if is_cyclic(group):
         raise PreconditionViolated(f"{group.label} is cyclic")
-    sign = excess_sign(order_profile(group), group.order, r, s)
-    expected = sign_of(r - s)
-    matches = sign == expected  # and so the excess vanishes iff r == s
-    return _verdict(
-        "nilpotent-sign", group, (("n", group.order), ("r", r), ("s", s)), sign,
-        matches, r == s, "" if matches else f"r-s is {expected}",
-    )
+    signs = excess_signs(order_profile(group), group.order, points)
+    verdicts = []
+    for (r, s), sign in zip(points, signs):
+        expected = sign_of(r - s)
+        matches = sign == expected  # and so the excess vanishes iff r == s
+        verdicts.append(_verdict(
+            "nilpotent-sign", group, (("n", group.order), ("r", r), ("s", s)), sign,
+            matches, r == s, "" if matches else f"r-s is {expected}",
+        ))
+    return verdicts
 
 
 def check_min_cyclic_subgroups(group: FiniteGroup) -> TheoremVerdict:
@@ -247,14 +263,18 @@ def check_order_product_maximal(group: FiniteGroup) -> TheoremVerdict:
     )
 
 
-def check_semidirect_count(m: int, beta: int, u: int, grid: int = 3) -> TheoremVerdict:
+def check_semidirect_count(
+    m: int, beta: int, u: int, grid: int = 3, group: FiniteGroup | None = None
+) -> TheoremVerdict:
     """Inversion-type semidirect products hit their predicted invariants.
 
-    Builds the group, counts cyclic subgroups three ways (brute table scan,
-    order profile, closed-form count), and compares the excess functional
-    with its closed form over the integer grid [-grid, grid]^2.
+    Takes the group inversion_semidirect(m, beta, u), built here unless
+    given, counts cyclic subgroups three ways (brute table scan, order
+    profile, closed-form count), and compares the excess table over the
+    integer grid [-grid, grid]^2 with the closed form at each point.
     """
-    group = inversion_semidirect(m, beta, u)
+    if group is None:
+        group = inversion_semidirect(m, beta, u)
     profile = order_profile(group)
     brute = count_cyclic_subgroups(group)
     from_profile = cyclic_subgroup_count(profile, group.order)
@@ -262,10 +282,12 @@ def check_semidirect_count(m: int, beta: int, u: int, grid: int = 3) -> TheoremV
     counts_agree = brute == from_profile == predicted
 
     half_order = totient(2**u)
+    span = range(-grid, grid + 1)
+    denominator, rows = excess_table(profile, group.order, span, span)
     mismatches = []
-    for r in range(-grid, grid + 1):
-        for s in range(-grid, grid + 1):
-            t = cyclic_excess(profile, group.order, r, s)
+    for r, row in zip(span, rows):
+        for s, numerator in zip(span, row):
+            t = Fraction(numerator, denominator)
             closed_form = (
                 Fraction(2) ** (u * s)
                 / Fraction(half_order) ** (r - 1)

@@ -111,7 +111,7 @@ def test_criterion_04_diagonal_excess_detects_nilpotency(catalog64):
             if g.order <= 48:
                 for n in divisors(g.order):
                     for r in (-1, -2, -3):
-                        verdict = check_diagonal_gap(g, n, r)
+                        [verdict] = check_diagonal_gap(g, n, [r])
                         if not verdict.consistent:
                             problems.append(f"{g.label} n={n} r={r}: inconsistent")
                         if "both-agree" not in verdict.witness:

@@ -120,6 +120,11 @@ def test_compute_bad_inputs(capsys):
     for label in ("C2x", "xC2", "C2xxC3"):
         code, _, err = _main_in_process(["compute", "--group", label])
         assert (code, err) == (2, f"error: unrecognized group label {label!r}\n"), label
+    # so is a product with a factor that is no label, wherever it stands
+    for label in ("C2xfoo", "fooxC2", "C2xC3:C0xC3", "C2xfooxC3"):
+        for command in ("compute", "match"):
+            code, _, err = _main_in_process([command, "--group", label])
+            assert (code, err) == (2, f"error: unrecognized group label {label!r}\n"), label
     # oversize labels are refused before any table is allocated
     for label in ("C20000", "S12", "D100000", "Q65536", "E2^100000000",
                   "C100xC100", "C101:C64"):
@@ -548,9 +553,9 @@ def test_verify_table_lists_inconsistent_verdicts_in_parameter_text_order(
     # text of their parameters sorts
     real = report_mod.check_nonnegative_gap
 
-    def doctored(group, n, r, s):
-        verdict = real(group, n, r, s)
-        return verdict._replace(consistent=False) if n == 2 and r < 0 else verdict
+    def doctored(group, n, points):
+        return [v._replace(consistent=False) if n == 2 and r < 0 else v
+                for v, (r, _) in zip(real(group, n, points), points)]
 
     monkeypatch.setattr(report_mod, "check_nonnegative_gap", doctored)
     spec = tmp_path / "cat.json"

@@ -28,6 +28,7 @@ from orderinv.matching import find_divisibility_matching
 from orderinv.numtheory import (
     FactoredInteger,
     divisor_count,
+    divisor_power_sum,
     divisors,
     factorize,
     totient,
@@ -41,6 +42,7 @@ from orderinv.order_stats import (
     cyclic_profile,
     cyclic_subgroup_count,
     excess_sign,
+    excess_table,
     frobenius_table,
     order_profile,
     product_of_orders,
@@ -184,7 +186,7 @@ def test_excess_cache_keeps_exact_and_float_apart(exact_first):
     # 1, 1.0 and Fraction(1) are one exponent: one memo entry, one exact
     # value, whichever comes first; a float caller never leaves a float
     # reading where an exact caller will find it
-    cyclic_excess.cache_clear()
+    excess_table.cache_clear()
     profile = order_profile(symmetric(3))
     calls = [(1, 2), (1.0, 2.0), (Fraction(1), Fraction(2))]
     results = [cyclic_excess(profile, 6, *rs)
@@ -192,16 +194,16 @@ def test_excess_cache_keeps_exact_and_float_apart(exact_first):
     assert all(type(value) is Fraction for value in results)
     # three order-2 subgroups add 2 * 2^2, the missing C6 takes 6^2 away
     assert results == [2 * 4 - 36] * 3
-    assert cyclic_excess.cache_info().misses == 1
+    assert excess_table.cache_info().misses == 1
 
 
 def test_excess_cache_does_not_keep_domain_errors():
-    cyclic_excess.cache_clear()
+    excess_table.cache_clear()
     profile = order_profile(symmetric(3))
     for _ in range(2):
         with pytest.raises(ParameterDomainViolated):
             cyclic_excess(profile, 4, 0, 1)
-    assert cyclic_excess.cache_info().currsize == 0
+    assert excess_table.cache_info().currsize == 0
 
 
 def test_profiles_are_values():
@@ -221,11 +223,11 @@ def test_profile_twins_share_excess_values():
     twins = [order_profile(g) for g in
              (symmetric(3), dihedral(3), inversion_semidirect(3, 1, 1))]
     assert len({id(p) for p in twins}) == 3 and len(set(twins)) == 1
-    cyclic_excess.cache_clear()
+    excess_table.cache_clear()
     values = [[cyclic_excess(p, n, r, s) for n in divisors(6) for r, s in SMALL_GRID]
               for p in twins]
     assert values[0] == values[1] == values[2]
-    assert cyclic_excess.cache_info().hits == 2 * len(values[0])
+    assert excess_table.cache_info().hits == 2 * len(values[0])
 
 
 def test_profile_twins_share_frobenius_and_matching_entries():
@@ -366,7 +368,7 @@ def test_cyclic_excess_spots():
        st.integers(-3, 3), st.integers(-3, 3), st.sampled_from([int, float, Fraction]))
 def test_integer_excess_is_the_fraction_sum(profile, r, s, kind):
     # the integer path against the defining sum of (c_m - 1) weight(m, r - 1, s)
-    cyclic_excess.cache_clear()
+    excess_table.cache_clear()
     for n in divisors(profile.group_order):
         expected = sum(((profile.cyclic_count(m) - 1) * weight(m, r - 1, s)
                         for m in divisors(n)), Fraction(0))
@@ -460,8 +462,45 @@ def test_named_cases_get_exact_signs_and_consistent_verdicts(label, r, s, sign):
     profile = _named_profile(label)
     assert excess_sign(profile, profile.group_order, r, s) == sign
     if label != "E2^12":
-        verdict = check_nilpotent_sign(group_from_label(label), r, s)
+        [verdict] = check_nilpotent_sign(group_from_label(label), [(r, s)])
         assert verdict.sign == sign and verdict.consistent, verdict
+
+
+# ------------------------------------------- excess tables, weight oracle
+
+def _weight_route(profile, n, r, s):
+    """The excess the independent way: the profile's weighted order sum
+    less the cyclic group's, both through numtheory.weight."""
+    return weighted_order_sum(profile, n, r, s) - divisor_power_sum(n, r, s)
+
+
+def test_excess_table_is_the_weight_route_on_the_cap64_catalog():
+    span = range(-3, 4)
+    for profile in CATALOG_64:
+        for n in divisors(profile.group_order):
+            denominator, rows = excess_table(profile, n, span, span)
+            for r, row in zip(span, rows):
+                for s, numerator in zip(span, row):
+                    value = Fraction(numerator, denominator)
+                    assert value == _weight_route(profile, n, r, s), (profile.key, n, r, s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=3).map(abelian_profile),
+       st.integers(1, 32), st.data())
+def test_excess_table_is_the_weight_route_at_grid_bounds_up_to_32(profile, g, data):
+    # the corners of [-g, g]^2 and drawn points of it, at a drawn divisor
+    excess_table.cache_clear()  # hold one large table at a time
+    span = range(-g, g + 1)
+    n = data.draw(st.sampled_from(divisors(profile.group_order)))
+    points = data.draw(st.lists(st.tuples(st.integers(-g, g), st.integers(-g, g)),
+                                max_size=6))
+    denominator, rows = excess_table(profile, n, span, span)
+    assert len(rows) == len(span) and {len(row) for row in rows} == {len(span)}
+    for r, s in [(-g, -g), (-g, g), (g, -g), (g, g), *points]:
+        value = Fraction(rows[r + g][s + g], denominator)
+        assert value == _weight_route(profile, n, r, s), (profile.key, n, r, s)
+    excess_table.cache_clear()
 
 
 def test_excess_sign_is_indeterminate_beyond_the_digit_budget(monkeypatch):
@@ -469,8 +508,8 @@ def test_excess_sign_is_indeterminate_beyond_the_digit_budget(monkeypatch):
     monkeypatch.setattr(order_stats_mod, "SIGN_DIGITS", 10)
     e2_2 = group_from_label("E2^2")
     assert excess_sign(order_profile(e2_2), 4, Fraction(1, 32), -32) == "indeterminate"
-    for verdict in (check_nilpotent_sign(e2_2, Fraction(1, 32), -32),
-                    check_nonnegative_gap(e2_2, 4, Fraction(1, 32), -32)):
+    for verdict in (*check_nilpotent_sign(e2_2, [(Fraction(1, 32), -32)]),
+                    *check_nonnegative_gap(e2_2, 4, [(Fraction(1, 32), -32)])):
         assert verdict.sign == "indeterminate" and verdict.consistent, verdict
         assert verdict.witness.startswith("excess sign indeterminate at 10 digits")
     # a sum of positive terms only, and an exact zero, need no digits

@@ -20,9 +20,11 @@ from orderinv.catalog import (
     semidirect_label_parts,
 )
 from orderinv.groups import cyclic
-from orderinv.order_stats import frobenius_table
+from orderinv.numtheory import divisor_power_sum, divisors
+from orderinv.order_stats import frobenius_table, order_profile, sign_of, weighted_order_sum
 from orderinv.report import (
     ALL_CLAIMS,
+    DIVISOR_SWEEP_LIMIT,
     diagonal_exponents,
     evaluate_claim,
     group_record,
@@ -337,3 +339,34 @@ def test_rows_expand_to_the_schema_1_verdicts(cap):
         del record["verdicts"]
         assert record == json.loads(json.dumps(group_record(group))), group.label
     assert by_label == {}
+
+
+@pytest.mark.parametrize("bound", [1, 2, 5])
+def test_excess_rows_carry_the_weight_route_sign_at_other_grids(bound):
+    # each excess claim's rows, at every point in the order the claim takes
+    # them, carry the sign of the weighted sums through numtheory.weight
+    assert 48 <= DIVISOR_SWEEP_LIMIT  # so every divisor is swept below
+    groups = list(iter_catalog(default_catalog_spec(48)))
+    by_label = {r["label"]: r for r in records(run_sweep(groups, bound=bound))}
+    nilpotent_rows = 0
+    for group in groups:
+        profile, order = order_profile(group), group.order
+        expected = {
+            "gap-nonneg": [(n, r, s) for n in divisors(order) for r, s in nonneg_pairs(bound)],
+            "gap-diagonal": [(n, r, r) for n in divisors(order)
+                             for r in diagonal_exponents(bound)],
+            "gap-nonpos": [(order, r, s) for r, s in nonpos_pairs(bound)],
+            "nilpotent-sign": [(order, r, s) for r, s in integer_pairs(bound)],
+        }
+        blocks = by_label[group.label]["verdicts"]
+        for claim, points in expected.items():
+            if claim == "nilpotent-sign" and claim not in blocks:
+                continue  # not nilpotent, or cyclic
+            block = blocks[claim]
+            assert block["parameters"] == ["n", "r", "s"]
+            assert [tuple(row[:3]) for row in block["rows"]] == points, (group.label, claim)
+            for n, r, s, sign in (row[:4] for row in block["rows"]):
+                oracle = weighted_order_sum(profile, n, r, s) - divisor_power_sum(n, r, s)
+                assert sign == sign_of(oracle), (group.label, claim, n, r, s)
+        nilpotent_rows += len(blocks.get("nilpotent-sign", {"rows": ()})["rows"])
+    assert nilpotent_rows > 0

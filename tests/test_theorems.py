@@ -61,26 +61,26 @@ MIXED_BAG = [
 def test_domain_gates():
     g = symmetric(3)
     with pytest.raises(ParameterDomainViolated):
-        check_nonnegative_gap(g, 6, 0, 1)  # s > 0
+        check_nonnegative_gap(g, 6, [(0, 1)])  # s > 0
     with pytest.raises(ParameterDomainViolated):
-        check_nonnegative_gap(g, 6, 0, 0)  # s == r
+        check_nonnegative_gap(g, 6, [(0, 0)])  # s == r
     with pytest.raises(ParameterDomainViolated):
-        check_nonnegative_gap(g, 4, 1, 0)  # 4 does not divide 6
+        check_nonnegative_gap(g, 4, [(1, 0)])  # 4 does not divide 6
     with pytest.raises(ParameterDomainViolated):
-        check_diagonal_gap(g, 6, 0)  # r must be negative
+        check_diagonal_gap(g, 6, [0])  # r must be negative
     with pytest.raises(ParameterDomainViolated):
-        check_nonpositive_gap(g, 1, 1)  # needs r <= s-1
+        check_nonpositive_gap(g, [(1, 1)])  # needs r <= s-1
     with pytest.raises(PreconditionViolated):
-        check_nilpotent_sign(g, 1, 0)  # not nilpotent
+        check_nilpotent_sign(g, [(1, 0)])  # not nilpotent
     with pytest.raises(PreconditionViolated):
-        check_nilpotent_sign(cyclic(8), 1, 0)  # cyclic
+        check_nilpotent_sign(cyclic(8), [(1, 0)])  # cyclic
 
 
 # --- nonnegative gap (s < r, s <= 0) ---
 
 
 def test_nonnegative_gap_symmetric3():
-    v = check_nonnegative_gap(symmetric(3), 6, 1, 0)
+    [v] = check_nonnegative_gap(symmetric(3), 6, [(1, 0)])
     assert v.sign == "pos"
     assert v.inequality_holds
     assert not v.equality_condition_holds
@@ -89,7 +89,7 @@ def test_nonnegative_gap_symmetric3():
 
 
 def test_nonnegative_gap_quaternion():
-    v = check_nonnegative_gap(quaternion_generalized(8), 8, 1, 0)
+    [v] = check_nonnegative_gap(quaternion_generalized(8), 8, [(1, 0)])
     assert v.sign == "pos"  # five cyclic subgroups against four divisors
     assert not v.equality_condition_holds
     assert v.consistent
@@ -99,7 +99,7 @@ def test_nonnegative_gap_cyclic_equality():
     for n in (1, 4, 12, 30):
         g = cyclic(n)
         for m in divisors(n):
-            v = check_nonnegative_gap(g, m, 2, -1)
+            [v] = check_nonnegative_gap(g, m, [(2, -1)])
             assert v.sign == "zero"
             assert v.equality_condition_holds
             assert v.consistent
@@ -107,7 +107,7 @@ def test_nonnegative_gap_cyclic_equality():
 
 def test_nonnegative_gap_float_exponent_gets_an_exact_sign():
     # a float exponent is the dyadic rational it is, and its sign is exact
-    v = check_nonnegative_gap(symmetric(3), 6, 0.5, 0.0)
+    [v] = check_nonnegative_gap(symmetric(3), 6, [(0.5, 0.0)])
     assert v.sign == "pos"
     assert v.consistent
 
@@ -123,14 +123,15 @@ def test_nonnegative_gap_consistent_everywhere(idx, r, s):
     if not (s < r):
         r = s + 1
     for n in divisors(g.order):
-        assert check_nonnegative_gap(g, n, r, s).consistent
+        [v] = check_nonnegative_gap(g, n, [(r, s)])
+        assert v.consistent
 
 
 # --- diagonal gap (r = s < 0) ---
 
 
 def test_diagonal_gap_quaternion_is_tight():
-    v = check_diagonal_gap(quaternion_generalized(8), 8, -1)
+    [v] = check_diagonal_gap(quaternion_generalized(8), 8, [-1])
     assert v.sign == "zero"
     assert v.equality_condition_holds
     assert v.consistent
@@ -138,12 +139,12 @@ def test_diagonal_gap_quaternion_is_tight():
 
 
 def test_diagonal_gap_symmetric3():
-    v = check_diagonal_gap(symmetric(3), 6, -1)
+    [v] = check_diagonal_gap(symmetric(3), 6, [-1])
     assert v.sign == "pos"
     assert not v.equality_condition_holds
     assert v.consistent
     # order 3 part is fine: unique subgroup of order 3
-    v3 = check_diagonal_gap(symmetric(3), 3, -1)
+    [v3] = check_diagonal_gap(symmetric(3), 3, [-1])
     assert v3.sign == "zero"
     assert v3.equality_condition_holds
     assert v3.consistent
@@ -152,7 +153,7 @@ def test_diagonal_gap_symmetric3():
 def test_diagonal_gap_nilpotent_groups_vanish_at_full_order():
     for g in NILPOTENT_NONCYCLIC:
         for r in (-1, -2, -3):
-            v = check_diagonal_gap(g, g.order, r)
+            [v] = check_diagonal_gap(g, g.order, [r])
             assert v.sign == "zero"
             assert v.consistent
 
@@ -160,19 +161,18 @@ def test_diagonal_gap_nilpotent_groups_vanish_at_full_order():
 def test_diagonal_gap_cap_fallback_still_answers():
     # order 202: the subgroup route runs at every divisor, at any order
     big = dihedral(101)
-    v = check_diagonal_gap(big, 2, -1)
+    [v] = check_diagonal_gap(big, 2, [-1])
     assert v.witness == "equality_route: both-agree"
     assert v.consistent
-    whole = check_diagonal_gap(big, 202, -1)
+    [whole] = check_diagonal_gap(big, 202, [-1])
     assert whole.witness == "equality_route: both-agree"
-    assert check_diagonal_gap(big, 1, -1).sign == "zero"
+    assert [v.sign for v in check_diagonal_gap(big, 1, [-1])] == ["zero"]
 
 
 def test_diagonal_gap_takes_both_routes_above_order_200():
     # every divisor of every cap-256 catalog group above order 200
-    verdicts = [check_diagonal_gap(g, n, -1)
-                for g in iter_catalog(default_catalog_spec(256)) if g.order > 200
-                for n in divisors(g.order)]
+    verdicts = [v for g in iter_catalog(default_catalog_spec(256)) if g.order > 200
+                for n in divisors(g.order) for v in check_diagonal_gap(g, n, [-1])]
     assert len(verdicts) == 805
     assert len({v.group for v in verdicts}) == 122
     assert all(v.consistent and v.witness == "equality_route: both-agree"
@@ -183,23 +183,24 @@ def test_diagonal_gap_all_divisors_consistent():
     for g in MIXED_BAG:
         for n in divisors(g.order):
             for r in (-1, -2):
-                assert check_diagonal_gap(g, n, r).consistent
+                [v] = check_diagonal_gap(g, n, [r])
+                assert v.consistent
 
 
 # --- nonpositive gap (r <= s-1, s >= 1) ---
 
 
 def test_nonpositive_gap_spot_values():
-    v = check_nonpositive_gap(symmetric(3), 0, 1)
+    [v] = check_nonpositive_gap(symmetric(3), [(0, 1)])
     assert v.sign == "neg"
     assert v.consistent
-    assert check_nonpositive_gap(elementary_abelian(2, 2), 0, 1).sign == "neg"
-    assert check_nonpositive_gap(quaternion_generalized(8), 0, 1).sign == "neg"
+    for g in (elementary_abelian(2, 2), quaternion_generalized(8)):
+        assert [v.sign for v in check_nonpositive_gap(g, [(0, 1)])] == ["neg"]
 
 
 def test_nonpositive_gap_cyclic_equality():
     for n in (1, 6, 16, 30):
-        v = check_nonpositive_gap(cyclic(n), 0, 1)
+        [v] = check_nonpositive_gap(cyclic(n), [(0, 1)])
         assert v.sign == "zero"
         assert v.equality_condition_holds
         assert v.consistent
@@ -207,7 +208,7 @@ def test_nonpositive_gap_cyclic_equality():
 
 def test_nonpositive_gap_float_exponent_gets_an_exact_sign():
     # a float exponent is the dyadic rational it is, and its sign is exact
-    v = check_nonpositive_gap(symmetric(3), 0.5, 1.5)
+    [v] = check_nonpositive_gap(symmetric(3), [(0.5, 1.5)])
     assert v.sign == "neg"
     assert v.consistent
 
@@ -221,7 +222,8 @@ def test_nonpositive_gap_float_exponent_gets_an_exact_sign():
 def test_nonpositive_gap_consistent_everywhere(idx, s, r):
     if r > s - 1:
         r = s - 1
-    assert check_nonpositive_gap(MIXED_BAG[idx], r, s).consistent
+    [v] = check_nonpositive_gap(MIXED_BAG[idx], [(r, s)])
+    assert v.consistent
 
 
 # --- nilpotent sign ---
@@ -229,13 +231,12 @@ def test_nonpositive_gap_consistent_everywhere(idx, s, r):
 
 def test_nilpotent_sign_klein_grid():
     g = elementary_abelian(2, 2)
-    assert check_nilpotent_sign(g, 2, 1).sign == "pos"
-    assert check_nilpotent_sign(g, 1, 1).sign == "zero"
-    assert check_nilpotent_sign(g, 1, 2).sign == "neg"
+    signs = [v.sign for v in check_nilpotent_sign(g, [(2, 1), (1, 1), (1, 2)])]
+    assert signs == ["pos", "zero", "neg"]
 
 
 def test_nilpotent_sign_quaternion():
-    v = check_nilpotent_sign(quaternion_generalized(8), 0, 1)
+    [v] = check_nilpotent_sign(quaternion_generalized(8), [(0, 1)])
     assert v.sign == "neg"
     assert v.consistent
 
@@ -244,7 +245,8 @@ def test_nilpotent_sign_full_grid():
     for g in NILPOTENT_NONCYCLIC:
         for r in range(-3, 4):
             for s in range(-3, 4):
-                assert check_nilpotent_sign(g, r, s).consistent
+                [v] = check_nilpotent_sign(g, [(r, s)])
+                assert v.consistent
 
 
 def test_nilpotent_excess_vanishes_on_diagonal_only_when_nilpotent():
@@ -273,7 +275,7 @@ def test_min_cyclic_subgroups_spots():
 def test_min_cyclic_count_agrees_with_origin_adjacent_gap():
     # the (1,0) excess at n = |G| literally counts surplus cyclic subgroups
     for g in MIXED_BAG:
-        gap = check_nonnegative_gap(g, g.order, 1, 0)
+        [gap] = check_nonnegative_gap(g, g.order, [(1, 0)])
         mini = check_min_cyclic_subgroups(g)
         assert gap.sign == mini.sign
 
