@@ -317,7 +317,7 @@ def _run_match(args) -> int:
                              " not a violation\n")
         output = f"group {group.label} (order {group.order}): {status}\n" + "".join(lines)
     _emit(output, args.out)
-    return 0 if _matching_verdict(group).consistent else 1
+    return 0 if _matching_verdict(group, matching).consistent else 1
 
 
 def _run_example(args) -> int:

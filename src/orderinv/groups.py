@@ -1,18 +1,23 @@
-"""Explicit finite groups as dense Cayley tables.
+"""Explicit finite groups as Cayley tables.
 
 A group of order n lives on indices 0..n-1 with the identity pinned at
 index 0.  Instances are immutable and carry their element orders, so all
-order statistics downstream are pure table reads.
+order statistics downstream read those, not the table.
 
-Trusted family constructors check nothing: their tables come from
-``_metacyclic_rows`` (cyclic, dihedral, quaternion, semidirect) or
-``_product_rows`` (direct and elementary abelian products), correct by
-construction, and tests and ``verify --paranoid`` send them through the
-untrusted path.  The untrusted entry points validate: ``from_permutations``
-(group files, symmetric, A5) scans for a Latin square with identity, and
-``from_cayley_table`` adds Light's associativity test, O(n^2 log n).  Every
-constructor checks the order against ``MAX_ORDER`` before it allocates
-anything, so no input can ask for an unbounded table.
+Trusted family constructors check nothing.  Their tables are LazyTables,
+correct by construction, whose rows are built on first read:
+``_MetacyclicTable`` (cyclic, dihedral, quaternion, semidirect) slices
+each row out of the family's lanes, and ``_ProductTable`` (direct and
+elementary abelian products) joins each row from one row of each factor.
+The table routes read only the rows of the elements they start from:
+``cyclic_powers`` reads the row of x, ``generated`` the generators' rows.
+Tests and ``verify --paranoid`` send the trusted tables, every row built,
+through the untrusted path.  The untrusted entry points validate and keep
+a dense tuple of row tuples: ``from_permutations`` (group files,
+symmetric, A5) scans for a Latin square with identity, and
+``from_cayley_table`` adds Light's associativity test, O(n^2 log n).
+Every constructor checks the order against ``MAX_ORDER`` before it
+allocates anything, so no input can ask for an unbounded table.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from __future__ import annotations
 import re
 import weakref
 from functools import wraps
-from itertools import chain
 from math import factorial, gcd
 from operator import eq, itemgetter
 
@@ -83,12 +87,13 @@ class FiniteGroup(Frozen):
     """Immutable, weakly referenceable multiplication structure; equality is identity.
 
     mul[i][j] is the product of elements i and j, inv[i] the inverse,
-    element_orders[i] the multiplicative order of i.
+    element_orders[i] the multiplicative order of i.  ``mul`` is a tuple
+    of row tuples, or a LazyTable that builds each row on first read.
     """
 
     __slots__ = ("order", "mul", "inv", "element_orders", "label", "__weakref__")
 
-    def __init__(self, order: int, mul: tuple, inv: tuple, element_orders: tuple, label: str):
+    def __init__(self, order: int, mul, inv: tuple, element_orders: tuple, label: str):
         for name, value in zip(self.__slots__, (order, mul, inv, element_orders, label)):
             object.__setattr__(self, name, value)
 
@@ -164,16 +169,17 @@ def _check_associative(mul) -> None:
 
 
 def generated(mul, gens, limit: int | None = None) -> frozenset[int]:
-    """The subgroup generated by ``gens``: {0} closed under right
-    multiplication by them, which in a finite group supplies the inverses.
-    With a ``limit``, the walk stops as soon as it has more elements than
-    that, and returns those: a set larger than ``limit`` but no subgroup."""
+    """The subgroup generated by ``gens``: {0} closed under left
+    multiplication by them, which in a finite group supplies the inverses,
+    so only the generators' rows are read.  With a ``limit``, the walk
+    stops as soon as it has more elements than that, and returns those: a
+    set larger than ``limit`` but no subgroup."""
+    rows = [mul[g] for g in gens]
     found = {0}
     words = [0]
     for x in words:  # grows while it is walked: BFS order
-        row = mul[x]
-        for g in gens:
-            y = row[g]
+        for row in rows:
+            y = row[x]
             if y not in found:
                 found.add(y)
                 words.append(y)
@@ -183,15 +189,16 @@ def generated(mul, gens, limit: int | None = None) -> frozenset[int]:
 
 
 def cyclic_powers(mul, x: int) -> list[int]:
-    """[x^0, x^1, ..., x^(k-1)] for x of order k."""
+    """[x^0, x^1, ..., x^(k-1)] for x of order k, read off the row of x."""
+    row = mul[x]
     powers = [0]
     y = x
-    while y != 0:
+    for _ in row:  # at most |G| steps: bounds the walk on a table nobody validated
+        if y == 0:
+            return powers
         powers.append(y)
-        if len(powers) > len(mul):  # bounds the walk on a table nobody validated
-            raise NotClosed(f"powers of element {x} do not return to identity")
-        y = mul[y][x]
-    return powers
+        y = row[y]
+    raise NotClosed(f"powers of element {x} do not return to identity")
 
 
 def _orders_and_inverses(mul) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -210,9 +217,9 @@ def _orders_and_inverses(mul) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(orders), tuple(inv)
 
 
-def _build(mul_rows, label: str) -> FiniteGroup:
-    """No check: the caller validated the table or built it correct."""
-    mul = tuple(map(tuple, mul_rows))
+def _build(mul, label: str) -> FiniteGroup:
+    """No check: the caller validated the table, a tuple of row tuples, or
+    it is a family's LazyTable, correct by construction."""
     orders, inv = _orders_and_inverses(mul)
     return FiniteGroup(len(mul), mul, inv, orders, label)
 
@@ -291,55 +298,109 @@ def from_permutations(gens: PermutationGenSet, label: str) -> FiniteGroup:
 
 # ----------------------------------------------------------- families
 
-def _product_rows(mul_a, mul_b) -> list[tuple[int, ...]]:
-    """Table of A x B on pairs indexed i_a * |B| + i_b: row (xa, xb) chains,
-    for each entry v of row xa of A, row xb of B shifted by v * |B|."""
-    nb = len(mul_b)
-    blocks = [tuple(range(v * nb, (v + 1) * nb)) for v in range(len(mul_a))]
-    rows = [()] * (len(mul_a) * nb)
-    for xb, row_b in enumerate(mul_b):
-        shifted = [tuple(map(block.__getitem__, row_b)) for block in blocks]
-        rows[xb::nb] = [
-            tuple(chain.from_iterable(map(shifted.__getitem__, row_a)))
-            for row_a in mul_a
-        ]
-    return rows
+def _joined(parts) -> tuple[int, ...]:
+    """The tuples of ``parts`` end to end: a list takes each part in one
+    copy, where a chain would visit every item."""
+    row = []
+    for part in parts:
+        row += part
+    return tuple(row)
 
 
-def _metacyclic_rows(m: int, k: int, t: int, c: int) -> list[tuple[int, ...]]:
+class LazyTable(Frozen):
+    """A trusted family's Cayley table whose rows are built on first read:
+    ``table[x]`` is the row of x, a tuple made by ``_row`` once and kept.
+    It equals the tuple of its rows; iterating it builds every row."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, order: int):
+        object.__setattr__(self, "_rows", [None] * order)
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __getitem__(self, x: int) -> tuple[int, ...]:
+        row = self._rows[x]
+        if row is None:
+            row = self._rows[x] = self._row(x % len(self._rows))
+        return row
+
+    def __eq__(self, other):
+        if isinstance(other, LazyTable):
+            other = tuple(other)
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    @property
+    def rows_built(self) -> int:
+        return len(self._rows) - self._rows.count(None)
+
+
+class _MetacyclicTable(LazyTable):
     """Table of <a, b | a^m = 1, b^k = a^c, b a b^-1 = a^t> on a^i b^j at
     index i + m*j, for t^k = 1 and c*(t - 1) = 0 (mod m).
 
     Row a^i1 b^j1 is a^(i1 + s*i2) b^(j1 + j2), s = t^j1, times a^c where
-    j1 + j2 wraps: k windows of the lane s*i2 mod m, run twice.  A later j1
-    with the s of an earlier j0 is row (i1, j0) moved left j1 - j0 blocks,
-    then the head of row (i1 + c, j0)."""
-    cells = tuple(range(m * k))  # one int object per element, shared by the rows
-    rows = [()] * (m * k)
-    first = {}  # t^j1 mod m -> the first j1 acting by it
-    for j1 in range(k):
-        s, block = pow(t, j1, m), slice(m * j1, m * j1 + m)
-        j0 = m * first.setdefault(s, j1)
-        if d := m * j1 - j0:
-            rows[block] = [rows[i + j0][d:] + rows[(i + c) % m + j0][:d] for i in range(m)]
-            continue
-        lane = [s * i % m for i in range(m)] * 2
-        blocks = list(map(itemgetter(*lane), [cells[m * j : m * j + m] for j in range(k)]))
-        # window o of a block is the lane of row i1 = s*o; wrapped blocks read row i1 + c's
-        here = [slice(o, o + m) for o in sorted(range(m), key=lane.__getitem__)]
-        wrapped = here[c % m :] + here[: c % m]
-        windows = zip(*[map(b.__getitem__, here) for b in blocks[j1:]],
-                      *[map(b.__getitem__, wrapped) for b in blocks[:j1]])
-        # one concatenation joins two windows; more are chained, as a sum is quadratic in k
-        rows[block] = [sum(w, ()) if k <= 2 else tuple(chain.from_iterable(w)) for w in windows]
-    return rows
+    j1 + j2 wraps.  Its block at j1 + j2 = j is a window of m cells of
+    lane s at j: the cells m*j + (s*o mod m) for o in 0..2m-1, entered at
+    o = i1/s (or (i1 + c)/s where it wraps).  One lane per s, from one
+    tuple of the n cells, so every row shares the same n int objects."""
+
+    __slots__ = ("m", "k", "t", "c", "_cells", "_lanes")
+
+    def __init__(self, m: int, k: int, t: int, c: int):
+        super().__init__(m * k)
+        for name, value in zip(self.__slots__, (m, k, t, c, tuple(range(m * k)), {})):
+            object.__setattr__(self, name, value)
+
+    def _lane(self, s: int) -> tuple[int, list[tuple[int, ...]]]:
+        """1/s mod m and the k blocks of lane s, made once per s."""
+        m, cells = self.m, self._cells
+        pick = itemgetter(*[s * o % m for o in range(m)] * 2)
+        lane = (pow(s, -1, m), [pick(cells[j:j + m]) for j in range(0, len(cells), m)])
+        self._lanes[s] = lane
+        return lane
+
+    def _row(self, x: int) -> tuple[int, ...]:
+        m = self.m
+        i, j = x % m, x // m
+        s = pow(self.t, j, m)
+        s_inv, blocks = self._lanes.get(s) or self._lane(s)
+        o, wrapped = i * s_inv % m, (i + self.c) * s_inv % m
+        windows = [b[o:o + m] for b in blocks[j:]] + [b[wrapped:wrapped + m] for b in blocks[:j]]
+        return windows[0] if self.k == 1 else _joined(windows)
+
+
+class _ProductTable(LazyTable):
+    """Table of A x B on pairs indexed i_a * |B| + i_b, where block v holds
+    the cells v*|B| .. v*|B| + |B| - 1.  Row (xa, 0) is the blocks in the
+    order of row xa of A, and row (0, xb) each block picked by row xb of B.
+    Every other row, of (xa, xb) = (0, xb)(xa, 0), is row (0, xb) read at
+    the entries of row (xa, 0): one pick, and no factor row is read."""
+
+    __slots__ = ("a", "b", "_blocks")
+
+    def __init__(self, a, b):
+        super().__init__(len(a) * len(b))
+        cells, nb = tuple(range(len(a) * len(b))), len(b)
+        blocks = [cells[v:v + nb] for v in range(0, len(cells), nb)]
+        for name, value in zip(self.__slots__, (a, b, blocks)):
+            object.__setattr__(self, name, value)
+
+    def _row(self, x: int) -> tuple[int, ...]:
+        xa, xb = divmod(x, len(self._blocks[0]))
+        if xa and xb:
+            return itemgetter(*self[x - xb])(self[xb])
+        if xb:
+            return _joined(map(itemgetter(*self.b[xb]), self._blocks))
+        return _joined(map(self._blocks.__getitem__, self.a[xa]))
 
 
 def cyclic(n: int) -> FiniteGroup:
     _require_order(n, f"C{n}")
     if n < 1:
         raise GroupConstructionError(f"cyclic group needs order >= 1, got {n}")
-    return _build(_metacyclic_rows(n, 1, 1, 0), f"C{n}")
+    return _build(_MetacyclicTable(n, 1, 1, 0), f"C{n}")
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -348,7 +409,7 @@ def dihedral(n: int) -> FiniteGroup:
     _require_order(2 * n, f"D{n} of order {2 * n}")
     if n < 1:
         raise GroupConstructionError(f"dihedral parameter must be >= 1, got {n}")
-    return _build(_metacyclic_rows(n, 2, -1, 0), f"D{n}")
+    return _build(_MetacyclicTable(n, 2, -1, 0), f"D{n}")
 
 
 def quaternion_generalized(order: int) -> FiniteGroup:
@@ -359,7 +420,7 @@ def quaternion_generalized(order: int) -> FiniteGroup:
             f"generalized quaternion groups exist for 2-power orders >= 8, got {order}"
         )
     m = order // 2  # index of the cyclic half <a>; b^2 = a^(m/2), b a b^-1 = a^-1
-    return _build(_metacyclic_rows(m, 2, -1, m // 2), f"Q{order}")
+    return _build(_MetacyclicTable(m, 2, -1, m // 2), f"Q{order}")
 
 
 def symmetric(k: int) -> FiniteGroup:
@@ -378,18 +439,23 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
     _require_order(p ** min(k, _CAP_BITS), f"E{p}^{k}")  # before the primality test
     if not is_prime(p):
         raise GroupConstructionError(f"elementary abelian base {p} is not prime")
-    # the k-fold product of C_p, digits added independently in any order
-    mul = cp = _metacyclic_rows(p, 1, 1, 0)
-    for _ in range(k - 1):
-        mul = _product_rows(cp, mul)
-    return _build(mul, f"E{p}^{k}")
+    return _build(_elementary_table(p, k), f"E{p}^{k}")
+
+
+def _elementary_table(p: int, k: int) -> LazyTable:
+    """Digits added independently: E_p^k is E_p^h x E_p^(k-h) on its first
+    h digits and the rest, split in half so each factor has about
+    sqrt(p^k) elements and the rows it keeps stay few."""
+    if k == 1:
+        return _MetacyclicTable(p, 1, 1, 0)
+    return _ProductTable(_elementary_table(p, k // 2), _elementary_table(p, k - k // 2))
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """Componentwise product on pairs, indexed as i_a * |b| + i_b."""
     label = f"{a.label}x{b.label}"
     _require_order(a.order * b.order, f"{label} of order {a.order * b.order}")
-    return _build(_product_rows(a.mul, b.mul), label)
+    return _build(_ProductTable(a.mul, b.mul), label)
 
 
 def inversion_semidirect(m: int, beta: int, u: int) -> FiniteGroup:
@@ -414,4 +480,4 @@ def inversion_semidirect(m: int, beta: int, u: int) -> FiniteGroup:
         raise ParityViolated(f"m = {m} must be odd")
     if beta % 2 == 0:
         raise ParityViolated(f"beta = {beta} must be odd")
-    return _build(_metacyclic_rows(m, alpha, -1, 0), f"C{m}:C{alpha}")
+    return _build(_MetacyclicTable(m, alpha, -1, 0), f"C{m}:C{alpha}")

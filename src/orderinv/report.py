@@ -97,13 +97,15 @@ def _sweep_orders(group: FiniteGroup) -> list[int]:
     return [group.order]
 
 
-def _matching_verdict(group: FiniteGroup) -> TheoremVerdict:
+def _matching_verdict(group: FiniteGroup, matching: dict | None = None) -> TheoremVerdict:
     """Solvable groups always admit a divisibility matching.
 
     For non-solvable groups the claim is an open question, so a missing
     matching there is recorded but never counted as an inconsistency.
+    ``matching`` is the group's ``matching_as_json`` when the caller has it.
     """
-    matching = matching_as_json(order_profile(group))
+    if matching is None:
+        matching = matching_as_json(order_profile(group))
     found = matching["status"] == "found"
     verified = matching["verified"]
     solvable = is_solvable(group)
@@ -126,9 +128,11 @@ def _matching_verdict(group: FiniteGroup) -> TheoremVerdict:
 
 
 def evaluate_claim(
-    group: FiniteGroup, claim: str, bound: int = DEFAULT_GRID_BOUND
+    group: FiniteGroup, claim: str, bound: int = DEFAULT_GRID_BOUND,
+    matching: dict | None = None,
 ) -> list[TheoremVerdict]:
-    """All verdicts one claim produces for one group, [] when it does not apply."""
+    """All verdicts one claim produces for one group, [] when it does not
+    apply; divisibility-matching reads ``matching`` when it is given."""
     if claim == "frobenius-divisibility":
         return [check_frobenius_divisibility(group)]
     if claim == "min-cyclic-count":
@@ -160,7 +164,7 @@ def evaluate_claim(
         m, beta, u = parts
         return [check_semidirect_count(m, beta, u, grid=bound, group=group)]
     if claim == "divisibility-matching":
-        return [_matching_verdict(group)]
+        return [_matching_verdict(group, matching)]
     raise ValueError(f"unknown claim {claim!r}")
 
 
@@ -215,9 +219,8 @@ def group_invariants(group: FiniteGroup, profile) -> dict:
     }
 
 
-@lru_cache(maxsize=1024)
 def _excess_grid(profile, bound: int) -> tuple[tuple[int, int, str], ...]:
-    # keyed by profile value, as twins have one grid; the claims at n = |G| read its table
+    # the claims at n = |G| read the same excess table
     span = range(-bound, bound + 1)
     denominator, rows = excess_table(profile, profile.group_order, span, span)
     return tuple((r, s, str(Fraction(numerator, denominator)))
@@ -302,7 +305,7 @@ def run_sweep(
         blocks: dict[str, dict] = {}
         for claim in selected:
             try:
-                results = evaluate_claim(group, claim, bound=bound)
+                results = evaluate_claim(group, claim, bound, record.get("matching"))
                 if results:
                     blocks[claim] = verdict_rows(results)
             except Exception as exc:  # noqa: BLE001

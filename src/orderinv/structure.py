@@ -12,7 +12,6 @@ table, and predicates on it read that table: none is rebuilt on its own.
 from __future__ import annotations
 
 from math import gcd
-from operator import itemgetter
 
 from .groups import FiniteGroup, cyclic_powers, generated, per_group
 from .numtheory import factorize
@@ -91,12 +90,24 @@ def is_cyclic(group: FiniteGroup) -> bool:
 
 
 def is_closed(group: FiniteGroup, elements: list[int]) -> bool:
-    """Whether every product of two of ``elements`` is one of them."""
-    members = set(elements)
+    """Whether every product of two of ``elements`` is one of them.
+
+    A nonempty set S closed under the product is the subgroup <S>.  So S
+    is closed iff a greedy closure stays inside it: each element outside
+    the closure so far joins the generators, and the closure, capped at
+    |S| elements, must remain a subset of S.  At most log2 |S| + 1
+    generators, so only their rows are read."""
+    members = frozenset(elements)
     if len(members) == group.order:  # the whole group
         return True
-    pick = itemgetter(0, *elements)  # x * 0 = x; a tuple even for one element
-    return all(members.issuperset(pick(group.mul[x])) for x in elements)
+    gens, closure = (), frozenset({0})
+    for x in members:
+        if x not in closure:
+            gens += (x,)
+            closure = generated(group.mul, gens, limit=len(members))
+            if not closure <= members:
+                return False
+    return True
 
 
 @per_group
@@ -138,7 +149,8 @@ def is_solvable(group: FiniteGroup) -> bool:
     mul, inv = group.mul, group.inv
     gens, current = _greedy_closure(group, list(range(group.order - 1, 0, -1)))
     while len(current) > 1:
-        commutators = [mul[mul[inv[x]][inv[y]]][mul[x][y]] for x in gens for y in gens]
+        # x^-1 (y^-1 (x y)): only the rows of the generators and their inverses
+        commutators = [mul[inv[x]][mul[inv[y]][mul[x][y]]] for x in gens for y in gens]
         gens, derived = _greedy_closure(group, commutators, gens)
         if derived == current:
             return False

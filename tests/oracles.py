@@ -15,7 +15,6 @@ from orderinv.groups import FiniteGroup, OrderCapExceeded, from_cayley_table, ge
 from orderinv.numtheory import FactoredInteger, divisors, factorize, weight
 from orderinv.order_stats import OrderProfile, frobenius_table, require_divisor
 from orderinv.report import write_json, write_report
-from orderinv.structure import is_closed
 
 ENUMERATION_CAP = 200  # enumerate_subgroups refuses larger groups
 
@@ -129,6 +128,13 @@ def product_of_orders_direct(profile: OrderProfile) -> FactoredInteger:
     return factored_product((factorize(d), a) for d, a in profile.counts.items())
 
 
+def is_closed_by_every_product(group: FiniteGroup, elements) -> bool:
+    """Whether every product x * y of two of ``elements`` is one of them,
+    read cell by cell: |S|^2 table reads."""
+    members = set(elements)
+    return all(group.mul[x][y] in members for x in members for y in members)
+
+
 def enumerate_subgroups(group: FiniteGroup) -> tuple[frozenset[int], ...]:
     """All subgroups as sets of element indices, sorted by (order, indices).
 
@@ -158,7 +164,7 @@ def enumerate_subgroups(group: FiniteGroup) -> tuple[frozenset[int], ...]:
                 found[join] = gens
                 queue.append((join, gens))
     for sub in found:
-        assert is_closed(group, list(sub)) and group.order % len(sub) == 0
+        assert is_closed_by_every_product(group, sub) and group.order % len(sub) == 0
     return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
 
 

@@ -1,6 +1,9 @@
 """Group model: constructors, validation of untrusted tables, order laws."""
 
+import copy
+import pickle
 import re
+import sys
 import tracemalloc
 from collections import Counter
 from enum import IntEnum
@@ -24,6 +27,7 @@ from orderinv.groups import (
     CoprimalityViolated,
     FiniteGroup,
     GroupConstructionError,
+    LazyTable,
     NoIdentity,
     NotAssociative,
     NotClosed,
@@ -39,7 +43,7 @@ from orderinv.groups import (
     inversion_semidirect,
     quaternion_generalized,
     _check_latin_and_identity,
-    _metacyclic_rows,
+    _MetacyclicTable,
     _orders_and_inverses,
     cyclic_powers,
     is_int,
@@ -316,7 +320,7 @@ def metacyclic_parameters(draw):
 @settings(max_examples=200, deadline=None)
 @given(metacyclic_parameters())
 def test_metacyclic_table_is_a_group_with_arithmetic_orders(params):
-    g = from_cayley_table(_metacyclic_rows(*params), "M")  # Latin and Light
+    g = from_cayley_table(_MetacyclicTable(*params), "M")  # Latin and Light
     assert g.element_orders == metacyclic_orders(*params)
 
 
@@ -688,6 +692,80 @@ def test_semidirect_table_matches_formula(m, beta, u):
         return
     alpha = 2**u * beta
     assert inversion_semidirect(m, beta, u).mul == semidirect_by_cells(m, alpha)
+
+
+# ---------------------------------------------------------- lazy tables
+
+LAZY_BY_CELLS = [  # (group, its table cell by cell) for every lazy builder
+    (lambda: cyclic(9), lambda: tuple(tuple((i + j) % 9 for j in range(9)) for i in range(9))),
+    (lambda: dihedral(7), lambda: dihedral_by_cells(7)),
+    (lambda: quaternion_generalized(16), lambda: quaternion_by_cells(16)),
+    (lambda: inversion_semidirect(5, 3, 2), lambda: semidirect_by_cells(5, 12)),
+    (lambda: elementary_abelian(3, 3), lambda: elementary_abelian_by_cells(3, 3)),
+    (lambda: direct_product(dihedral(3), cyclic(4)),
+     lambda: direct_product_by_cells(dihedral(3), cyclic(4))),
+    (lambda: direct_product(cyclic(5), symmetric(3)),  # a dense factor
+     lambda: direct_product_by_cells(cyclic(5), symmetric(3))),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(LAZY_BY_CELLS), st.data())
+def test_lazy_rows_read_in_any_order_match_the_cells(case, data):
+    group, expected = case[0](), case[1]()
+    order = data.draw(st.permutations(range(group.order)))
+    for x in order:
+        assert group.mul[x] == expected[x], x
+    assert group.mul.rows_built == group.order and group.mul == expected
+
+
+def test_lazy_table_is_the_sequence_of_its_rows():
+    g = cyclic(5)
+    mul = g.mul
+    assert isinstance(mul, LazyTable) and mul.rows_built == 1  # the walk of 1 read row 1
+    assert len(mul) == 5 and mul[-1] == mul[4] == (4, 0, 1, 2, 3)
+    assert mul.rows_built == 2
+    rows = tuple(mul)
+    assert mul.rows_built == 5 and list(mul) == list(rows)
+    assert mul == rows and rows == mul and mul == cyclic(5).mul
+    assert mul != cyclic(6).mul and mul != [list(row) for row in rows] and mul != rows[:4]
+    with pytest.raises(IndexError):
+        mul[5]
+
+
+def test_lazy_tables_survive_copy_and_pickle():
+    for g in (cyclic(7), dihedral(5), elementary_abelian(2, 4),
+              direct_product(quaternion_generalized(8), cyclic(3)),
+              direct_product(symmetric(3), dihedral(4))):
+        built = g.mul.rows_built
+        for clone in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+            assert type(clone.mul) is type(g.mul) and clone.mul.rows_built == built
+            assert (clone.label, clone.inv, clone.element_orders) == (
+                g.label, g.inv, g.element_orders)
+            assert clone.mul == g.mul  # rows built after the round trip
+        assert copy.copy(g).mul is g.mul
+
+
+def test_lazy_rows_share_one_int_object_per_element():
+    # a row made of fresh ints would hold one object per cell, not a reference
+    for g in (cyclic(300), dihedral(150), quaternion_generalized(512),
+              inversion_semidirect(25, 3, 2), elementary_abelian(2, 9),
+              direct_product(cyclic(2), dihedral(75)), direct_product(symmetric(3), cyclic(60))):
+        assert len(set(map(id, chain.from_iterable(g.mul)))) == g.order, g
+
+
+def test_product_table_holds_its_rows_and_little_else():
+    # E2^10 as C2 x E2^9 keeping its factor rows held a third more; blocks kept per row, double
+    for build in (lambda: elementary_abelian(2, 10), lambda: elementary_abelian(3, 6)):
+        tracemalloc.start()
+        try:
+            g = build()
+            rows = tuple(g.mul)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = sum(map(sys.getsizeof, rows)) + sys.getsizeof(g.mul._rows)
+        assert peak < 1.1 * held, (g, peak, held)
 
 
 class Cell(IntEnum):

@@ -19,7 +19,8 @@ from orderinv.catalog import (
     iter_catalog,
     semidirect_label_parts,
 )
-from orderinv.groups import cyclic
+from orderinv.groups import LazyTable, cyclic
+from orderinv.matching import verify_matching
 from orderinv.numtheory import divisor_power_sum, divisors
 from orderinv.order_stats import frobenius_table, order_profile, sign_of, weighted_order_sum
 from orderinv.report import (
@@ -191,6 +192,49 @@ def test_streamed_sweep_holds_one_table_at_a_time():
     # one group's work, where holding every table would add all 13.7 MB
     beyond_report = peak - _deep_size(payload, set())
     assert beyond_report < tables / 2, (beyond_report, tables)
+
+
+def test_cap64_sweep_builds_about_a_third_of_the_table_rows():
+    # the claims read the rows of the elements they start from: 35% of them
+    # at cap 64, where a bulk build would make every row
+    tables = []
+
+    def stream():
+        for group in iter_catalog(default_catalog_spec(64)):
+            tables.append(group.mul)
+            yield group
+
+    run_sweep(stream())
+    lazy = [t for t in tables if isinstance(t, LazyTable)]
+    assert len(lazy) == len(tables) - 5  # S1 to S4 and A5 come from permutations
+    built, rows = sum(t.rows_built for t in lazy), sum(map(len, lazy))
+    assert built < 0.4 * rows, (built, rows)
+
+
+def test_large_grid_sweep_keeps_no_grid_beyond_its_record():
+    # a memo of each profile's grid strings took this peak to 4.7 MB
+    spec = default_catalog_spec(12)
+    with time_limit(10):
+        tracemalloc.start()
+        try:
+            run_sweep(iter_catalog(spec), claims=[], bound=16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 2.2e6, peak  # 1.76 MB measured, 33 records of 1089 grid cells
+
+
+def test_sweep_verifies_each_matching_once(monkeypatch):
+    calls = Counter()
+
+    def counted(profile, matching):
+        calls[profile] += 1
+        return verify_matching(profile, matching)
+
+    monkeypatch.setattr(report_mod, "verify_matching", counted)
+    groups = list(iter_catalog(default_catalog_spec(16)))
+    payload = run_sweep(groups)
+    assert sum(calls.values()) == payload["summary"]["matchings_found"] == len(groups)
 
 
 def test_duplicate_group_labels_rejected():

@@ -24,7 +24,7 @@ from orderinv.groups import (
 from orderinv.numtheory import divisor_count, divisors
 from orderinv.order_stats import frobenius_table, order_profile
 from deadline import time_limit
-from oracles import enumerate_subgroups, subgroup_as_group
+from oracles import enumerate_subgroups, is_closed_by_every_product, subgroup_as_group
 from synthetic import relabelled_table
 from orderinv.structure import (
     _cyclic_generator_map,
@@ -312,9 +312,36 @@ def test_cyclic_generator_map_matches_visiting_every_element(data):
 def test_is_closed_matches_every_product(group, data):
     elements = data.draw(st.lists(
         st.integers(0, group.order - 1), min_size=1, unique=True))
-    members = set(elements)
-    expected = all(group.mul[x][y] in members for x in elements for y in elements)
-    assert is_closed(group, elements) == expected
+    assert is_closed(group, elements) == is_closed_by_every_product(group, elements)
+
+
+@st.composite
+def subgroups_and_near_misses(draw):
+    """A group of S4, D6, Q16 and E2^3 and a set of its elements: a
+    subgroup, one with an element dropped (0 too) or added, or any set."""
+    group = draw(st.sampled_from(CLOSURE_SOURCES))
+    everything = range(group.order)
+    kind = draw(st.sampled_from(["subgroup", "dropped", "added", "any"]))
+    if kind == "any":
+        return group, draw(st.lists(st.sampled_from(everything), unique=True))
+    gens = draw(st.lists(st.sampled_from(everything), max_size=3))
+    members = set(generated(group.mul, gens))
+    if kind == "dropped":
+        members.discard(draw(st.sampled_from(sorted(members))))
+    elif kind == "added" and len(members) < group.order:
+        members.add(draw(st.sampled_from(sorted(set(everything) - members))))
+    return group, draw(st.permutations(sorted(members)))
+
+
+CLOSURE_SOURCES = [symmetric(4), dihedral(6), quaternion_generalized(16),
+                   elementary_abelian(2, 3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(subgroups_and_near_misses())
+def test_is_closed_agrees_with_every_product_on_subgroups_and_near_misses(case):
+    group, elements = case
+    assert is_closed(group, elements) == is_closed_by_every_product(group, elements)
 
 
 def test_is_closed_needs_every_index_for_the_whole_group_shortcut():
