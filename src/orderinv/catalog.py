@@ -1,18 +1,21 @@
 """Catalog assembly, label parsing, and group-file ingestion.
 
-The default catalog covers every stock family up to order 64 plus the
-order-60 alternating group; ingested files extend it.  Labels double as
-addresses: anything the catalog can build, ``group_from_label`` can
-rebuild from its label alone.
+Each catalog family is one ``_FAMILIES`` entry: its parameters, a plan of
+(order, label) pairs, its label parser and its builder.  Labels are the
+catalog's addresses: ``iter_catalog`` plans labels and builds each one
+through ``group_from_label``, the only construction path.  The default
+catalog covers every stock family up to order 64 plus the order-60
+alternating group; ingested files extend it.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from functools import partial, reduce
-from math import gcd
+from itertools import product, takewhile
+from math import factorial, gcd, prod
 from typing import NamedTuple
 
 from .groups import (
@@ -36,12 +39,10 @@ from .numtheory import factorize, is_prime
 
 DEFAULT_ORDER_CAP = 64
 
-ALTERNATING5_GENERATORS = PermutationGenSet(5, ((1, 2, 0, 3, 4), (1, 2, 3, 4, 0)))
+# a compact JSON table of order MAX_ORDER is about 120 MB, with indent=1 about 195 MB
+MAX_JSON_BYTES = 256 * 2**20
 
-# grid the semidirect family is sampled on (coprimality filters it further)
-SEMIDIRECT_M = (3, 5, 9, 15)
-SEMIDIRECT_BETA = (1, 3, 5)
-SEMIDIRECT_U = (1, 2)
+ALTERNATING5_GENERATORS = PermutationGenSet(5, ((1, 2, 0, 3, 4), (1, 2, 3, 4, 0)))
 
 
 class UnknownFamily(ValueError):
@@ -71,128 +72,65 @@ def default_catalog_spec(order_cap: int = DEFAULT_ORDER_CAP) -> CatalogSpec:
     )
 
 
-# the parameters each catalog family takes, in order
-_FAMILY_PARAMS = {
-    "cyclic": ("lo", "hi"),
-    "dihedral": ("lo", "hi"),
-    "quaternion": ("lo", "hi"),
-    "elementary_abelian": (),
-    "symmetric": ("lo", "hi"),
-    "semidirect": (),
-    "prime_products": (),
-    "alternating": ("degree",),
-}
+class Family(NamedTuple):
+    """One catalog family, as the module docstring describes."""
+
+    params: tuple[str, ...]  # the names of its catalog spec parameters
+    plan: Callable  # plan(cap, *params): (order, label) per group within the cap
+    parse: Callable | None  # parse(label): build's arguments, or None for no label of it
+    build: Callable | None
 
 
-def _family_plan(name: str, params: tuple[int, ...], cap: int):
-    """Yield (order, builder) for each group of the family within the cap,
-    building nothing, so a catalog can be sized before it is built."""
-    if name not in _FAMILY_PARAMS:
-        raise UnknownFamily(f"no catalog family named {name!r}")
-    takes = _FAMILY_PARAMS[name]
-    if len(params) != len(takes):
-        raise ValueError(
-            f"catalog family {name!r} takes the parameters [{', '.join(takes)}],"
-            f" got {list(params)}"
-        )
-    if name == "cyclic":
-        lo, hi = params
-        for n in range(lo, min(hi, cap) + 1):
-            yield n, partial(cyclic, n)
-    elif name == "dihedral":
-        lo, hi = params
-        for n in range(lo, min(hi, cap // 2) + 1):
-            yield 2 * n, partial(dihedral, n)
-    elif name == "quaternion":
-        lo, hi = params
-        m = 8
-        while m <= hi and m <= cap:
-            if m >= lo:
-                yield m, partial(quaternion_generalized, m)
-            m *= 2
-    elif name == "elementary_abelian":
-        for p in range(2, cap + 1):
-            k = 1
-            while p**k <= cap and is_prime(p):
-                yield p**k, partial(elementary_abelian, p, k)
-                k += 1
-    elif name == "symmetric":
-        lo, hi = params
-        order = 1
-        for k in range(1, hi + 1):
-            order *= k
-            if order > cap:
-                break
-            if k >= lo:
-                yield order, partial(symmetric, k)
-    elif name == "semidirect":
-        for m in SEMIDIRECT_M:
-            for beta in SEMIDIRECT_BETA:
-                for u in SEMIDIRECT_U:
-                    alpha = 2**u * beta
-                    if gcd(m, alpha) == 1 and m * alpha <= cap:
-                        yield m * alpha, partial(inversion_semidirect, m, beta, u)
-    elif name == "prime_products":
-        for n in range(6, cap + 1):  # squarefree with at least two primes
-            fact = factorize(n)
-            if len(fact.factors) >= 2 and all(e == 1 for _, e in fact.factors):
-                yield n, lambda ps=fact.primes(): reduce(direct_product, map(cyclic, ps))
-    else:  # alternating
-        (k,) = params
-        if k != 5:
-            raise UnknownFamily(f"only the degree-5 alternating group is built, got {k}")
-        if 60 <= cap:
-            yield 60, partial(from_permutations, ALTERNATING5_GENERATORS, "A5")
+def _parser(pattern: str) -> Callable[[str], tuple | None]:
+    """The integers a label pattern's groups capture, or None."""
+    match = re.compile(pattern).match
+    return lambda text: (hit := match(text)) and tuple(map(bounded_int, hit.groups()))
 
 
-def iter_catalog(spec: CatalogSpec, paranoid: bool = False) -> Iterator[FiniteGroup]:
-    """Resolve a CatalogSpec into concrete groups, built one at a time.
+def _range_plan(letter: str, build, scale: int):
+    """Plan {letter}{n}, of order scale * n, for n in [lo, hi]."""
 
-    The plan is checked here, before any table is built: every family
-    builder stays within ``spec.order_cap``, and the catalog must fit in
-    MAX_ORDER**2 table cells, the size of the largest single table, which
-    bounds the build work of one catalog.  The iterator returned builds one
-    group per step, refuses a repeated label and keeps nothing.  The family
-    tables are correct by construction and not scanned (S_n and A5, closed
-    from permutations, get the Latin scan); with ``paranoid`` every table
-    also gets from_cayley_table's full check, the one group files get.
-    Group files are loaded by the caller, one by one with load_group_file.
-    """
-    cells, builders = 0, []
-    for name, params in spec.families:
-        for order, build in _family_plan(name, params, spec.order_cap):
-            cells += order * order
-            if cells > MAX_ORDER**2:
-                raise OrderCapExceeded(
-                    f"the catalog under order cap {spec.order_cap} exceeds {MAX_ORDER**2}"
-                    f" table cells, the size of one table of order {MAX_ORDER}"
-                )
-            builders.append(build)
-    return _build_each(builders, paranoid)
+    def plan(cap: int, lo: int, hi: int):
+        if lo < 1:
+            build(lo)  # refused with the constructor's own message, before any table
+        return ((scale * n, f"{letter}{n}") for n in range(lo, min(hi, cap // scale) + 1))
+
+    return plan
 
 
-def _build_each(builders, paranoid: bool) -> Iterator[FiniteGroup]:
-    seen: set[str] = set()
-    for build in builders:
-        group = build()
-        if paranoid:
-            group = from_cayley_table(group.mul, group.label)
-        if group.label in seen:
-            raise ValueError(f"duplicate catalog label {group.label!r}")
-        seen.add(group.label)
-        yield group
+def _quaternion_plan(cap: int, lo: int, hi: int):  # the 2-powers from 8 to the cap
+    return ((m, f"Q{m}") for m in (2**e for e in range(3, cap.bit_length())) if lo <= m <= hi)
 
 
-_SEMIDIRECT_LABEL = re.compile(r"^C(\d+):C(\d+)$")
+def _elementary_plan(cap: int):
+    return ((p**k, f"E{p}^{k}") for p in filter(is_prime, range(2, cap + 1))
+            for k in range(1, cap.bit_length()) if p**k <= cap)
 
-_LABEL_PATTERNS: tuple[tuple[re.Pattern, object], ...] = (
-    (re.compile(r"^C(\d+)$"), cyclic),
-    (re.compile(r"^D(\d+)$"), dihedral),
-    (re.compile(r"^Q(\d+)$"), quaternion_generalized),
-    (re.compile(r"^S(\d+)$"), symmetric),
-    (re.compile(r"^E(\d+)\^(\d+)$"), elementary_abelian),
-    (re.compile(r"^A5$"), partial(from_permutations, ALTERNATING5_GENERATORS, "A5")),
-)
+
+def _symmetric_plan(cap: int, lo: int, hi: int):
+    degrees = takewhile(lambda k: factorial(k) <= cap, range(1, hi + 1))
+    return ((factorial(k), f"S{k}") for k in degrees if k >= lo)
+
+
+def _semidirect_plan(cap: int):  # on a grid of m, beta and u, kept where coprime
+    alphas = [2**u * beta for beta in (1, 3, 5) for u in (1, 2)]
+    return ((m * alpha, f"C{m}:C{alpha}") for m, alpha in product((3, 5, 9, 15), alphas)
+            if gcd(m, alpha) == 1 and m * alpha <= cap)
+
+
+def _prime_products_plan(cap: int):  # squarefree orders with at least two primes
+    facts = (factorize(n) for n in range(6, cap + 1))
+    return ((prod(f.primes()), "x".join(f"C{p}" for p in f.primes())) for f in facts
+            if len(f.factors) >= 2 and all(e == 1 for _, e in f.factors))
+
+
+def _alternating_plan(cap: int, k: int):
+    if k != 5:
+        raise UnknownFamily(f"only the degree-5 alternating group is built, got {k}")
+    return [(60, "A5")] if 60 <= cap else []
+
+
+_semidirect_numbers = _parser(r"^C(\d+):C(\d+)$")
 
 
 def semidirect_label_parts(label: str) -> tuple[int, int, int] | None:
@@ -201,14 +139,73 @@ def semidirect_label_parts(label: str) -> tuple[int, int, int] | None:
     Returns None when the label is not of that form or the acting factor
     is odd or zero (the construction needs at least one factor of 2).
     """
-    hit = _SEMIDIRECT_LABEL.match(label)
-    if not hit:
-        return None
-    m, alpha = bounded_int(hit.group(1)), bounded_int(hit.group(2))
+    m, alpha = _semidirect_numbers(label) or (0, 0)  # no match: refused as alpha = 0
     if alpha % 2 or not alpha:
         return None
     u = (alpha & -alpha).bit_length() - 1  # the power of 2 in alpha
     return m, alpha >> u, u
+
+
+# the catalog families; a product label (C2xC3) is split before any parser
+# reads it, so prime_products, whose labels are products of C labels, has none
+_FAMILIES: dict[str, Family] = {
+    "cyclic": Family(("lo", "hi"), _range_plan("C", cyclic, 1), _parser(r"^C(\d+)$"), cyclic),
+    "dihedral": Family(
+        ("lo", "hi"), _range_plan("D", dihedral, 2), _parser(r"^D(\d+)$"), dihedral),
+    "quaternion": Family(
+        ("lo", "hi"), _quaternion_plan, _parser(r"^Q(\d+)$"), quaternion_generalized),
+    "elementary_abelian": Family(
+        (), _elementary_plan, _parser(r"^E(\d+)\^(\d+)$"), elementary_abelian),
+    "symmetric": Family(("lo", "hi"), _symmetric_plan, _parser(r"^S(\d+)$"), symmetric),
+    "semidirect": Family((), _semidirect_plan, semidirect_label_parts, inversion_semidirect),
+    "prime_products": Family((), _prime_products_plan, None, None),
+    "alternating": Family(("degree",), _alternating_plan, _parser(r"^A5$"),
+                          partial(from_permutations, ALTERNATING5_GENERATORS, "A5")),
+}
+
+
+def _family_plan(name: str, params: tuple[int, ...], cap: int) -> Iterator[tuple[int, str]]:
+    """The (order, label) of each group of the family within the cap,
+    building nothing, so a catalog can be sized before it is built."""
+    if name not in _FAMILIES:
+        raise UnknownFamily(f"no catalog family named {name!r}")
+    family = _FAMILIES[name]
+    if len(params) != len(family.params):
+        raise ValueError(f"catalog family {name!r} takes the parameters"
+                         f" [{', '.join(family.params)}], got {list(params)}")
+    return family.plan(cap, *params)
+
+
+def iter_catalog(spec: CatalogSpec, paranoid: bool = False) -> Iterator[FiniteGroup]:
+    """Resolve a CatalogSpec into concrete groups, built one at a time.
+
+    The plan is checked here, before any table is built: it stays within
+    ``spec.order_cap``, repeats no label, and fits in MAX_ORDER**2 table
+    cells, one largest table, which bounds the build work of a catalog.
+    The iterator returned builds one label per step and keeps nothing.
+    Family tables are correct by construction and not scanned (S_n and A5
+    get the Latin scan); ``paranoid`` gives every table from_cayley_table's
+    full check, as group files get, which the caller loads one by one.
+    """
+    cells, labels = 0, {}
+    for name, params in spec.families:
+        for order, label in _family_plan(name, params, spec.order_cap):
+            cells += order * order
+            if cells > MAX_ORDER**2:
+                raise OrderCapExceeded(
+                    f"the catalog under order cap {spec.order_cap} exceeds {MAX_ORDER**2}"
+                    f" table cells, the size of one table of order {MAX_ORDER}"
+                )
+            if label in labels:
+                raise ValueError(f"duplicate catalog label {label!r}")
+            labels[label] = order
+    return _build_each(labels, paranoid)
+
+
+def _build_each(labels, paranoid: bool) -> Iterator[FiniteGroup]:
+    for label in labels:
+        group = group_from_label(label)
+        yield from_cayley_table(group.mul, label) if paranoid else group
 
 
 def group_from_label(label: str) -> FiniteGroup:
@@ -224,29 +221,32 @@ def _label_builder(text: str):
     """A function of no arguments that builds the group a label names, or
     None when it names none; a product (C2xC3) names one only when every
     factor does, so C2xfoo and C2xxC3 are refused by their whole label."""
-    parts = semidirect_label_parts(text)
-    if parts is not None:
-        return partial(inversion_semidirect, *parts)
     if "x" in text:
         factors = [_label_builder(factor.strip()) for factor in text.split("x")]
         if None in factors:
             return None
         return lambda: reduce(direct_product, (build() for build in factors))
-    for pattern, build in _LABEL_PATTERNS:
-        match = pattern.match(text)
-        if match:
-            return partial(build, *map(bounded_int, match.groups()))
+    for family in _FAMILIES.values():
+        if family.parse and (args := family.parse(text)) is not None:
+            return partial(family.build, *args)
     return None
 
 
 def read_json(path: str):
-    """The decoded contents of a JSON file.  Every failure is a ValueError
-    whose message does not name the path; callers report it."""
+    """The decoded contents of a JSON file of at most MAX_JSON_BYTES bytes.
+    Every failure is a ValueError whose message does not name the path;
+    callers report it."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()  # a UnicodeDecodeError keeps its own message
+        with open(path, "rb") as handle:
+            data = bytearray()  # read in chunks: read(n) would allocate all n at once
+            while len(data) <= MAX_JSON_BYTES and (
+                    chunk := handle.read(min(2**20, MAX_JSON_BYTES + 1 - len(data)))):
+                data += chunk
     except OSError as exc:
         raise ValueError(f"cannot read file ({exc})") from exc
+    if len(data) > MAX_JSON_BYTES:
+        raise ValueError(f"larger than the JSON file cap of {MAX_JSON_BYTES} bytes")
+    text = data.decode("utf-8")  # a UnicodeDecodeError keeps its own message
     try:
         return json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or int() refusing a long number

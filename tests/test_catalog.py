@@ -1,18 +1,26 @@
 import json
+import re
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import orderinv.catalog as catalog_mod
 from orderinv.catalog import (
     CatalogSpec,
     UnknownFamily,
+    _FAMILIES,
     _family_plan,
     default_catalog_spec,
     group_from_label,
     iter_catalog,
     load_group_file,
+    read_json,
 )
 from orderinv.cli import main
-from orderinv.groups import MAX_ORDER, OrderCapExceeded
+from orderinv.groups import MAX_ORDER, GroupConstructionError, OrderCapExceeded
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def family_key(label: str) -> str:
@@ -170,3 +178,67 @@ def test_catalog_spec_parameter_count_checked(tmp_path, capsys, family, params, 
     assert captured.out == ""
     assert captured.err == (f"error: catalog family {family!r} takes the parameters"
                             f" {takes}, got {params}\n")
+
+
+def test_every_planned_label_builds_a_group_of_its_planned_order():
+    # the cell budget counts planned orders, so a plan that drifted from its
+    # builder would size the catalog wrongly without a sound
+    spec = default_catalog_spec(256)
+    assert {name for name, _ in spec.families} == set(_FAMILIES)
+    for name, params in spec.families:
+        planned = list(_family_plan(name, params, spec.order_cap))
+        assert planned, name
+        for order, label in planned:
+            group = group_from_label(label)
+            assert (group.label, group.order) == (label, order), name
+
+
+@pytest.mark.parametrize("families, message", [
+    # n^2 cells of a negative n once blamed the cell budget
+    ({"cyclic": [-100000, 3]}, "cyclic group needs order >= 1, got -100000"),
+    # C1 to C3 were built and swept before D-3 was refused
+    ({"cyclic": [1, 3], "dihedral": [-3, 3]}, "dihedral parameter must be >= 1, got -3"),
+    ({"cyclic": [0, 3]}, "cyclic group needs order >= 1, got 0"),
+])
+def test_family_range_below_one_is_refused_by_the_plan(tmp_path, capsys, families, message):
+    spec = CatalogSpec(tuple((name, tuple(params)) for name, params in families.items()))
+    with pytest.raises(GroupConstructionError, match=f"^{message}$"):
+        iter_catalog(spec)  # the call refuses it: no table is built
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps({"families": families}))
+    assert main(["verify", "--catalog", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_quaternion_and_symmetric_ranges_skip_values_below_their_least_member():
+    spec = CatalogSpec((("quaternion", (-5, 16)), ("symmetric", (-2, 3))), order_cap=64)
+    assert [g.label for g in iter_catalog(spec)] == ["Q8", "Q16", "S1", "S2", "S3"]
+
+
+def test_read_json_reads_at_most_its_cap(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(catalog_mod, "MAX_JSON_BYTES", 4096)
+    path = tmp_path / "big.json"
+    path.write_text("[" + "0, " * 2**20 + "0]")  # 3 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^larger than the JSON file cap of 4096 bytes$"):
+            read_json(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+    assert main(["verify", "--catalog", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: larger than the JSON file cap of 4096 bytes\n")
+    # a file of exactly the cap is read
+    path.write_text("[" + " " * 4094 + "]")
+    assert read_json(str(path)) == []
+    path.write_text("[" + " " * 4095 + "]")
+    with pytest.raises(ValueError, match="larger than"):
+        read_json(str(path))
+
+
+def test_readme_names_every_family_with_its_parameters():
+    # the family table under "File formats": | `name` | `[parameters]` | ...
+    rows = dict(re.findall(r"^\| `(\w+)` \| `\[(.*?)\]` \|", README.read_text(), re.M))
+    assert rows == {name: ", ".join(family.params) for name, family in _FAMILIES.items()}

@@ -15,18 +15,22 @@ from unittest import mock
 from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
+import orderinv.catalog as catalog_mod
 import orderinv.cli as cli_mod
 import orderinv.groups as groups_mod
 import orderinv.report as report_mod
 from orderinv.catalog import (
     CatalogSpec,
+    Family,
+    _family_plan,
+    _parser,
     default_catalog_spec,
     group_from_label,
     iter_catalog,
     semidirect_label_parts,
 )
 from orderinv.cli import main
-from orderinv.groups import elementary_abelian
+from orderinv.groups import cyclic, elementary_abelian, from_cayley_table
 from orderinv.matching import DivisibilityMatching
 from orderinv.order_stats import order_profile
 from orderinv.report import run_sweep
@@ -516,7 +520,7 @@ def test_verify_ingested_file_errors(tmp_path, capsys):
 
 
 def test_verify_duplicate_catalog_label_exits_two(monkeypatch, capsys):
-    # the stream refuses the second C2 mid-sweep; nothing is printed
+    # the plan refuses the second C2 before any table is built; nothing is printed
     spec = CatalogSpec(families=(("cyclic", (1, 4)), ("cyclic", (2, 6))), order_cap=8)
     monkeypatch.setattr(cli_mod, "default_catalog_spec", lambda order_cap: spec)
     for paranoid in ((), ("--paranoid",)):
@@ -671,11 +675,27 @@ _DIGITS = st.builds(
         st.text("0123456789\u0663\uff14", min_size=1, max_size=2),
     ),
 )
-# well-formed factors in unusual spellings, so that labels also parse
-_VALID_FACTOR = st.sampled_from([
-    "C12", "C007", "D6", "D\uff14", "Q8", "Q016", "S4", "S\u0663", "E2^3",
-    "E\u0663^02", "A5", "C3:C10", "C15:C4", "C5:C02", "C9:C2",
-])
+
+
+def _planned_labels(cap: int = 64) -> list[str]:
+    """The label of every group each catalog family plans under the cap,
+    with the default catalog's parameters (none for a family outside it)."""
+    params = dict(default_catalog_spec(cap).families)
+    return [label for name in catalog_mod._FAMILIES
+            for _, label in _family_plan(name, params.get(name, ()), cap)]
+
+
+def _respell(label: str, zeros: str, foreign: bool) -> str:
+    """The label with each number led by zeros, and its digits 3 and 4
+    written as \u0663 and \uff14 when foreign."""
+    text = re.sub(r"\d+", lambda number: zeros + number.group(), label)
+    return text.translate(str.maketrans("34", "\u0663\uff14")) if foreign else text
+
+
+# well-formed factors from every family's plan, some in unusual spellings,
+# so that labels also parse
+_VALID_FACTOR = st.builds(_respell, st.sampled_from(_planned_labels()),
+                          st.sampled_from(["", "", "", "0", "00"]), st.booleans())
 _FACTOR = st.one_of(
     _VALID_FACTOR,
     _VALID_FACTOR,
@@ -776,9 +796,7 @@ def test_cli_grammar_fuzz(label, options):
 # names of both formats appear among the random ones, so some examples get deep
 _JSON_KEYS = st.sampled_from(
     ["families", "ingested", "order_cap", "label", "order", "table", "degree", "generators"])
-_FAMILY_NAMES = st.sampled_from(
-    ["cyclic", "dihedral", "quaternion", "elementary_abelian", "symmetric", "semidirect",
-     "prime_products", "alternating", "nope"])
+_FAMILY_NAMES = st.sampled_from([*catalog_mod._FAMILIES, "nope"])
 _JSON_LEAVES = (st.none() | st.booleans() | st.integers(-2, 40) | st.floats()
                 | st.sampled_from([10**30, -(2**63), "g.json", "C4", "C3:C0", "C3:C10"])
                 | st.text(max_size=3))
@@ -842,6 +860,23 @@ def test_json_file_shape_fuzz(tmp_path, spec, group):
             assert "Traceback" not in out + err, argv
             if code == 2:
                 assert _exit_two_message(argv[0], out, err), (argv, spec, group)
+
+
+def test_a_family_is_one_table_entry(monkeypatch, tmp_path, capsys):
+    # a family added in one place: verify --catalog plans and builds it,
+    # compute parses its labels, and the grammar fuzz draws them
+    toy = Family((), lambda cap: ((n, f"T{n}") for n in range(1, min(cap, 5) + 1)),
+                 _parser(r"^T(\d+)$"), lambda n: from_cayley_table(cyclic(n).mul, f"T{n}"))
+    monkeypatch.setitem(catalog_mod._FAMILIES, "toy", toy)
+    spec = tmp_path / "cat.json"
+    spec.write_text(json.dumps({"families": {"toy": []}, "order_cap": 4}))
+    assert main(["verify", "--catalog", str(spec)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [g["label"] for g in payload["groups"]] == ["T1", "T2", "T3", "T4"]
+    code, out, _ = _main_in_process(["compute", "--group", "T3", "--format", "json"])
+    payload = json.loads(out)
+    assert (code, payload["group"], payload["order"]) == (0, "T3", 3)
+    assert {"T1", "T5"} <= set(_planned_labels())
 
 
 def test_console_script_smoke():
