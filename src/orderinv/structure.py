@@ -1,10 +1,10 @@
 """Structural predicates behind the equality conditions.
 
-Cyclicity, nilpotency and solvability are decided directly from the
-multiplication table, the derived series by normal closures (Holt, Eick and
-O'Brien, Handbook of Computational Group Theory, 2005); subgroups are
-found by closing joins of cyclic subgroups, so "unique subgroup of order
-n" questions are answered by search, not by theory.  A subgroup is what
+Cyclicity and nilpotency are read off the order profile, solvability off
+the multiplication table: the derived series by normal closures (Holt, Eick
+and O'Brien, Handbook of Computational Group Theory, 2005).  Subgroups are
+found by closing joins of cyclic subgroups, so "unique subgroup of order n"
+questions are answered by search, not by theory.  A subgroup is what
 ``generated`` returns, the frozenset of its element indices in its parent's
 table, and predicates on it read that table: none is rebuilt on its own.
 """
@@ -15,6 +15,7 @@ from math import gcd
 
 from .groups import FiniteGroup, cyclic_powers, generated, per_group
 from .numtheory import factorize
+from .order_stats import frobenius_table, order_profile
 
 
 def _cyclic_generator_map(group: FiniteGroup) -> dict[frozenset[int], int]:
@@ -86,7 +87,7 @@ def unique_subgroup_of_order(group: FiniteGroup, n: int) -> tuple[str, frozenset
 
 
 def is_cyclic(group: FiniteGroup) -> bool:
-    return max(group.element_orders) == group.order
+    return order_profile(group).count(group.order) > 0
 
 
 def is_closed(group: FiniteGroup, elements: list[int]) -> bool:
@@ -110,20 +111,16 @@ def is_closed(group: FiniteGroup, elements: list[int]) -> bool:
     return True
 
 
-@per_group
 def is_nilpotent(group: FiniteGroup, elements: frozenset[int] | None = None) -> bool:
     """Whether the subgroup on ``elements``, the whole group by default, is
-    nilpotent: true iff for every prime p its p-power-order elements form a
-    full Sylow subgroup, i.e. it is the product of its Sylows.  A subgroup
-    is read in its parent's table, where its elements keep their orders."""
-    orders = group.element_orders
-    members = range(group.order) if elements is None else elements
-    for p, a in factorize(len(members)).factors:
-        sylow = p**a  # o(x) divides |H|: a power of p iff it divides p^a
-        part = [x for x in members if sylow % orders[x] == 0]
-        if len(part) != sylow or not is_closed(group, part):
-            return False
-    return True
+    nilpotent: true iff it has p^a elements of order dividing p^a for each p^a
+    exactly dividing its order, i.e. every Sylow is normal.  The whole group
+    reads B(p^a) off its profile; a subgroup, its orders in the parent's table."""
+    if elements is None:
+        counts = frobenius_table(order_profile(group)).counts
+        return all(counts[p**a] == p**a for p, a in factorize(group.order).factors)
+    return all(sum(p**a % group.element_orders[x] == 0 for x in elements) == p**a
+               for p, a in factorize(len(elements)).factors)
 
 
 def _greedy_closure(group: FiniteGroup, pending: list[int], conjugators=()):

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from . import order_stats
 from .groups import FiniteGroup, inversion_semidirect, per_group
-from .numtheory import divisor_count, divisor_power_sum, divisors, totient
+from .numtheory import divisor_count, divisor_power_sum, divisors, factorize, totient
 from .order_stats import (
     ParameterDomainViolated,
     cyclic_profile,
@@ -133,8 +133,10 @@ def _subgroup_route(group: FiniteGroup, n: int) -> tuple[bool, str]:
     status, elements = unique_subgroup_of_order(group, n)
     if status != "unique":
         return False, status
-    if n == group.order:  # shares is_nilpotent(group)'s memo with the other claims
-        return is_nilpotent(group), status
+    if n == group.order:  # B(p^a) is the other route's: ask the table instead
+        orders = group.element_orders
+        return all(is_closed(group, [x for x in elements if p**a % orders[x] == 0])
+                   for p, a in factorize(n).factors), status
     return is_nilpotent(group, elements), status
 
 
@@ -145,9 +147,10 @@ def check_diagonal_gap(group: FiniteGroup, n: int, rs) -> list[TheoremVerdict]:
     every r, is evaluated two independent ways, for any group and divisor
     n: through the solution counts (B(k) = k for every divisor k of n
     coprime to n/k), and by searching the order-n subgroups and testing the
-    one found for nilpotency in the group's table.  Disagreement raises
-    EqualityRouteMismatch: it would mean one of two proved-equivalent
-    criteria is implemented wrong.
+    one found for nilpotency in the group's table; at n = |G|, whether each
+    {x : o(x) | p^a} is closed, for then it holds every Sylow p-subgroup and
+    is the only one.  Disagreement raises EqualityRouteMismatch: it would
+    mean one of two proved-equivalent criteria is implemented wrong.
     """
     for r in rs:
         if not r < 0:

@@ -135,6 +135,18 @@ def is_closed_by_every_product(group: FiniteGroup, elements) -> bool:
     return all(group.mul[x][y] in members for x in members for y in members)
 
 
+def is_nilpotent_by_sylow_closure(group: FiniteGroup) -> bool:
+    """Nilpotency as a count and a closure: for each p^a exactly dividing
+    |G|, the elements of order dividing p^a are p^a in number and closed
+    under the product, read cell by cell, so they are the one Sylow
+    p-subgroup."""
+    for p, a in factorize(group.order).factors:
+        part = [x for x in range(group.order) if p**a % group.element_orders[x] == 0]
+        if len(part) != p**a or not is_closed_by_every_product(group, part):
+            return False
+    return True
+
+
 def enumerate_subgroups(group: FiniteGroup) -> tuple[frozenset[int], ...]:
     """All subgroups as sets of element indices, sorted by (order, indices).
 

@@ -1,11 +1,13 @@
 import gc
 import json
 import math
+import re
 import sys
 import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -414,3 +416,13 @@ def test_excess_rows_carry_the_weight_route_sign_at_other_grids(bound):
                 assert sign == sign_of(oracle), (group.label, claim, n, r, s)
         nilpotent_rows += len(blocks.get("nilpotent-sign", {"rows": ()})["rows"])
     assert nilpotent_rows > 0
+
+
+def test_readme_gives_the_routes_of_every_claim():
+    # the route table under "verify": | `claim-id` | route 1 | route 2 | route 3 |
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = dict(re.findall(r"^\| `([a-z]+(?:-[a-z]+)+)` \|(.*)\|$", readme, re.M))
+    assert sorted(rows) == sorted(ALL_CLAIMS)
+    for claim, routes in rows.items():
+        sources = re.findall(r"\((profile|table|label)\) \|", routes + " |")
+        assert len(sources) >= 2, claim

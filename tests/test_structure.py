@@ -24,7 +24,12 @@ from orderinv.groups import (
 from orderinv.numtheory import divisor_count, divisors
 from orderinv.order_stats import frobenius_table, order_profile
 from deadline import time_limit
-from oracles import enumerate_subgroups, is_closed_by_every_product, subgroup_as_group
+from oracles import (
+    enumerate_subgroups,
+    is_closed_by_every_product,
+    is_nilpotent_by_sylow_closure,
+    subgroup_as_group,
+)
 from synthetic import relabelled_table
 from orderinv.structure import (
     _cyclic_generator_map,
@@ -99,6 +104,13 @@ def test_solvable_and_nilpotent_match_sympy(drawn):
         [Permutation(list(p)) for p in generators] or [Permutation(list(range(degree)))])
     assert is_solvable(g) == reference.is_solvable
     assert is_nilpotent(g) == reference.is_nilpotent
+    assert is_nilpotent_by_sylow_closure(g) == reference.is_nilpotent
+
+
+def test_nilpotency_off_the_profile_matches_the_sylow_closure(catalog64):
+    flags = [is_nilpotent(g) for g in catalog64]
+    assert flags == [is_nilpotent_by_sylow_closure(g) for g in catalog64]
+    assert 0 < sum(flags) < len(flags)
 
 
 def is_solvable_by_all_commutators(group):

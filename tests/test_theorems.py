@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orderinv.catalog import default_catalog_spec, iter_catalog
+from orderinv.catalog import default_catalog_spec, group_from_label, iter_catalog
 from orderinv.groups import (
+    FiniteGroup,
     cyclic,
     dihedral,
     direct_product,
@@ -18,8 +19,10 @@ from orderinv.groups import (
 )
 from orderinv.numtheory import divisor_count, divisors
 from orderinv.order_stats import cyclic_excess, order_profile
-from orderinv.report import evaluate_claim
+from orderinv.report import evaluate_claim, run_sweep
+from orderinv.structure import is_cyclic, is_nilpotent
 from orderinv.theorems import (
+    EqualityRouteMismatch,
     ParameterDomainViolated,
     PreconditionViolated,
     check_cyclic_part_equivalence,
@@ -177,6 +180,26 @@ def test_diagonal_gap_takes_both_routes_above_order_200():
     assert len({v.group for v in verdicts}) == 122
     assert all(v.consistent and v.witness == "equality_route: both-agree"
                for v in verdicts)
+
+
+def test_diagonal_gap_routes_stay_apart_at_full_order():
+    # S3's table under C6's element orders: a reflection and a 3-cycle read 3
+    s3 = symmetric(3)
+    reflections = [x for x in range(6) if s3.element_orders[x] == 2]
+    rotations = [x for x in range(6) if s3.element_orders[x] == 3]
+    orders = list(s3.element_orders)
+    orders[reflections[0]] = orders[rotations[0]] = 3
+    orders[reflections[1]] = orders[rotations[1]] = 6
+    g = FiniteGroup(6, s3.mul, s3.inv, tuple(orders), "S3-read-as-C6")
+    assert order_profile(g) == order_profile(cyclic(6))
+    assert is_cyclic(g) and is_nilpotent(g)  # the profile's flags agree
+    # the solution counts say nilpotent; {x : o(x) | 3} is not closed in the table
+    with pytest.raises(EqualityRouteMismatch, match="n=6"):
+        check_diagonal_gap(g, 6, [-1])
+    report = run_sweep([g])
+    assert report["exit_status"] == 1
+    assert any(a["claim"] == "gap-diagonal" and a["error"].startswith("EqualityRouteMismatch")
+               for a in report["anomalies"])
 
 
 def test_diagonal_gap_all_divisors_consistent():
@@ -380,3 +403,19 @@ def test_one_verdict_rule_for_eight_claims(catalog64):
     for v in verdicts:
         assert v.sign == "indeterminate" or v.consistent == (
             v.inequality_holds and (v.sign == "zero") == v.equality_condition_holds), v
+
+
+PROFILE_ONLY_CLAIMS = (
+    "frobenius-divisibility", "min-cyclic-count", "gap-nonneg", "gap-nonpos",
+    "nilpotent-sign", "order-product-max",
+)
+
+
+@pytest.mark.parametrize("label", ["E2^2xC3", "Q8xC5", "D4xC9"])
+def test_profile_only_claims_need_no_table(label):
+    g = group_from_label(label)
+    bare = FiniteGroup(g.order, None, None, g.element_orders, g.label)
+    assert is_nilpotent(bare) and not is_cyclic(bare)
+    for claim in PROFILE_ONLY_CLAIMS:
+        verdicts = evaluate_claim(g, claim)
+        assert verdicts and evaluate_claim(bare, claim) == verdicts, claim
