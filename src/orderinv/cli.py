@@ -317,7 +317,8 @@ def _run_match(args) -> int:
                              " not a violation\n")
         output = f"group {group.label} (order {group.order}): {status}\n" + "".join(lines)
     _emit(output, args.out)
-    return 0 if _matching_verdict(group, matching).consistent else 1
+    verdict = _matching_verdict(group, {"matching": matching, "is_solvable": solvable})
+    return 0 if verdict.consistent else 1
 
 
 def _run_example(args) -> int:

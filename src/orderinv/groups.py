@@ -1,8 +1,8 @@
 """Explicit finite groups as Cayley tables.
 
 A group of order n lives on indices 0..n-1 with the identity pinned at
-index 0.  Instances are immutable and carry their element orders, so all
-order statistics downstream read those, not the table.
+index 0.  Instances are immutable and carry their element orders and order
+profile, so all order statistics downstream read those, not the table.
 
 Trusted family constructors check nothing.  Their tables are LazyTables,
 correct by construction, whose rows are built on first read:
@@ -23,12 +23,12 @@ allocates anything, so no input can ask for an unbounded table.
 from __future__ import annotations
 
 import re
-import weakref
-from functools import wraps
+from collections import Counter
 from math import factorial, gcd
 from operator import eq, itemgetter
 
 from .numtheory import Frozen, is_prime
+from .order_stats import OrderProfile
 
 MAX_ORDER = 5000
 _CAP_BITS = MAX_ORDER.bit_length()  # 2**_CAP_BITS > MAX_ORDER: bound exponents by it
@@ -86,44 +86,30 @@ def is_int(value) -> bool:
 class FiniteGroup(Frozen):
     """Immutable, weakly referenceable multiplication structure; equality is identity.
 
-    mul[i][j] is the product of elements i and j, inv[i] the inverse,
-    element_orders[i] the multiplicative order of i.  ``mul`` is a tuple
-    of row tuples, or a LazyTable that builds each row on first read.
+    mul[i][j] is the product of i and j, inv[i] the inverse, element_orders[i]
+    the order of i, and ``profile`` their OrderProfile.  ``mul`` is a tuple of
+    row tuples, or a LazyTable that builds each row on first read.
     """
 
-    __slots__ = ("order", "mul", "inv", "element_orders", "label", "__weakref__")
+    __slots__ = ("order", "mul", "inv", "element_orders", "label", "profile", "__weakref__")
 
     def __init__(self, order: int, mul, inv: tuple, element_orders: tuple, label: str):
-        for name, value in zip(self.__slots__, (order, mul, inv, element_orders, label)):
+        profile = OrderProfile(order, Counter(element_orders))
+        for name, value in zip(self.__slots__, (order, mul, inv, element_orders, label, profile)):
             object.__setattr__(self, name, value)
 
     def __repr__(self):  # tables are bulky; keep reprs scannable
         return f"FiniteGroup({self.label!r}, order={self.order})"
 
 
-def per_group(fn):
-    """Memoise fn(group, *args) for as long as the group lives: the memo
-    holds its groups weakly, so a dropped group takes its entries along."""
-    memo = weakref.WeakKeyDictionary()
-
-    @wraps(fn)
-    def memoised(group, *args):
-        try:
-            return memo[group][args]
-        except KeyError:
-            value = memo.setdefault(group, {})[args] = fn(group, *args)
-            return value
-
-    return memoised
-
-
 def _check_latin_and_identity(mul) -> None:
     n = len(mul)
     full = list(range(n))
+    cells = set(full)
     for i, row in enumerate(mul):
         if len(row) != n:
             raise NotClosed(f"row {i} has length {len(row)}, expected {n}")
-        if sorted(row) != full:
+        if set(row) != cells:  # n entries, all of 0..n-1: a permutation
             bad = [x for x in row if not (0 <= x < n)]
             if bad:
                 raise NotClosed(f"row {i} contains out-of-range entry {bad[0]}")
@@ -156,10 +142,10 @@ def _check_associative(mul) -> None:
     for a in range(1, n):
         if a in closure:
             continue
-        row_a = mul[a]
+        through_a = itemgetter(*mul[a])  # a row read at the entries of row a
         for x in range(1, n):
             row_x = mul[x]
-            right = tuple(map(row_x.__getitem__, row_a))  # x*(a*y) over y
+            right = through_a(row_x)  # x*(a*y) over y
             left = mul[row_x[a]]  # (x*a)*y over y
             if left != right:
                 y = next(y for y in range(n) if left[y] != right[y])

@@ -18,7 +18,6 @@ factored product.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Mapping
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -28,7 +27,6 @@ from operator import mul
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .groups import FiniteGroup, per_group
 from .numtheory import (
     FactoredInteger,
     Frozen,
@@ -96,6 +94,9 @@ class OrderProfile(Frozen):
     def __repr__(self):
         return f"OrderProfile(group_order={self.group_order!r}, counts={self.counts!r})"
 
+    def __reduce__(self):  # the read-only view does not pickle: rebuild from a dict
+        return OrderProfile, (self.group_order, dict(self.counts))
+
     def count(self, d: int) -> int:
         return self.counts.get(d, 0)
 
@@ -113,9 +114,9 @@ class FrobeniusTable(NamedTuple):
     ratios: Mapping[int, int]
 
 
-@per_group
-def order_profile(group: FiniteGroup) -> OrderProfile:
-    return OrderProfile(group.order, dict(Counter(group.element_orders)))
+def order_profile(group) -> OrderProfile:
+    """The profile a FiniteGroup carries, counted once when it is built."""
+    return group.profile
 
 
 @lru_cache(maxsize=None)

@@ -60,8 +60,9 @@ ALL_CLAIMS = (
 DEFAULT_GRID_BOUND = 3
 # full-divisor sweeps only below this order; above it n = |G| alone
 DIVISOR_SWEEP_LIMIT = 48
-# the report's encoder: json's C encoder, compact, with sorted keys
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# the report's encoder: json's C encoder, compact, with sorted keys; records
+# are built fresh for each group and hold no cycles, so none is looked for
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
 
 
 def integer_pairs(bound: int) -> list[tuple[int, int]]:
@@ -97,18 +98,20 @@ def _sweep_orders(group: FiniteGroup) -> list[int]:
     return [group.order]
 
 
-def _matching_verdict(group: FiniteGroup, matching: dict | None = None) -> TheoremVerdict:
+def _matching_verdict(group: FiniteGroup, record: dict | None = None) -> TheoremVerdict:
     """Solvable groups always admit a divisibility matching.
 
     For non-solvable groups the claim is an open question, so a missing
     matching there is recorded but never counted as an inconsistency.
-    ``matching`` is the group's ``matching_as_json`` when the caller has it.
+    ``record`` is the group's record when the caller has one: its
+    ``matching`` and ``is_solvable`` are read, not computed again.
     """
-    if matching is None:
-        matching = matching_as_json(order_profile(group))
+    if record is None or "matching" not in record:
+        record = {"matching": matching_as_json(order_profile(group)),
+                  "is_solvable": is_solvable(group)}
+    matching, solvable = record["matching"], record["is_solvable"]
     found = matching["status"] == "found"
     verified = matching["verified"]
-    solvable = is_solvable(group)
     if found:
         witness = "assignment verified" if verified else "assignment failed check"
     else:
@@ -129,10 +132,10 @@ def _matching_verdict(group: FiniteGroup, matching: dict | None = None) -> Theor
 
 def evaluate_claim(
     group: FiniteGroup, claim: str, bound: int = DEFAULT_GRID_BOUND,
-    matching: dict | None = None,
+    record: dict | None = None,
 ) -> list[TheoremVerdict]:
     """All verdicts one claim produces for one group, [] when it does not
-    apply; divisibility-matching reads ``matching`` when it is given."""
+    apply; divisibility-matching reads the group's ``record`` when it is given."""
     if claim == "frobenius-divisibility":
         return [check_frobenius_divisibility(group)]
     if claim == "min-cyclic-count":
@@ -164,7 +167,7 @@ def evaluate_claim(
         m, beta, u = parts
         return [check_semidirect_count(m, beta, u, grid=bound, group=group)]
     if claim == "divisibility-matching":
-        return [_matching_verdict(group, matching)]
+        return [_matching_verdict(group, record)]
     raise ValueError(f"unknown claim {claim!r}")
 
 
@@ -305,7 +308,7 @@ def run_sweep(
         blocks: dict[str, dict] = {}
         for claim in selected:
             try:
-                results = evaluate_claim(group, claim, bound, record.get("matching"))
+                results = evaluate_claim(group, claim, bound, record)
                 if results:
                     blocks[claim] = verdict_rows(results)
             except Exception as exc:  # noqa: BLE001

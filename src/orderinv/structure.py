@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .groups import FiniteGroup, cyclic_powers, generated, per_group
+from .groups import FiniteGroup, cyclic_powers, generated
 from .numtheory import factorize
 from .order_stats import frobenius_table, order_profile
 
@@ -138,7 +138,6 @@ def _greedy_closure(group: FiniteGroup, pending: list[int], conjugators=()):
     return gens, closure
 
 
-@per_group
 def is_solvable(group: FiniteGroup) -> bool:
     """Derived series, solvable iff it reaches 1: H' is the normal closure in
     H = <S> of the commutators of S, and <C> is normal once each g^-1 c g,

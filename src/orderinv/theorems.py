@@ -15,7 +15,7 @@ from math import gcd
 from typing import NamedTuple
 
 from . import order_stats
-from .groups import FiniteGroup, inversion_semidirect, per_group
+from .groups import FiniteGroup, inversion_semidirect
 from .numtheory import divisor_count, divisor_power_sum, divisors, factorize, totient
 from .order_stats import (
     ParameterDomainViolated,
@@ -126,7 +126,6 @@ def check_nonnegative_gap(group: FiniteGroup, n: int, points) -> list[TheoremVer
             for (r, s), sign in zip(points, signs)]
 
 
-@per_group
 def _subgroup_route(group: FiniteGroup, n: int) -> tuple[bool, str]:
     """Whether the group has exactly one subgroup of order n and it is
     nilpotent, with the search's status; the same at every exponent."""

@@ -740,8 +740,8 @@ def test_lazy_tables_survive_copy_and_pickle():
         built = g.mul.rows_built
         for clone in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
             assert type(clone.mul) is type(g.mul) and clone.mul.rows_built == built
-            assert (clone.label, clone.inv, clone.element_orders) == (
-                g.label, g.inv, g.element_orders)
+            assert (clone.label, clone.inv, clone.element_orders, clone.profile) == (
+                g.label, g.inv, g.element_orders, g.profile)
             assert clone.mul == g.mul  # rows built after the round trip
         assert copy.copy(g).mul is g.mul
 

@@ -4,6 +4,7 @@ import copy
 import pickle
 import re
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from orderinv.groups import (
     dihedral,
     direct_product,
     elementary_abelian,
+    from_cayley_table,
     inversion_semidirect,
     quaternion_generalized,
     symmetric,
@@ -55,7 +57,7 @@ from orderinv.theorems import (
     check_nonnegative_gap,
 )
 from oracles import frobenius_expansion, log_mobius_kernel, product_of_orders_direct
-from synthetic import abelian_profile, random_abelian_profiles
+from synthetic import abelian_profile, random_abelian_profiles, relabelled_table
 
 
 def sample_groups():
@@ -149,7 +151,7 @@ def test_value_types_are_immutable_and_compare_as_documented():
     assert profile != cyclic_profile(12) and profile != profile.key
     assert factorize(12) == FactoredInteger(((2, 2), (3, 1)))
     assert hash(factorize(12)) == hash(FactoredInteger(((2, 2), (3, 1))))
-    # a group is itself only, and per_group memos may hold it weakly
+    # a group is itself only, and weakly referenceable: no cache pins one
     assert group != cyclic(6) and weakref.ref(group)() is group
     # copy and pickle restore the slots, which assignment may not
     clone = pickle.loads(pickle.dumps(group))
@@ -158,7 +160,7 @@ def test_value_types_are_immutable_and_compare_as_documented():
 
 
 def test_cached_profile_is_read_only():
-    # order_profile serves one cached instance to every caller
+    # order_profile serves the group's own instance to every caller
     s3 = symmetric(3)
     with pytest.raises(TypeError):
         order_profile(s3).counts[2] = 0
@@ -204,6 +206,37 @@ def test_excess_cache_does_not_keep_domain_errors():
         with pytest.raises(ParameterDomainViolated):
             cyclic_excess(profile, 4, 0, 1)
     assert excess_table.cache_info().currsize == 0
+
+
+def test_group_profile_counts_its_element_orders(catalog64):
+    a5 = group_from_label("A5")
+    for group in (*catalog64, *(symmetric(k) for k in range(1, 6)), a5):
+        assert group.profile.counts == Counter(group.element_orders), group
+        assert order_profile(group) is group.profile
+    assert dict(a5.profile.counts) == {1: 1, 2: 15, 3: 20, 5: 24}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_relabelled_table_carries_the_profile_of_its_source(data):
+    source = data.draw(st.sampled_from(sample_groups()))
+    n = source.order
+    relabel = [0] + data.draw(st.permutations(range(1, n)))
+    group = from_cayley_table(relabelled_table(source, relabel), "relabelled")
+    assert group.profile.counts == Counter(group.element_orders)
+    assert group.profile == source.profile and group.profile is not source.profile
+
+
+def test_group_and_profile_survive_pickle_and_deepcopy():
+    # a read-only view does not pickle: the profile rebuilds itself from a dict
+    for group in (symmetric(4), dihedral(5), direct_product(quaternion_generalized(8), cyclic(3))):
+        profile = group.profile
+        for clone in (pickle.loads(pickle.dumps(group)).profile, copy.deepcopy(group).profile,
+                      pickle.loads(pickle.dumps(profile)), copy.deepcopy(profile)):
+            assert clone == profile and hash(clone) == hash(profile)
+            assert clone.counts == profile.counts and clone.key == profile.key
+            with pytest.raises(TypeError):
+                clone.counts[1] = 2
 
 
 def test_profiles_are_values():

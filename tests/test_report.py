@@ -153,6 +153,24 @@ def test_profile_memos_miss_once_per_distinct_profile(catalog64, arrival):
     assert report_mod._matching_for.cache_info().misses == len(distinct)
 
 
+def test_sweep_computes_solvability_once_per_group(catalog64, monkeypatch):
+    # the record's flag serves divisibility-matching: no memo stands behind it
+    calls = Counter()
+    solvable = report_mod.is_solvable
+
+    def counted(group):
+        calls[group.label] += 1
+        return solvable(group)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("orderinv") and getattr(module, "is_solvable", None) is solvable:
+            monkeypatch.setattr(module, "is_solvable", counted)
+    payload = run_sweep(catalog64)
+    assert payload["summary"]["anomalies"] == 0
+    assert len(calls) == payload["summary"]["groups"] == 162
+    assert set(calls.values()) == {1}
+
+
 def test_no_group_outlives_its_record():
     refs = []
 
