@@ -1,8 +1,10 @@
 """Explicit finite groups as Cayley tables.
 
 A group of order n lives on indices 0..n-1 with the identity pinned at
-index 0.  Instances are immutable and carry their element orders and order
-profile, so all order statistics downstream read those, not the table.
+index 0.  Instances are immutable and carry their element orders, inverses,
+order profile and nontrivial cyclic subgroups, all found by one walk of the
+table when the group is built (``_cyclic_walk``), so order statistics
+downstream read those, not the table.
 
 Trusted family constructors check nothing.  Their tables are LazyTables,
 correct by construction, whose rows are built on first read:
@@ -87,15 +89,20 @@ class FiniteGroup(Frozen):
     """Immutable, weakly referenceable multiplication structure; equality is identity.
 
     mul[i][j] is the product of i and j, inv[i] the inverse, element_orders[i]
-    the order of i, and ``profile`` their OrderProfile.  ``mul`` is a tuple of
-    row tuples, or a LazyTable that builds each row on first read.
+    the order of i, and ``profile`` their OrderProfile.  ``cyclic_subgroups``
+    holds each nontrivial cyclic subgroup, as the frozenset of its elements,
+    with its first generator.  ``mul`` is a tuple of row tuples, or a
+    LazyTable that builds each row on first read.
     """
 
-    __slots__ = ("order", "mul", "inv", "element_orders", "label", "profile", "__weakref__")
+    __slots__ = ("order", "mul", "inv", "element_orders", "cyclic_subgroups", "label",
+                 "profile", "__weakref__")
 
-    def __init__(self, order: int, mul, inv: tuple, element_orders: tuple, label: str):
+    def __init__(self, order: int, mul, inv: tuple, element_orders: tuple,
+                 cyclic_subgroups: tuple, label: str):
         profile = OrderProfile(order, Counter(element_orders))
-        for name, value in zip(self.__slots__, (order, mul, inv, element_orders, label, profile)):
+        values = (order, mul, inv, element_orders, cyclic_subgroups, label, profile)
+        for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     def __repr__(self):  # tables are bulky; keep reprs scannable
@@ -104,8 +111,7 @@ class FiniteGroup(Frozen):
 
 def _check_latin_and_identity(mul) -> None:
     n = len(mul)
-    full = list(range(n))
-    cells = set(full)
+    cells = set(range(n))
     for i, row in enumerate(mul):
         if len(row) != n:
             raise NotClosed(f"row {i} has length {len(row)}, expected {n}")
@@ -117,7 +123,7 @@ def _check_latin_and_identity(mul) -> None:
     # a table equal to its transpose has its rows for columns: they passed
     if not all(map(eq, map(tuple, mul), zip(*mul))):
         for j, column in enumerate(zip(*mul)):
-            if sorted(column) != full:
+            if set(column) != cells:  # n entries: a permutation
                 raise NotClosed(f"column {j} is not a permutation of 0..{n - 1}")
     for i in range(n):
         if mul[0][i] != i:
@@ -187,27 +193,33 @@ def cyclic_powers(mul, x: int) -> list[int]:
     raise NotClosed(f"powers of element {x} do not return to identity")
 
 
-def _orders_and_inverses(mul) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Walk <x> only for an x not yet reached as a power of an earlier one:
-    if x has order k, then x^e has order k / gcd(e, k) and inverse x^(k-e)."""
-    orders = [0] * len(mul)
-    orders[0] = 1
-    inv = [0] * len(mul)
-    for x in range(1, len(mul)):
-        if not orders[x]:
-            powers = cyclic_powers(mul, x)
-            k = len(powers)
-            for e in range(1, k):
-                orders[powers[e]] = k // gcd(e, k)
-                inv[powers[e]] = powers[k - e]
-    return tuple(orders), tuple(inv)
+def _cyclic_walk(mul) -> tuple[tuple[int, ...], tuple[int, ...], tuple]:
+    """Walk each nontrivial cyclic subgroup once, from its first generator
+    x in index order: if x has order k, then x^e has order k / gcd(e, k)
+    and inverse x^(k-e), and generates <x> when gcd(e, k) = 1, so it is
+    skipped.  Returns the inverses, the orders, and each subgroup's
+    elements with its first generator, in the order found."""
+    n = len(mul)
+    orders, inv, walked = [1] + [0] * (n - 1), [0] * n, bytearray(n)
+    subgroups = []
+    for x in range(1, n):
+        if walked[x]:
+            continue
+        powers = cyclic_powers(mul, x)
+        k = len(powers)
+        for e in range(1, k):
+            y, d = powers[e], gcd(e, k)
+            orders[y], inv[y] = k // d, powers[k - e]
+            if d == 1:
+                walked[y] = 1
+        subgroups.append((frozenset(powers), x))
+    return tuple(inv), tuple(orders), tuple(subgroups)
 
 
 def _build(mul, label: str) -> FiniteGroup:
     """No check: the caller validated the table, a tuple of row tuples, or
     it is a family's LazyTable, correct by construction."""
-    orders, inv = _orders_and_inverses(mul)
-    return FiniteGroup(len(mul), mul, inv, orders, label)
+    return FiniteGroup(len(mul), mul, *_cyclic_walk(mul), label)
 
 
 def from_cayley_table(table, label: str) -> FiniteGroup:

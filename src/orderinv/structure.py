@@ -3,7 +3,8 @@
 Cyclicity and nilpotency are read off the order profile, solvability off
 the multiplication table: the derived series by normal closures (Holt, Eick
 and O'Brien, Handbook of Computational Group Theory, 2005).  Subgroups are
-found by closing joins of cyclic subgroups, so "unique subgroup of order n"
+found by closing joins of the cyclic subgroups that a group carries from
+its build (``groups._cyclic_walk``), so "unique subgroup of order n"
 questions are answered by search, not by theory.  A subgroup is what
 ``generated`` returns, the frozenset of its element indices in its parent's
 table, and predicates on it read that table: none is rebuilt on its own.
@@ -11,38 +12,19 @@ table, and predicates on it read that table: none is rebuilt on its own.
 
 from __future__ import annotations
 
-from math import gcd
-
-from .groups import FiniteGroup, cyclic_powers, generated
+from .groups import FiniteGroup, generated
 from .numtheory import factorize
 from .order_stats import frobenius_table, order_profile
 
 
-def _cyclic_generator_map(group: FiniteGroup) -> dict[frozenset[int], int]:
-    """Each distinct cyclic subgroup mapped to its first-found generator;
-    the other generators x^e, gcd(e, |x|) = 1, of a walked <x> are skipped."""
-    out: dict[frozenset[int], int] = {}
-    generates_found = bytearray(group.order)
-    for x in range(1, group.order):
-        if generates_found[x]:
-            continue
-        powers = cyclic_powers(group.mul, x)
-        k = len(powers)
-        for e in range(1, k):
-            if gcd(e, k) == 1:
-                generates_found[powers[e]] = 1
-        out[frozenset(powers)] = x
-    return out
-
-
 def count_cyclic_subgroups(group: FiniteGroup) -> int:
-    """Distinct cyclic subgroups counted directly from the table.
+    """Distinct cyclic subgroups, as walked in the table when the group was
+    built: the nontrivial ones it carries, and <e>.
 
     Independent of the order-profile shortcut (counts per order divided
     by the totient), so the two can cross-check each other.
     """
-    # the generator map only sees nontrivial subgroups; count <e> too
-    return 1 + len(_cyclic_generator_map(group))
+    return 1 + len(group.cyclic_subgroups)
 
 
 def unique_subgroup_of_order(group: FiniteGroup, n: int) -> tuple[str, frozenset[int] | None]:
@@ -62,8 +44,8 @@ def unique_subgroup_of_order(group: FiniteGroup, n: int) -> tuple[str, frozenset
         return "unique", frozenset({0})
     if n == group.order:
         return "unique", frozenset(range(group.order))
-    cyclics = sorted(((c, x) for c, x in _cyclic_generator_map(group).items()
-                      if n % len(c) == 0), key=lambda cx: len(cx[0]))
+    cyclics = sorted((cx for cx in group.cyclic_subgroups if n % len(cx[0]) == 0),
+                     key=lambda cx: len(cx[0]))
     stack = [(c, (x,)) for c, x in cyclics]  # the largest is popped first
     seen, hits = set(), []
     while stack:

@@ -208,9 +208,13 @@ def check_nilpotent_sign(group: FiniteGroup, points) -> list[TheoremVerdict]:
 
 
 def check_min_cyclic_subgroups(group: FiniteGroup) -> TheoremVerdict:
-    """At least d(|G|) cyclic subgroups, exactly d(|G|) iff cyclic."""
+    """At least d(|G|) cyclic subgroups, exactly d(|G|) iff cyclic.  The
+    profile's count and the table's must agree, or EqualityRouteMismatch."""
     profile = order_profile(group)
     count = cyclic_subgroup_count(profile, group.order)
+    if count != (walked := count_cyclic_subgroups(group)):
+        raise EqualityRouteMismatch(f"{group.label}: {count} cyclic subgroups from the "
+                                    f"profile, {walked} walked in the table")
     floor = divisor_count(group.order)
     return _verdict(
         "min-cyclic-count", group, (("n", group.order),), sign_of(count - floor),

@@ -44,7 +44,7 @@ from orderinv.groups import (
     quaternion_generalized,
     _check_latin_and_identity,
     _MetacyclicTable,
-    _orders_and_inverses,
+    _cyclic_walk,
     cyclic_powers,
     is_int,
     symmetric,
@@ -583,8 +583,8 @@ def test_table_kernels_match_per_cell_scans(data):
     n = group.order
     table = relabelled_table(group, [0] + data.draw(st.permutations(range(1, n))))
     valid = tuple(map(tuple, table))
-    assert _orders_and_inverses(valid) == (
-        element_orders_by_cells(valid), inverses_by_cells(valid))
+    inv, orders, _ = _cyclic_walk(valid)
+    assert (orders, inv) == (element_orders_by_cells(valid), inverses_by_cells(valid))
     i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
     damage = data.draw(st.sampled_from(
         ["none", "cell", "mirrored cell", "row", "out of range", "rows", "columns",
@@ -740,8 +740,9 @@ def test_lazy_tables_survive_copy_and_pickle():
         built = g.mul.rows_built
         for clone in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
             assert type(clone.mul) is type(g.mul) and clone.mul.rows_built == built
-            assert (clone.label, clone.inv, clone.element_orders, clone.profile) == (
-                g.label, g.inv, g.element_orders, g.profile)
+            assert (clone.label, clone.inv, clone.element_orders, clone.profile,
+                    clone.cyclic_subgroups) == (
+                g.label, g.inv, g.element_orders, g.profile, g.cyclic_subgroups)
             assert clone.mul == g.mul  # rows built after the round trip
         assert copy.copy(g).mul is g.mul
 

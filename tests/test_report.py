@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orderinv.groups as groups_mod
 import orderinv.report as report_mod
 from orderinv.catalog import (
     default_catalog_spec,
@@ -169,6 +170,20 @@ def test_sweep_computes_solvability_once_per_group(catalog64, monkeypatch):
     assert payload["summary"]["anomalies"] == 0
     assert len(calls) == payload["summary"]["groups"] == 162
     assert set(calls.values()) == {1}
+
+
+def test_no_cyclic_walk_after_a_group_is_built(catalog64, monkeypatch):
+    # the records and all claims read the cyclic subgroups the build walked
+    calls = []
+    walk = groups_mod.cyclic_powers
+    monkeypatch.setattr(groups_mod, "cyclic_powers", lambda mul, x: calls.append(x) or walk(mul, x))
+    assert cyclic(6).cyclic_subgroups and len(calls) == 3  # <1>, <2> and <3>
+    calls.clear()
+    payload = run_sweep(catalog64)
+    assert payload["summary"]["anomalies"] == 0
+    assert {c for text in payload["groups"] for c in json.loads(text)["verdicts"]} == set(
+        ALL_CLAIMS)
+    assert calls == []
 
 
 def test_no_group_outlives_its_record():

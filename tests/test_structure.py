@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
+from orderinv.catalog import default_catalog_spec, iter_catalog
 from orderinv.groups import (
     OrderCapExceeded,
     PermutationGenSet,
@@ -32,7 +33,6 @@ from oracles import (
 )
 from synthetic import relabelled_table
 from orderinv.structure import (
-    _cyclic_generator_map,
     is_closed,
     is_cyclic,
     is_nilpotent,
@@ -314,9 +314,16 @@ def test_cyclic_generator_map_matches_visiting_every_element(data):
     source = data.draw(st.sampled_from(RELABELLED_SOURCES))
     relabel = [0] + data.draw(st.permutations(range(1, source.order)))
     group = from_cayley_table(relabelled_table(source, relabel), "g")
-    # same subgroups, generators and insertion order
-    assert list(_cyclic_generator_map(group).items()) == list(
-        cyclic_generator_map_by_cells(group).items())
+    # same subgroups, generators and order found
+    assert list(group.cyclic_subgroups) == list(cyclic_generator_map_by_cells(group).items())
+
+
+def test_catalog_cyclic_subgroups_match_visiting_every_element():
+    # family LazyTables, products, S_n and A5, each built here: the oracle reads every row
+    groups = list(iter_catalog(default_catalog_spec(64)))
+    assert {type(g.mul).__name__ for g in groups} == {"_MetacyclicTable", "_ProductTable", "tuple"}
+    for g in groups:
+        assert list(g.cyclic_subgroups) == list(cyclic_generator_map_by_cells(g).items()), g
 
 
 @settings(max_examples=100, deadline=None)

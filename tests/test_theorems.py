@@ -190,7 +190,7 @@ def test_diagonal_gap_routes_stay_apart_at_full_order():
     orders = list(s3.element_orders)
     orders[reflections[0]] = orders[rotations[0]] = 3
     orders[reflections[1]] = orders[rotations[1]] = 6
-    g = FiniteGroup(6, s3.mul, s3.inv, tuple(orders), "S3-read-as-C6")
+    g = FiniteGroup(6, s3.mul, s3.inv, tuple(orders), s3.cyclic_subgroups, "S3-read-as-C6")
     assert order_profile(g) == order_profile(cyclic(6))
     assert is_cyclic(g) and is_nilpotent(g)  # the profile's flags agree
     # the solution counts say nilpotent; {x : o(x) | 3} is not closed in the table
@@ -200,6 +200,10 @@ def test_diagonal_gap_routes_stay_apart_at_full_order():
     assert report["exit_status"] == 1
     assert any(a["claim"] == "gap-diagonal" and a["error"].startswith("EqualityRouteMismatch")
                for a in report["anomalies"])
+    # C6's profile counts 4 cyclic subgroups; S3's table has 5
+    assert {"group": "S3-read-as-C6", "claim": "min-cyclic-count", "error":
+            "EqualityRouteMismatch: S3-read-as-C6: 4 cyclic subgroups from the profile, "
+            "5 walked in the table"} in report["anomalies"]
 
 
 def test_diagonal_gap_all_divisors_consistent():
@@ -414,7 +418,7 @@ PROFILE_ONLY_CLAIMS = (
 @pytest.mark.parametrize("label", ["E2^2xC3", "Q8xC5", "D4xC9"])
 def test_profile_only_claims_need_no_table(label):
     g = group_from_label(label)
-    bare = FiniteGroup(g.order, None, None, g.element_orders, g.label)
+    bare = FiniteGroup(g.order, None, None, g.element_orders, g.cyclic_subgroups, g.label)
     assert is_nilpotent(bare) and not is_cyclic(bare)
     for claim in PROFILE_ONLY_CLAIMS:
         verdicts = evaluate_claim(g, claim)
