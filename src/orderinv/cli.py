@@ -42,11 +42,9 @@ from .order_stats import (
     order_profile,
     weighted_order_sum,
 )
+from .matching import matching_as_json
 from .report import (
-    DEFAULT_GRID_BOUND,
-    _matching_verdict,
     group_invariants,
-    matching_as_json,
     run_sweep,
     scalar_json,
     verdict_as_json,
@@ -54,7 +52,12 @@ from .report import (
     write_report,
 )
 from .structure import is_solvable
-from .theorems import EqualityRouteMismatch, check_semidirect_count
+from .theorems import (
+    DEFAULT_GRID_BOUND,
+    EqualityRouteMismatch,
+    check_divisibility_matching,
+    check_semidirect_count,
+)
 
 
 def _positive_int(text: str) -> int:
@@ -317,7 +320,7 @@ def _run_match(args) -> int:
                              " not a violation\n")
         output = f"group {group.label} (order {group.order}): {status}\n" + "".join(lines)
     _emit(output, args.out)
-    verdict = _matching_verdict(group, {"matching": matching, "is_solvable": solvable})
+    verdict = check_divisibility_matching(group, {"matching": matching, "is_solvable": solvable})
     return 0 if verdict.consistent else 1
 
 

@@ -7,11 +7,15 @@ d are interchangeable, so the question is a transportation problem with
 supplies A(d), slot capacities phi(e) and edges d -> e exactly when
 d | e.  Solved by maximum flow; on failure the residual cut yields a set
 of orders whose combined supply provably exceeds its available slots.
+
+The module owns the matching: the flow, its check, a memo keyed by profile,
+and ``matching_as_json``, the form that records, ``match`` and the claim read.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from typing import NamedTuple
 
 from .numtheory import divisors, totient
@@ -147,3 +151,24 @@ def verify_matching(profile: OrderProfile, matching: DivisibilityMatching) -> bo
         if extra not in profile.counts:
             return False
     return all(filled[e] == totient(e) for e in slots)
+
+
+@lru_cache(maxsize=512)
+def _matching_for(profile: OrderProfile) -> DivisibilityMatching:
+    # keyed by profile value: twins such as S3, D3 and C3:C2 share one entry
+    return find_divisibility_matching(profile)
+
+
+def matching_as_json(profile: OrderProfile) -> dict:
+    """The divisibility matching of a profile, and whether it checks out."""
+    matching = _matching_for(profile)
+    found = matching.status == "found"
+    return {
+        "status": matching.status,
+        "assignment": {
+            str(d): {str(e): count for e, count in sorted(row.items())}
+            for d, row in sorted(matching.assignment.items())
+        },
+        "violator": sorted(matching.violator) if matching.violator is not None else None,
+        "verified": verify_matching(profile, matching) if found else False,
+    }

@@ -1,5 +1,8 @@
 """Catalog sweeps: run every claim over every group, emit a deterministic report.
 
+The module owns the report: the group records, ``run_sweep`` and the writers.
+Each claim, and how it is swept on a group, is ``theorems.CLAIMS``'s.
+
 The report is compact JSON with sorted keys and no timestamps, so two runs
 over the same catalog are byte-identical.  Exit status is part of the
 payload: 1 means some verdict came back inconsistent (or a claim raised),
@@ -10,12 +13,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
 
-from .catalog import semidirect_label_parts
 from .groups import FiniteGroup
-from .matching import DivisibilityMatching, find_divisibility_matching, verify_matching
-from .numtheory import divisors
+from .matching import matching_as_json
 from .order_stats import (
     cyclic_profile,
     excess_table,
@@ -23,152 +23,14 @@ from .order_stats import (
     order_profile,
     product_of_orders,
 )
-from .structure import (
-    count_cyclic_subgroups,
-    is_cyclic,
-    is_nilpotent,
-    is_solvable,
-)
-from .theorems import (
-    TheoremVerdict,
-    check_cyclic_part_equivalence,
-    check_diagonal_gap,
-    check_frobenius_divisibility,
-    check_min_cyclic_subgroups,
-    check_nilpotent_sign,
-    check_nonnegative_gap,
-    check_nonpositive_gap,
-    check_order_product_maximal,
-    check_semidirect_count,
-)
+from .structure import count_cyclic_subgroups, is_cyclic, is_nilpotent, is_solvable
+from .theorems import ALL_CLAIMS, DEFAULT_GRID_BOUND, TheoremVerdict, evaluate_claim
 
 TOOL_VERSION = "0.1.0"
 
-ALL_CLAIMS = (
-    "frobenius-divisibility",
-    "min-cyclic-count",
-    "gap-nonneg",
-    "gap-diagonal",
-    "gap-nonpos",
-    "nilpotent-sign",
-    "cyclic-part-equivalence",
-    "order-product-max",
-    "inversion-semidirect-count",
-    "divisibility-matching",
-)
-
-DEFAULT_GRID_BOUND = 3
-# full-divisor sweeps only below this order; above it n = |G| alone
-DIVISOR_SWEEP_LIMIT = 48
 # the report's encoder: json's C encoder, compact, with sorted keys; records
 # are built fresh for each group and hold no cycles, so none is looked for
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
-
-
-def integer_pairs(bound: int) -> list[tuple[int, int]]:
-    """All integer exponent pairs (r, s) with |r|, |s| <= bound."""
-    span = range(-bound, bound + 1)
-    return [(r, s) for r in span for s in span]
-
-
-def nonneg_pairs(bound: int) -> list[tuple[int, int]]:
-    """Integer pairs in the nonnegative-excess domain: s < r, s <= 0."""
-    return [(r, s) for r, s in integer_pairs(bound) if s < r and s <= 0]
-
-
-def nonpos_pairs(bound: int) -> list[tuple[int, int]]:
-    """Integer pairs in the nonpositive-excess domain: r <= s - 1, s >= 1."""
-    return [(r, s) for r, s in integer_pairs(bound) if r <= s - 1 and s >= 1]
-
-
-def diagonal_exponents(bound: int) -> list[int]:
-    """Negative diagonal exponents r = s = -1, ..., -bound."""
-    return list(range(-1, -bound - 1, -1))
-
-
-@lru_cache(maxsize=512)
-def _matching_for(profile) -> DivisibilityMatching:
-    # keyed by profile value: twins such as S3, D3 and C3:C2 share one entry
-    return find_divisibility_matching(profile)
-
-
-def _sweep_orders(group: FiniteGroup) -> list[int]:
-    if group.order <= DIVISOR_SWEEP_LIMIT:
-        return list(divisors(group.order))
-    return [group.order]
-
-
-def _matching_verdict(group: FiniteGroup, record: dict | None = None) -> TheoremVerdict:
-    """Solvable groups always admit a divisibility matching.
-
-    For non-solvable groups the claim is an open question, so a missing
-    matching there is recorded but never counted as an inconsistency.
-    ``record`` is the group's record when the caller has one: its
-    ``matching`` and ``is_solvable`` are read, not computed again.
-    """
-    if record is None or "matching" not in record:
-        record = {"matching": matching_as_json(order_profile(group)),
-                  "is_solvable": is_solvable(group)}
-    matching, solvable = record["matching"], record["is_solvable"]
-    found = matching["status"] == "found"
-    verified = matching["verified"]
-    if found:
-        witness = "assignment verified" if verified else "assignment failed check"
-    else:
-        witness = f"no matching, blocking orders {matching['violator']}"
-        if not solvable:
-            witness += " (non-solvable, conjecture event)"
-    return TheoremVerdict(
-        claim="divisibility-matching",
-        group=group.label,
-        parameters=(("n", group.order),),
-        sign="zero" if found else "pos",
-        inequality_holds=found,
-        equality_condition_holds=solvable,
-        consistent=(found and verified) or (not found and not solvable),
-        witness=witness,
-    )
-
-
-def evaluate_claim(
-    group: FiniteGroup, claim: str, bound: int = DEFAULT_GRID_BOUND,
-    record: dict | None = None,
-) -> list[TheoremVerdict]:
-    """All verdicts one claim produces for one group, [] when it does not
-    apply; divisibility-matching reads the group's ``record`` when it is given."""
-    if claim == "frobenius-divisibility":
-        return [check_frobenius_divisibility(group)]
-    if claim == "min-cyclic-count":
-        return [check_min_cyclic_subgroups(group)]
-    if claim == "gap-nonneg":
-        pairs = nonneg_pairs(bound)
-        return [v for n in _sweep_orders(group) for v in check_nonnegative_gap(group, n, pairs)]
-    if claim == "gap-diagonal":
-        exponents = diagonal_exponents(bound)
-        return [v for n in _sweep_orders(group)
-                for v in check_diagonal_gap(group, n, exponents)]
-    if claim == "gap-nonpos":
-        return check_nonpositive_gap(group, nonpos_pairs(bound))
-    if claim == "nilpotent-sign":
-        if not is_nilpotent(group) or is_cyclic(group):
-            return []
-        return check_nilpotent_sign(group, integer_pairs(bound))
-    if claim == "cyclic-part-equivalence":
-        return [
-            check_cyclic_part_equivalence(group, n)
-            for n in _sweep_orders(group)
-        ]
-    if claim == "order-product-max":
-        return [check_order_product_maximal(group)]
-    if claim == "inversion-semidirect-count":
-        parts = semidirect_label_parts(group.label)
-        if parts is None:
-            return []
-        m, beta, u = parts
-        return [check_semidirect_count(m, beta, u, grid=bound, group=group)]
-    if claim == "divisibility-matching":
-        return [_matching_verdict(group, record)]
-    raise ValueError(f"unknown claim {claim!r}")
 
 
 def scalar_json(value):
@@ -192,21 +54,6 @@ def verdict_rows(verdicts: list[TheoremVerdict]) -> dict:
         "rows": [[*(scalar_json(value) for _, value in v.parameters), v.sign,
                   v.inequality_holds, v.equality_condition_holds, v.consistent,
                   v.witness] for v in verdicts],
-    }
-
-
-def matching_as_json(profile) -> dict:
-    """The divisibility matching of a profile, and whether it checks out."""
-    matching = _matching_for(profile)
-    found = matching.status == "found"
-    return {
-        "status": matching.status,
-        "assignment": {
-            str(d): {str(e): count for e, count in sorted(row.items())}
-            for d, row in sorted(matching.assignment.items())
-        },
-        "violator": sorted(matching.violator) if matching.violator is not None else None,
-        "verified": verify_matching(profile, matching) if found else False,
     }
 
 

@@ -6,6 +6,9 @@ then records whether the two sides agree.  A one-sided implementation
 bug therefore shows up as ``consistent = False`` instead of passing
 silently.  Verdicts never hide failures: the inequality, the equality
 condition and their agreement are reported as separate fields.
+
+The module owns each claim: its check, and its ``CLAIMS`` entry, which sweeps
+it on one group (the exponent points, the orders n and whether it applies).
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ from math import gcd
 from typing import NamedTuple
 
 from . import order_stats
+from .catalog import semidirect_label_parts
 from .groups import FiniteGroup, inversion_semidirect
+from .matching import matching_as_json
 from .numtheory import divisor_count, divisor_power_sum, divisors, factorize, totient
 from .order_stats import (
     ParameterDomainViolated,
@@ -35,8 +40,13 @@ from .structure import (
     is_closed,
     is_cyclic,
     is_nilpotent,
+    is_solvable,
     unique_subgroup_of_order,
 )
+
+DEFAULT_GRID_BOUND = 3
+# full-divisor sweeps only below this order; above it n = |G| alone
+DIVISOR_SWEEP_LIMIT = 48
 
 
 class PreconditionViolated(ValueError):
@@ -74,7 +84,7 @@ def _verdict(claim, group, parameters, sign, inequality, condition, witness=""):
 
     Two claims have another form and build their own verdicts:
     ``check_semidirect_count`` compares three counts and a closed form, and
-    ``report._matching_verdict`` lets a non-solvable group lack a matching.
+    ``check_divisibility_matching`` lets a non-solvable group lack a matching.
     """
     undecided = sign == "indeterminate"
     if undecided:
@@ -88,6 +98,38 @@ def _verdict(claim, group, parameters, sign, inequality, condition, witness=""):
         inequality_holds=inequality or undecided,
         equality_condition_holds=condition,
         consistent=undecided or (inequality and (sign == "zero") == condition),
+        witness=witness,
+    )
+
+
+def check_divisibility_matching(group: FiniteGroup, record: dict | None = None) -> TheoremVerdict:
+    """Solvable groups always admit a divisibility matching.
+
+    For non-solvable groups the claim is an open question, so a missing
+    matching there is recorded but never counted as an inconsistency.
+    ``record`` is the group's record when the caller has one: its
+    ``matching`` and ``is_solvable`` are read, not computed again.
+    """
+    if record is None or "matching" not in record:
+        record = {"matching": matching_as_json(order_profile(group)),
+                  "is_solvable": is_solvable(group)}
+    matching, solvable = record["matching"], record["is_solvable"]
+    found = matching["status"] == "found"
+    verified = matching["verified"]
+    if found:
+        witness = "assignment verified" if verified else "assignment failed check"
+    else:
+        witness = f"no matching, blocking orders {matching['violator']}"
+        if not solvable:
+            witness += " (non-solvable, conjecture event)"
+    return TheoremVerdict(
+        claim="divisibility-matching",
+        group=group.label,
+        parameters=(("n", group.order),),
+        sign="zero" if found else "pos",
+        inequality_holds=found,
+        equality_condition_holds=solvable,
+        consistent=(found and verified) or (not found and not solvable),
         witness=witness,
     )
 
@@ -270,7 +312,7 @@ def check_order_product_maximal(group: FiniteGroup) -> TheoremVerdict:
 
 
 def check_semidirect_count(
-    m: int, beta: int, u: int, grid: int = 3, group: FiniteGroup | None = None
+    m: int, beta: int, u: int, grid: int = DEFAULT_GRID_BOUND, group: FiniteGroup | None = None
 ) -> TheoremVerdict:
     """Inversion-type semidirect products hit their predicted invariants.
 
@@ -317,3 +359,68 @@ def check_semidirect_count(
             + (f", excess mismatches at {mismatches}" if mismatches else "")
         ),
     )
+
+
+def integer_pairs(bound: int) -> list[tuple[int, int]]:
+    """All integer exponent pairs (r, s) with |r|, |s| <= bound."""
+    span = range(-bound, bound + 1)
+    return [(r, s) for r in span for s in span]
+
+
+def nonneg_pairs(bound: int) -> list[tuple[int, int]]:
+    """Integer pairs in the nonnegative-excess domain: s < r, s <= 0."""
+    return [(r, s) for r, s in integer_pairs(bound) if s < r and s <= 0]
+
+
+def nonpos_pairs(bound: int) -> list[tuple[int, int]]:
+    """Integer pairs in the nonpositive-excess domain: r <= s - 1, s >= 1."""
+    return [(r, s) for r, s in integer_pairs(bound) if r <= s - 1 and s >= 1]
+
+
+def diagonal_exponents(bound: int) -> list[int]:
+    """Negative diagonal exponents r = s = -1, ..., -bound."""
+    return list(range(-1, -bound - 1, -1))
+
+
+def _sweep_orders(group: FiniteGroup) -> list[int]:
+    if group.order <= DIVISOR_SWEEP_LIMIT:
+        return list(divisors(group.order))
+    return [group.order]
+
+
+# in report order, claim id -> (group, bound, record) -> verdicts, [] where the
+# claim does not apply; entries read check_* when called, so patches reach sweeps
+CLAIMS = {
+    "frobenius-divisibility": lambda group, bound, record: [check_frobenius_divisibility(group)],
+    "min-cyclic-count": lambda group, bound, record: [check_min_cyclic_subgroups(group)],
+    "gap-nonneg": lambda group, bound, record: [
+        v for pairs in [nonneg_pairs(bound)] for n in _sweep_orders(group)
+        for v in check_nonnegative_gap(group, n, pairs)],
+    "gap-diagonal": lambda group, bound, record: [
+        v for rs in [diagonal_exponents(bound)] for n in _sweep_orders(group)
+        for v in check_diagonal_gap(group, n, rs)],
+    "gap-nonpos": lambda group, bound, record: check_nonpositive_gap(group, nonpos_pairs(bound)),
+    "nilpotent-sign": lambda group, bound, record: (
+        check_nilpotent_sign(group, integer_pairs(bound))
+        if is_nilpotent(group) and not is_cyclic(group) else []),
+    "cyclic-part-equivalence": lambda group, bound, record: [
+        check_cyclic_part_equivalence(group, n) for n in _sweep_orders(group)],
+    "order-product-max": lambda group, bound, record: [check_order_product_maximal(group)],
+    "inversion-semidirect-count": lambda group, bound, record: [
+        check_semidirect_count(*parts, grid=bound, group=group)
+        for parts in [semidirect_label_parts(group.label)] if parts],
+    "divisibility-matching": lambda group, bound, record: [
+        check_divisibility_matching(group, record)],
+}
+ALL_CLAIMS = tuple(CLAIMS)
+
+
+def evaluate_claim(
+    group: FiniteGroup, claim: str, bound: int = DEFAULT_GRID_BOUND,
+    record: dict | None = None,
+) -> list[TheoremVerdict]:
+    """All verdicts one claim produces for one group, [] when it does not
+    apply; divisibility-matching reads the group's ``record`` when it is given."""
+    if claim not in CLAIMS:
+        raise ValueError(f"unknown claim {claim!r}")
+    return CLAIMS[claim](group, bound, record)

@@ -28,9 +28,14 @@ from orderinv.order_stats import (
     product_of_orders,
     weighted_order_sum,
 )
-from orderinv.report import integer_pairs, nonneg_pairs, nonpos_pairs
 from orderinv.structure import count_cyclic_subgroups, is_cyclic, is_nilpotent, is_solvable
-from orderinv.theorems import check_diagonal_gap, check_semidirect_count
+from orderinv.theorems import (
+    check_diagonal_gap,
+    check_semidirect_count,
+    integer_pairs,
+    nonneg_pairs,
+    nonpos_pairs,
+)
 from oracles import frobenius_expansion, mobius_kernel, mobius_kernel_by_definition
 from synthetic import random_abelian_profiles
 

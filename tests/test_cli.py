@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 import orderinv.catalog as catalog_mod
 import orderinv.cli as cli_mod
 import orderinv.groups as groups_mod
-import orderinv.report as report_mod
+import orderinv.matching as matching_mod
+import orderinv.theorems as theorems_mod
 from orderinv.catalog import (
     CatalogSpec,
     Family,
@@ -224,11 +225,11 @@ def test_match_json(capsys):
 def test_match_exit_code_is_the_matching_verdict(monkeypatch, capsys):
     # a missing matching is an inconsistency only for a solvable group
     violated = DivisibilityMatching("violated", {}, frozenset({2}))
-    monkeypatch.setattr(report_mod, "_matching_for", lambda profile: violated)
+    monkeypatch.setattr(matching_mod, "_matching_for", lambda profile: violated)
     for label, code in (("S3", 1), ("A5", 0)):
         assert main(["match", "--group", label]) == code
         assert "blocking orders [2]" in capsys.readouterr().out
-        verdict = report_mod._matching_verdict(group_from_label(label))
+        verdict = theorems_mod.check_divisibility_matching(group_from_label(label))
         assert verdict.consistent == (code == 0)
 
 
@@ -556,13 +557,13 @@ def test_verify_table_lists_inconsistent_verdicts_in_parameter_text_order(
         tmp_path, monkeypatch, capsys):
     # generated at (r, s) = (-2, -3), (-1, -3), (-1, -2); listed as the JSON
     # text of their parameters sorts
-    real = report_mod.check_nonnegative_gap
+    real = theorems_mod.check_nonnegative_gap
 
     def doctored(group, n, points):
         return [v._replace(consistent=False) if n == 2 and r < 0 else v
                 for v, (r, _) in zip(real(group, n, points), points)]
 
-    monkeypatch.setattr(report_mod, "check_nonnegative_gap", doctored)
+    monkeypatch.setattr(theorems_mod, "check_nonnegative_gap", doctored)
     spec = tmp_path / "cat.json"
     spec.write_text(json.dumps({"families": {"cyclic": [1, 3]}}))
     assert main(["verify", "--catalog", str(spec), "--claims",

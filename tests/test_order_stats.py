@@ -26,7 +26,7 @@ from orderinv.groups import (
     quaternion_generalized,
     symmetric,
 )
-from orderinv.matching import find_divisibility_matching
+from orderinv.matching import _matching_for, find_divisibility_matching
 from orderinv.numtheory import (
     FactoredInteger,
     divisor_count,
@@ -50,7 +50,6 @@ from orderinv.order_stats import (
     product_of_orders,
     weighted_order_sum,
 )
-from orderinv.report import _matching_for
 from orderinv.theorems import (
     check_frobenius_divisibility,
     check_nilpotent_sign,

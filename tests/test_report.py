@@ -15,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orderinv.groups as groups_mod
+import orderinv.matching as matching_mod
 import orderinv.report as report_mod
+import orderinv.theorems as theorems_mod
 from orderinv.catalog import (
     default_catalog_spec,
     group_from_label,
@@ -26,21 +28,17 @@ from orderinv.groups import LazyTable, cyclic
 from orderinv.matching import verify_matching
 from orderinv.numtheory import divisor_power_sum, divisors
 from orderinv.order_stats import frobenius_table, order_profile, sign_of, weighted_order_sum
-from orderinv.report import (
+from orderinv.report import group_record, run_sweep, verdict_as_json, write_json, write_report
+from orderinv.theorems import (
     ALL_CLAIMS,
     DIVISOR_SWEEP_LIMIT,
+    TheoremVerdict,
     diagonal_exponents,
     evaluate_claim,
-    group_record,
     integer_pairs,
     nonneg_pairs,
     nonpos_pairs,
-    run_sweep,
-    verdict_as_json,
-    write_json,
-    write_report,
 )
-from orderinv.theorems import TheoremVerdict
 from deadline import time_limit
 from oracles import json_text, records, report_text, v1_verdicts
 
@@ -146,12 +144,12 @@ def test_profile_memos_miss_once_per_distinct_profile(catalog64, arrival):
     groups = (iter_catalog(default_catalog_spec()) if arrival == "stream"
               else catalog64[::-1])
     frobenius_table.cache_clear()
-    report_mod._matching_for.cache_clear()
+    matching_mod._matching_for.cache_clear()
     rep = run_sweep(groups)
     distinct = {json.dumps(record["profile"], sort_keys=True) for record in records(rep)}
     assert len(distinct) == 117
     assert frobenius_table.cache_info().misses == len(distinct)
-    assert report_mod._matching_for.cache_info().misses == len(distinct)
+    assert matching_mod._matching_for.cache_info().misses == len(distinct)
 
 
 def test_sweep_computes_solvability_once_per_group(catalog64, monkeypatch):
@@ -266,7 +264,7 @@ def test_sweep_verifies_each_matching_once(monkeypatch):
         calls[profile] += 1
         return verify_matching(profile, matching)
 
-    monkeypatch.setattr(report_mod, "verify_matching", counted)
+    monkeypatch.setattr(matching_mod, "verify_matching", counted)
     groups = list(iter_catalog(default_catalog_spec(16)))
     payload = run_sweep(groups)
     assert sum(calls.values()) == payload["summary"]["matchings_found"] == len(groups)
@@ -286,7 +284,7 @@ def _doctored_verdict(group):
 
 
 def test_exact_inconsistency_forces_exit_one(monkeypatch):
-    monkeypatch.setattr(report_mod, "check_min_cyclic_subgroups", _doctored_verdict)
+    monkeypatch.setattr(theorems_mod, "check_min_cyclic_subgroups", _doctored_verdict)
     rep = run_sweep([group_from_label("C4")], claims=["min-cyclic-count"])
     assert rep["exit_status"] == 1
     assert rep["summary"]["inconsistent"] == 1
@@ -296,7 +294,7 @@ def test_anomaly_forces_exit_one(monkeypatch):
     def boom(group):
         raise RuntimeError("synthetic failure")
 
-    monkeypatch.setattr(report_mod, "check_min_cyclic_subgroups", boom)
+    monkeypatch.setattr(theorems_mod, "check_min_cyclic_subgroups", boom)
     rep = run_sweep([group_from_label("C4")], claims=["min-cyclic-count"])
     assert rep["exit_status"] == 1
     assert rep["anomalies"] == [{
@@ -313,7 +311,7 @@ def test_input_errors_alone_exit_two(monkeypatch):
     assert rep["exit_status"] == 2
     assert rep["input_errors"] == errs
     # but an inconsistency outranks them
-    monkeypatch.setattr(report_mod, "check_min_cyclic_subgroups", _doctored_verdict)
+    monkeypatch.setattr(theorems_mod, "check_min_cyclic_subgroups", _doctored_verdict)
     rep = run_sweep([group_from_label("C4")], claims=["min-cyclic-count"],
                     input_errors=errs)
     assert rep["exit_status"] == 1

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module of the package imports is used, and
-every private function or class it defines is referenced.
+"""Source hygiene: every name a module of the package imports is used,
+every private function or class it defines is referenced, and no module
+reaches for another module's private name.
 
 No linter ships with the package, so the checks are ``ast`` walks: a name
 bound by an import counts as used when it is read anywhere in the module
@@ -7,7 +8,10 @@ bound by an import counts as used when it is read anywhere in the module
 Names the module lists in ``__all__`` are its exports, and ``__version__``
 is the package's; both are exempt.  A module-level ``_name`` function or
 class counts as referenced when some module of the package reads it, as a
-``Name`` or an attribute, outside its own definition.
+``Name`` or an attribute, outside its own definition.  A private name is
+``_x`` but not ``__x__``; a module may neither import one from another
+module (``from .m import _x``) nor read one off a name it imported
+(``m._x``).
 """
 
 import ast
@@ -74,3 +78,39 @@ def test_unreferenced_private_check_finds_what_it_should():
 
 def test_every_private_function_and_class_is_referenced():
     assert unreferenced_private_names([path.read_text() for path in SOURCES]) == []
+
+
+def private_names_of_other_modules(text: str) -> list[str]:
+    """'module._name' for each private name ``text`` imports from another
+    module or reads off a name it imported, in source order."""
+    tree = ast.parse(text)
+    imported, hits = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {a.asname or a.name for a in node.names}
+            hits += [(node.lineno, node.col_offset, f"{node.module or '.'}.{a.name}")
+                     for a in node.names if _is_private(a.name)]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _is_private(node.attr)
+                and isinstance(node.value, ast.Name) and node.value.id in imported):
+            hits.append((node.lineno, node.col_offset, f"{node.value.id}.{node.attr}"))
+    return [name for _, _, name in sorted(hits)]
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_private_name_check_finds_what_it_should():
+    text = ("from .a import _hidden, shown\nfrom . import b\nimport os.path as osp\n"
+            "def f(self, c):\n    return b._inner, b.public, b.__name__, self._own, c._x\n"
+            "y = osp._joinrealpath\n")
+    assert private_names_of_other_modules(text) == [
+        "a._hidden", "b._inner", "osp._joinrealpath"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_uses_another_modules_private_names(path):
+    assert private_names_of_other_modules(path.read_text()) == []

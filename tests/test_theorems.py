@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orderinv.theorems as theorems_mod
 from orderinv.catalog import default_catalog_spec, group_from_label, iter_catalog
 from orderinv.groups import (
     FiniteGroup,
@@ -19,9 +20,11 @@ from orderinv.groups import (
 )
 from orderinv.numtheory import divisor_count, divisors
 from orderinv.order_stats import cyclic_excess, order_profile
-from orderinv.report import evaluate_claim, run_sweep
+from orderinv.report import run_sweep
 from orderinv.structure import is_cyclic, is_nilpotent
 from orderinv.theorems import (
+    ALL_CLAIMS,
+    CLAIMS,
     EqualityRouteMismatch,
     ParameterDomainViolated,
     PreconditionViolated,
@@ -34,6 +37,7 @@ from orderinv.theorems import (
     check_nonpositive_gap,
     check_order_product_maximal,
     check_semidirect_count,
+    evaluate_claim,
     _verdict,
 )
 
@@ -423,3 +427,40 @@ def test_profile_only_claims_need_no_table(label):
     for claim in PROFILE_ONLY_CLAIMS:
         verdicts = evaluate_claim(g, claim)
         assert verdicts and evaluate_claim(bare, claim) == verdicts, claim
+
+
+# each claim's check, by the name its CLAIMS entry reads
+CLAIM_CHECKS = {
+    "frobenius-divisibility": "check_frobenius_divisibility",
+    "min-cyclic-count": "check_min_cyclic_subgroups",
+    "gap-nonneg": "check_nonnegative_gap",
+    "gap-diagonal": "check_diagonal_gap",
+    "gap-nonpos": "check_nonpositive_gap",
+    "nilpotent-sign": "check_nilpotent_sign",
+    "cyclic-part-equivalence": "check_cyclic_part_equivalence",
+    "order-product-max": "check_order_product_maximal",
+    "inversion-semidirect-count": "check_semidirect_count",
+    "divisibility-matching": "check_divisibility_matching",
+}
+
+
+def test_claim_table_is_the_list_of_claims():
+    assert ALL_CLAIMS == tuple(CLAIMS) == tuple(CLAIM_CHECKS)
+    with pytest.raises(ValueError, match="unknown claim 'no-such'"):
+        evaluate_claim(cyclic(2), "no-such")
+
+
+@pytest.mark.parametrize("claim", ALL_CLAIMS)
+def test_a_patched_check_reaches_the_sweep(claim, monkeypatch):
+    # an entry that captured its check's function object would miss the patch
+    groups = [group_from_label(label) for label in ("C6", "Q8", "C3:C4")]
+    applies = sorted(g.label for g in groups if evaluate_claim(g, claim))
+    assert applies
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("patched")
+
+    monkeypatch.setattr(theorems_mod, CLAIM_CHECKS[claim], broken)
+    payload = run_sweep(groups)
+    assert [(a["group"], a["claim"]) for a in payload["anomalies"]] == [
+        (label, claim) for label in applies]
