@@ -2,9 +2,9 @@
 
 A group of order n lives on indices 0..n-1 with the identity pinned at
 index 0.  Instances are immutable and carry their element orders, inverses,
-order profile and nontrivial cyclic subgroups, all found by one walk of the
-table when the group is built (``_cyclic_walk``), so order statistics
-downstream read those, not the table.
+order profile and the number of their nontrivial cyclic subgroups, all
+found by one walk of the table when the group is built (``_cyclic_walk``),
+so order statistics downstream read those, not the table.
 
 Trusted family constructors check nothing.  Their tables are LazyTables,
 correct by construction, whose rows are built on first read:
@@ -89,19 +89,18 @@ class FiniteGroup(Frozen):
     """Immutable, weakly referenceable multiplication structure; equality is identity.
 
     mul[i][j] is the product of i and j, inv[i] the inverse, element_orders[i]
-    the order of i, and ``profile`` their OrderProfile.  ``cyclic_subgroups``
-    holds each nontrivial cyclic subgroup, as the frozenset of its elements,
-    with its first generator.  ``mul`` is a tuple of row tuples, or a
-    LazyTable that builds each row on first read.
+    the order of i, and ``profile`` their OrderProfile.  ``cyclic_walks`` is
+    the number of nontrivial cyclic subgroups the build walked.  ``mul`` is
+    a tuple of row tuples, or a LazyTable that builds each row on first read.
     """
 
-    __slots__ = ("order", "mul", "inv", "element_orders", "cyclic_subgroups", "label",
+    __slots__ = ("order", "mul", "inv", "element_orders", "cyclic_walks", "label",
                  "profile", "__weakref__")
 
     def __init__(self, order: int, mul, inv: tuple, element_orders: tuple,
-                 cyclic_subgroups: tuple, label: str):
+                 cyclic_walks: int, label: str):
         profile = OrderProfile(order, Counter(element_orders))
-        values = (order, mul, inv, element_orders, cyclic_subgroups, label, profile)
+        values = (order, mul, inv, element_orders, cyclic_walks, label, profile)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -193,15 +192,15 @@ def cyclic_powers(mul, x: int) -> list[int]:
     raise NotClosed(f"powers of element {x} do not return to identity")
 
 
-def _cyclic_walk(mul) -> tuple[tuple[int, ...], tuple[int, ...], tuple]:
+def _cyclic_walk(mul) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """Walk each nontrivial cyclic subgroup once, from its first generator
     x in index order: if x has order k, then x^e has order k / gcd(e, k)
     and inverse x^(k-e), and generates <x> when gcd(e, k) = 1, so it is
-    skipped.  Returns the inverses, the orders, and each subgroup's
-    elements with its first generator, in the order found."""
+    skipped.  Returns the inverses, the orders, and the number of
+    subgroups walked."""
     n = len(mul)
     orders, inv, walked = [1] + [0] * (n - 1), [0] * n, bytearray(n)
-    subgroups = []
+    subgroups = 0
     for x in range(1, n):
         if walked[x]:
             continue
@@ -212,8 +211,8 @@ def _cyclic_walk(mul) -> tuple[tuple[int, ...], tuple[int, ...], tuple]:
             orders[y], inv[y] = k // d, powers[k - e]
             if d == 1:
                 walked[y] = 1
-        subgroups.append((frozenset(powers), x))
-    return tuple(inv), tuple(orders), tuple(subgroups)
+        subgroups += 1
+    return tuple(inv), tuple(orders), subgroups
 
 
 def _build(mul, label: str) -> FiniteGroup:

@@ -23,8 +23,20 @@ from .order_stats import (
     order_profile,
     product_of_orders,
 )
-from .structure import count_cyclic_subgroups, is_cyclic, is_nilpotent, is_solvable
-from .theorems import ALL_CLAIMS, DEFAULT_GRID_BOUND, TheoremVerdict, evaluate_claim
+from .structure import (
+    count_cyclic_subgroups,
+    has_unique_nilpotent_subgroup,
+    is_cyclic,
+    is_nilpotent,
+    is_solvable,
+)
+from .theorems import (
+    ALL_CLAIMS,
+    DEFAULT_GRID_BOUND,
+    EqualityRouteMismatch,
+    TheoremVerdict,
+    evaluate_claim,
+)
 
 TOOL_VERSION = "0.1.0"
 
@@ -59,12 +71,17 @@ def verdict_rows(verdicts: list[TheoremVerdict]) -> dict:
 
 def group_invariants(group: FiniteGroup, profile) -> dict:
     """The order products and structure flags that both ``compute`` and
-    the report's group records carry."""
+    the report's group records carry.  Nilpotency is read off the profile
+    and checked in the table, or EqualityRouteMismatch."""
+    nilpotent = is_nilpotent(group)
+    if nilpotent != (in_table := has_unique_nilpotent_subgroup(group, group.order)):
+        raise EqualityRouteMismatch(f"{group.label}: nilpotent is {nilpotent} from the "
+                                    f"profile, {in_table} in the table")
     return {
         "order_product": product_of_orders(profile).as_json(),
         "cyclic_order_product": product_of_orders(cyclic_profile(group.order)).as_json(),
         "is_cyclic": is_cyclic(group),
-        "is_nilpotent": is_nilpotent(group),
+        "is_nilpotent": nilpotent,
         "is_solvable": is_solvable(group),
     }
 

@@ -2,12 +2,9 @@
 
 Cyclicity and nilpotency are read off the order profile, solvability off
 the multiplication table: the derived series by normal closures (Holt, Eick
-and O'Brien, Handbook of Computational Group Theory, 2005).  Subgroups are
-found by closing joins of the cyclic subgroups that a group carries from
-its build (``groups._cyclic_walk``), so "unique subgroup of order n"
-questions are answered by search, not by theory.  A subgroup is what
-``generated`` returns, the frozenset of its element indices in its parent's
-table, and predicates on it read that table: none is rebuilt on its own.
+and O'Brien, Handbook of Computational Group Theory, 2005).  Whether a
+group has exactly one subgroup of order n, a nilpotent one, is one closure
+test in the table per prime of n: no subgroup is searched for or rebuilt.
 """
 
 from __future__ import annotations
@@ -19,53 +16,12 @@ from .order_stats import frobenius_table, order_profile
 
 def count_cyclic_subgroups(group: FiniteGroup) -> int:
     """Distinct cyclic subgroups, as walked in the table when the group was
-    built: the nontrivial ones it carries, and <e>.
+    built: the nontrivial ones it counted, and <e>.
 
     Independent of the order-profile shortcut (counts per order divided
     by the totient), so the two can cross-check each other.
     """
-    return 1 + len(group.cyclic_subgroups)
-
-
-def unique_subgroup_of_order(group: FiniteGroup, n: int) -> tuple[str, frozenset[int] | None]:
-    """Classify the order-``n`` subgroups as "unique", "multiple" or "none",
-    with the subgroup's element indices in the unique case.
-
-    A subgroup of order n is reached from one of its cyclic subgroups by
-    joining one more at a time, and each join on the way is a subgroup
-    whose order divides n.  So the search joins the cyclic subgroups whose
-    order divides n, depth-first and largest first, closes each join with
-    ``generated`` capped at n elements, and stops at a second subgroup of
-    order n.
-    """
-    if n < 1 or group.order % n:
-        raise ValueError(f"{n} does not divide the group order {group.order}")
-    if n == 1:
-        return "unique", frozenset({0})
-    if n == group.order:
-        return "unique", frozenset(range(group.order))
-    cyclics = sorted((cx for cx in group.cyclic_subgroups if n % len(cx[0]) == 0),
-                     key=lambda cx: len(cx[0]))
-    stack = [(c, (x,)) for c, x in cyclics]  # the largest is popped first
-    seen, hits = set(), []
-    while stack:
-        sub, gens = stack.pop()
-        if sub in seen:
-            continue
-        seen.add(sub)
-        if len(sub) == n:
-            hits.append(sub)
-            if len(hits) == 2:
-                return "multiple", None
-            continue
-        joins = []
-        for c, x in cyclics:
-            if not c <= sub:
-                join = generated(group.mul, gens + (x,), limit=n)
-                if n % len(join) == 0 and join not in seen:  # len(join) > n fails too
-                    joins.append((join, gens + (x,)))
-        stack.extend(sorted(joins, key=lambda jg: len(jg[0])))
-    return ("unique", hits[0]) if hits else ("none", None)
+    return 1 + group.cyclic_walks
 
 
 def is_cyclic(group: FiniteGroup) -> bool:
@@ -93,16 +49,32 @@ def is_closed(group: FiniteGroup, elements: list[int]) -> bool:
     return True
 
 
-def is_nilpotent(group: FiniteGroup, elements: frozenset[int] | None = None) -> bool:
-    """Whether the subgroup on ``elements``, the whole group by default, is
-    nilpotent: true iff it has p^a elements of order dividing p^a for each p^a
-    exactly dividing its order, i.e. every Sylow is normal.  The whole group
-    reads B(p^a) off its profile; a subgroup, its orders in the parent's table."""
-    if elements is None:
-        counts = frobenius_table(order_profile(group)).counts
-        return all(counts[p**a] == p**a for p, a in factorize(group.order).factors)
-    return all(sum(p**a % group.element_orders[x] == 0 for x in elements) == p**a
-               for p, a in factorize(len(elements)).factors)
+def is_nilpotent(group: FiniteGroup) -> bool:
+    """True iff B(p^a) = p^a for each p^a exactly dividing |G|, i.e. every
+    Sylow is normal; B is read off the profile."""
+    counts = frobenius_table(order_profile(group)).counts
+    return all(counts[p**a] == p**a for p, a in factorize(group.order).factors)
+
+
+def has_unique_nilpotent_subgroup(group: FiniteGroup, n: int) -> bool:
+    """Whether the group has exactly one subgroup of order n, and it is
+    nilpotent: true iff, for each p^a exactly dividing n, the p^a-part
+    {x : o(x) divides p^a} has p^a elements and is closed in the table.
+
+    Each such part is then the only subgroup of order p^a, so it is normal,
+    and their product is a nilpotent subgroup of order n that every
+    subgroup of order n contains.  Conversely, the Sylow p-subgroup P of
+    the unique H is normal, and Q H_p' is a subgroup of order n for any Q
+    of order p^a, so P is the only one; for x in the p^a-part, <x> lies in
+    a subgroup of order p^a of the p-group P<x>, which is P."""
+    if n < 1 or group.order % n:
+        raise ValueError(f"{n} does not divide the group order {group.order}")
+    orders = group.element_orders
+    for p, a in factorize(n).factors:
+        part = [x for x in range(group.order) if p**a % orders[x] == 0]
+        if len(part) != p**a or not is_closed(group, part):
+            return False
+    return True
 
 
 def _greedy_closure(group: FiniteGroup, pending: list[int], conjugators=()):

@@ -21,7 +21,7 @@ from . import order_stats
 from .catalog import semidirect_label_parts
 from .groups import FiniteGroup, inversion_semidirect
 from .matching import matching_as_json
-from .numtheory import divisor_count, divisor_power_sum, divisors, factorize, totient
+from .numtheory import divisor_count, divisor_power_sum, divisors, totient
 from .order_stats import (
     ParameterDomainViolated,
     cyclic_profile,
@@ -37,11 +37,11 @@ from .order_stats import (
 )
 from .structure import (
     count_cyclic_subgroups,
+    has_unique_nilpotent_subgroup,
     is_closed,
     is_cyclic,
     is_nilpotent,
     is_solvable,
-    unique_subgroup_of_order,
 )
 
 DEFAULT_GRID_BOUND = 3
@@ -168,30 +168,16 @@ def check_nonnegative_gap(group: FiniteGroup, n: int, points) -> list[TheoremVer
             for (r, s), sign in zip(points, signs)]
 
 
-def _subgroup_route(group: FiniteGroup, n: int) -> tuple[bool, str]:
-    """Whether the group has exactly one subgroup of order n and it is
-    nilpotent, with the search's status; the same at every exponent."""
-    status, elements = unique_subgroup_of_order(group, n)
-    if status != "unique":
-        return False, status
-    if n == group.order:  # B(p^a) is the other route's: ask the table instead
-        orders = group.element_orders
-        return all(is_closed(group, [x for x in elements if p**a % orders[x] == 0])
-                   for p, a in factorize(n).factors), status
-    return is_nilpotent(group, elements), status
-
-
 def check_diagonal_gap(group: FiniteGroup, n: int, rs) -> list[TheoremVerdict]:
     """For r = s < 0: excess >= 0, zero iff a unique (nilpotent) subgroup of order n.
 
     One verdict per r of rs, in order.  The equality condition, the same at
     every r, is evaluated two independent ways, for any group and divisor
     n: through the solution counts (B(k) = k for every divisor k of n
-    coprime to n/k), and by searching the order-n subgroups and testing the
-    one found for nilpotency in the group's table; at n = |G|, whether each
-    {x : o(x) | p^a} is closed, for then it holds every Sylow p-subgroup and
-    is the only one.  Disagreement raises EqualityRouteMismatch: it would
-    mean one of two proved-equivalent criteria is implemented wrong.
+    coprime to n/k), and in the group's table by one closure test per prime
+    of n (``has_unique_nilpotent_subgroup``).  Disagreement raises
+    EqualityRouteMismatch: it would mean one of two proved-equivalent
+    criteria is implemented wrong.
     """
     for r in rs:
         if not r < 0:
@@ -199,15 +185,10 @@ def check_diagonal_gap(group: FiniteGroup, n: int, rs) -> list[TheoremVerdict]:
     profile = order_profile(group)
     signs = excess_signs(profile, n, [(r, r) for r in rs])
     table = frobenius_table(profile)
-    condition = all(
-        table.counts[k] == k for k in divisors(n) if gcd(k, n // k) == 1
-    )
-    subgroup_route, status = _subgroup_route(group, n)
-    if subgroup_route != condition:
-        raise EqualityRouteMismatch(
-            f"{group.label}, n={n}: solution-count route says {condition}, "
-            f"subgroup route says {subgroup_route} (status: {status})"
-        )
+    condition = all(table.counts[k] == k for k in divisors(n) if gcd(k, n // k) == 1)
+    if (subgroup_route := has_unique_nilpotent_subgroup(group, n)) != condition:
+        raise EqualityRouteMismatch(f"{group.label}, n={n}: solution-count route says "
+                                    f"{condition}, subgroup route says {subgroup_route}")
     return [_verdict("gap-diagonal", group, (("n", n), ("r", r), ("s", r)), sign,
                      sign != "neg", condition, "equality_route: both-agree")
             for r, sign in zip(rs, signs)]

@@ -19,6 +19,7 @@ import orderinv.catalog as catalog_mod
 import orderinv.cli as cli_mod
 import orderinv.groups as groups_mod
 import orderinv.matching as matching_mod
+import orderinv.report as report_mod
 import orderinv.theorems as theorems_mod
 from orderinv.catalog import (
     CatalogSpec,
@@ -87,6 +88,15 @@ def test_compute_json_output(capsys):
     assert payload["solution_counts"] == {"1": 1, "2": 2, "4": 8, "8": 8}
     assert payload["cyclic_subgroup_count"] == 5
     assert payload["is_nilpotent"] is True and payload["is_cyclic"] is False
+
+
+def test_compute_exits_1_when_the_nilpotency_routes_differ(capsys, monkeypatch):
+    # the flag is read off the profile and checked in the table
+    monkeypatch.setattr(report_mod, "is_nilpotent", lambda group: False)
+    assert main(["compute", "--group", "Q8", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "anomaly: Q8: nilpotent is False from the profile, True in the table\n"
 
 
 def test_compute_fractional_exponents_get_exact_signs(capsys):

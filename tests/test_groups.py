@@ -741,8 +741,8 @@ def test_lazy_tables_survive_copy_and_pickle():
         for clone in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
             assert type(clone.mul) is type(g.mul) and clone.mul.rows_built == built
             assert (clone.label, clone.inv, clone.element_orders, clone.profile,
-                    clone.cyclic_subgroups) == (
-                g.label, g.inv, g.element_orders, g.profile, g.cyclic_subgroups)
+                    clone.cyclic_walks) == (
+                g.label, g.inv, g.element_orders, g.profile, g.cyclic_walks)
             assert clone.mul == g.mul  # rows built after the round trip
         assert copy.copy(g).mul is g.mul
 

@@ -175,7 +175,7 @@ def test_no_cyclic_walk_after_a_group_is_built(catalog64, monkeypatch):
     calls = []
     walk = groups_mod.cyclic_powers
     monkeypatch.setattr(groups_mod, "cyclic_powers", lambda mul, x: calls.append(x) or walk(mul, x))
-    assert cyclic(6).cyclic_subgroups and len(calls) == 3  # <1>, <2> and <3>
+    assert cyclic(6).cyclic_walks == len(calls) == 3  # <1>, <2> and <3>
     calls.clear()
     payload = run_sweep(catalog64)
     assert payload["summary"]["anomalies"] == 0

@@ -15,11 +15,13 @@ module (``from .m import _x``) nor read one off a name it imported
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "orderinv").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "orderinv").glob("*.py"))
 
 
 def unused_imports(text: str) -> list[str]:
@@ -51,20 +53,32 @@ def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text()) == []
 
 
-def unreferenced_private_names(texts: list[str]) -> list[str]:
-    """The module-level private functions and classes defined in ``texts``
-    that no code outside their own definition reads, in definition order."""
+def defined_and_read(texts: list[str]) -> tuple[list[str], set[str]]:
+    """The module-level functions and classes defined in ``texts``, in
+    definition order, and every name the code reads outside the definition
+    of that name: as a ``Name``, an attribute or a name imported from a
+    module."""
     defined, read = [], set()
     for text in texts:
         for node in ast.parse(text).body:
             own = getattr(node, "name", None)  # a def or class: its reads of itself don't count
-            if own and own.startswith("_") and not own.startswith("__"):
+            if own:
                 defined.append(own)
             for sub in ast.walk(node):
-                name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
-                if name and name != own:
-                    read.add(name)
-    return [name for name in defined if name not in read]
+                if isinstance(sub, ast.ImportFrom):
+                    names = [alias.name for alias in sub.names]
+                else:
+                    names = [sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)]
+                read |= {name for name in names if name and name != own}
+    return defined, read
+
+
+def unreferenced_private_names(texts: list[str]) -> list[str]:
+    """The module-level private functions and classes defined in ``texts``
+    that no code outside their own definition reads, in definition order."""
+    defined, read = defined_and_read(texts)
+    return [name for name in defined
+            if name.startswith("_") and not name.startswith("__") and name not in read]
 
 
 def test_unreferenced_private_check_finds_what_it_should():
@@ -78,6 +92,36 @@ def test_unreferenced_private_check_finds_what_it_should():
 
 def test_every_private_function_and_class_is_referenced():
     assert unreferenced_private_names([path.read_text() for path in SOURCES]) == []
+
+
+def unreferenced_public_names(sources: list[str], readers: list[str], config: str) -> list[str]:
+    """The module-level public functions and classes defined in ``sources``
+    that no code of ``sources`` or ``readers`` reads outside their own
+    definition, and that ``config`` does not name, in definition order."""
+    defined, _ = defined_and_read(sources)
+    _, read = defined_and_read(sources + readers)
+    named = set(re.findall(r"\w+", config))
+    return [name for name in defined
+            if not name.startswith("_") and name not in read | named]
+
+
+def test_unreferenced_public_check_finds_what_it_should():
+    sources = ["def kept():\n    pass\n\ndef dead(n):\n    return dead(n)\n\n"
+               "class Exported:\n    pass\n\ndef entry():\n    return _helper()\n\n"
+               "def _helper():\n    pass\n",
+               "from .a import kept\n\ndef orphan():\n    pass\n"]
+    readers = ["import pkg\n\npkg.Exported()\n"]
+    config = 'orderinv = "pkg.a:entry"\n'
+    assert unreferenced_public_names(sources, readers, config) == ["dead", "orphan"]
+    assert unreferenced_public_names(sources, readers, "") == ["dead", "entry", "orphan"]
+
+
+def test_every_public_function_and_class_is_read():
+    # read in src/ or demos/, or named in pyproject.toml (the console script)
+    sources = [path.read_text() for path in SOURCES]
+    readers = [path.read_text() for path in sorted((ROOT / "demos").glob("*.py"))]
+    assert unreferenced_public_names(
+        sources, readers, (ROOT / "pyproject.toml").read_text()) == []
 
 
 def private_names_of_other_modules(text: str) -> list[str]:

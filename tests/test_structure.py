@@ -3,7 +3,7 @@
 from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
@@ -26,6 +26,7 @@ from orderinv.numtheory import divisor_count, divisors
 from orderinv.order_stats import frobenius_table, order_profile
 from deadline import time_limit
 from oracles import (
+    ENUMERATION_CAP,
     enumerate_subgroups,
     is_closed_by_every_product,
     is_nilpotent_by_sylow_closure,
@@ -33,11 +34,11 @@ from oracles import (
 )
 from synthetic import relabelled_table
 from orderinv.structure import (
+    has_unique_nilpotent_subgroup,
     is_closed,
     is_cyclic,
     is_nilpotent,
     is_solvable,
-    unique_subgroup_of_order,
 )
 
 
@@ -223,16 +224,6 @@ def test_enumeration_cap():
         enumerate_subgroups(cyclic(201))
 
 
-def test_targeted_search_agrees_with_full_enumeration(catalog64):
-    for g in catalog64:
-        subgroups = enumerate_subgroups(g)
-        for n in divisors(g.order):
-            of_order_n = [s for s in subgroups if len(s) == n]
-            status, elements = unique_subgroup_of_order(g, n)
-            assert status == ("none", "unique", "multiple")[min(len(of_order_n), 2)]
-            assert elements == (of_order_n[0] if status == "unique" else None)
-
-
 def test_subgroups_are_validated_sets():
     g = symmetric(4)
     for s in enumerate_subgroups(g):
@@ -241,54 +232,68 @@ def test_subgroups_are_validated_sets():
         assert subgroup_as_group(g, s).order == len(s)
 
 
+# --- one subgroup of order n, and it nilpotent ---
+
+
+def unique_nilpotent_by_enumeration(group, subgroups, n):
+    """Oracle: exactly one of ``subgroups`` has order n, and rebuilt as a
+    group of its own it is nilpotent."""
+    of_order_n = [s for s in subgroups if len(s) == n]
+    return len(of_order_n) == 1 and is_nilpotent(subgroup_as_group(group, of_order_n[0]))
+
+
 def test_nilpotency_in_the_parent_table_matches_the_rebuilt_subgroup(catalog64):
-    # the rebuilt table passes the Latin scan and Light's test, and its own
-    # is_nilpotent must agree with the test read in the parent's table
-    checked = 0
+    # at every divisor: the closure tests in the parent's table against full
+    # enumeration, and the unique subgroup's own table through Light's test
+    pairs = unique = 0
     for g in catalog64:
+        subgroups = enumerate_subgroups(g)
         for n in divisors(g.order):
-            status, elements = unique_subgroup_of_order(g, n)
-            if status == "unique":
-                rebuilt = subgroup_as_group(g, elements)
-                assert is_nilpotent(g, elements) == is_nilpotent(rebuilt), (g.label, n)
-                checked += 1
-    assert checked == 615
+            expected = unique_nilpotent_by_enumeration(g, subgroups, n)
+            assert has_unique_nilpotent_subgroup(g, n) == expected, (g.label, n)
+            pairs, unique = pairs + 1, unique + expected
+        assert has_unique_nilpotent_subgroup(g, 1)
+        assert has_unique_nilpotent_subgroup(g, g.order) == is_nilpotent(g), g.label
+    assert (pairs, unique) == (769, 569)  # 615 unique subgroups, 569 of them nilpotent
 
 
-# --- unique subgroup of a given order ---
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda d: st.tuples(
+    st.just(d), st.lists(st.permutations(range(d)), max_size=3))))
+@example((5, A5_GENERATORS))
+@example((4, [[1, 0, 2, 3], [1, 2, 3, 0]]))  # S4
+def test_unique_nilpotent_subgroup_matches_enumeration_on_permutation_groups(drawn):
+    degree, generators = drawn
+    g = from_permutations(
+        PermutationGenSet(degree, tuple(tuple(p) for p in generators)), "p")
+    assume(g.order <= ENUMERATION_CAP)
+    subgroups = enumerate_subgroups(g)
+    for n in divisors(g.order):
+        expected = unique_nilpotent_by_enumeration(g, subgroups, n)
+        assert has_unique_nilpotent_subgroup(g, n) == expected, n
 
 
 def test_unique_subgroup_quaternion_center():
-    g = quaternion_generalized(8)
-    status, elements = unique_subgroup_of_order(g, 2)
-    assert status == "unique"
-    assert len(elements) == 2 and is_closed(g, list(elements))
-    assert is_nilpotent(g, elements)
-
-
-def test_unique_subgroup_shortcuts():
-    g = symmetric(3)
-    assert unique_subgroup_of_order(g, 1) == ("unique", frozenset({0}))
-    assert unique_subgroup_of_order(g, 6) == ("unique", frozenset(range(6)))
+    assert has_unique_nilpotent_subgroup(quaternion_generalized(8), 2)
 
 
 def test_multiple_subgroups_of_order_two():
-    assert unique_subgroup_of_order(symmetric(3), 2) == ("multiple", None)
+    assert not has_unique_nilpotent_subgroup(symmetric(3), 2)
 
 
 def test_cyclic_groups_unique_at_every_divisor():
     g = cyclic(12)
-    for n in divisors(12):
-        assert unique_subgroup_of_order(g, n)[0] == "unique"
+    assert all(has_unique_nilpotent_subgroup(g, n) for n in divisors(12))
 
 
 def test_no_subgroup_of_order_thirty_in_alt5():
-    assert unique_subgroup_of_order(alt5(), 30) == ("none", None)
+    assert not has_unique_nilpotent_subgroup(alt5(), 30)
 
 
 def test_unique_subgroup_rejects_non_divisor():
-    with pytest.raises(ValueError):
-        unique_subgroup_of_order(symmetric(3), 4)
+    for n in (0, 4, -3):
+        with pytest.raises(ValueError, match="does not divide"):
+            has_unique_nilpotent_subgroup(symmetric(3), n)
 
 
 RELABELLED_SOURCES = [cyclic(12), cyclic(16), dihedral(6), quaternion_generalized(16),
@@ -314,8 +319,7 @@ def test_cyclic_generator_map_matches_visiting_every_element(data):
     source = data.draw(st.sampled_from(RELABELLED_SOURCES))
     relabel = [0] + data.draw(st.permutations(range(1, source.order)))
     group = from_cayley_table(relabelled_table(source, relabel), "g")
-    # same subgroups, generators and order found
-    assert list(group.cyclic_subgroups) == list(cyclic_generator_map_by_cells(group).items())
+    assert group.cyclic_walks == len(cyclic_generator_map_by_cells(group))
 
 
 def test_catalog_cyclic_subgroups_match_visiting_every_element():
@@ -323,7 +327,7 @@ def test_catalog_cyclic_subgroups_match_visiting_every_element():
     groups = list(iter_catalog(default_catalog_spec(64)))
     assert {type(g.mul).__name__ for g in groups} == {"_MetacyclicTable", "_ProductTable", "tuple"}
     for g in groups:
-        assert list(g.cyclic_subgroups) == list(cyclic_generator_map_by_cells(g).items()), g
+        assert g.cyclic_walks == len(cyclic_generator_map_by_cells(g)), g
 
 
 @settings(max_examples=100, deadline=None)
