@@ -27,7 +27,7 @@ for m, beta, u in [(3, 1, 1), (3, 5, 1), (5, 3, 2), (9, 5, 1), (15, 1, 2)]:
     group = inversion_semidirect(m, beta, u)
     count = count_cyclic_subgroups(group)
     predicted = divisor_count(group.order) + divisor_count(beta) * (m - divisor_count(m))
-    verdict = check_semidirect_count(m, beta, u, grid=2)
+    verdict = check_semidirect_count(group, grid=2)
     print(f"  m={m:>2} beta={beta:>2} u={u}: order {group.order:>3},"
           f" count {count:>2}, formula {predicted:>2},"
           f" closed-form excess consistent={verdict.consistent}")

@@ -134,11 +134,8 @@ _semidirect_numbers = _parser(r"^C(\d+):C(\d+)$")
 
 
 def semidirect_label_parts(label: str) -> tuple[int, int, int] | None:
-    """Split a label of the form C{m}:C{2^u * beta} into (m, beta, u).
-
-    Returns None when the label is not of that form or the acting factor
-    is odd or zero (the construction needs at least one factor of 2).
-    """
+    """(m, beta, u) of a label C{m}:C{2^u * beta}, or None for any other
+    label, or an odd or zero acting order (the family needs a factor 2)."""
     m, alpha = _semidirect_numbers(label) or (0, 0)  # no match: refused as alpha = 0
     if alpha % 2 or not alpha:
         return None
@@ -205,7 +202,9 @@ def iter_catalog(spec: CatalogSpec, paranoid: bool = False) -> Iterator[FiniteGr
 def _build_each(labels, paranoid: bool) -> Iterator[FiniteGroup]:
     for label in labels:
         group = group_from_label(label)
-        yield from_cayley_table(group.mul, label) if paranoid else group
+        if paranoid:  # the group itself goes on: the checked copy has no family
+            from_cayley_table(group.mul, label)
+        yield group
 
 
 def group_from_label(label: str) -> FiniteGroup:

@@ -31,7 +31,7 @@ from .catalog import (
     read_json,
     semidirect_label_parts,
 )
-from .groups import OrderCapExceeded, bounded_int, is_int
+from .groups import OrderCapExceeded, bounded_int, inversion_semidirect, is_int
 from .numtheory import divisor_count, divisor_power_sum, divisors, totient
 from .order_stats import (
     FrobeniusViolated,
@@ -223,12 +223,6 @@ def _with_ingested(catalog, paths: list[str], cap: int, input_errors: list[dict]
                 raise ValueError(f"order {group.order} is above the catalog cap {cap}")
             if group.label in labels:
                 raise ValueError(f"duplicate label {group.label!r}")
-            if semidirect_label_parts(group.label) is not None:
-                # inversion-semidirect-count would rebuild the group from its label
-                raise ValueError(
-                    f"label {group.label!r} is reserved for the inversion"
-                    " semidirect family"
-                )
         except ValueError as exc:
             input_errors.append({"path": path, "error": str(exc)})
             continue
@@ -332,7 +326,7 @@ def _run_example(args) -> int:
             " C{m}:C{2^u * beta} with odd m"
         )
     m, beta, u = parts
-    verdict = check_semidirect_count(m, beta, u, grid=args.grid)
+    verdict = check_semidirect_count(inversion_semidirect(m, beta, u), grid=args.grid)
     order = m * beta * 2**u
     payload = verdict_as_json(verdict)
     if args.format == "json":

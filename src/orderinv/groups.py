@@ -6,18 +6,20 @@ order profile and the number of their nontrivial cyclic subgroups, all
 found by one walk of the table when the group is built (``_cyclic_walk``),
 so order statistics downstream read those, not the table.
 
-Trusted family constructors check nothing.  Their tables are LazyTables,
-correct by construction, whose rows are built on first read:
-``_MetacyclicTable`` (cyclic, dihedral, quaternion, semidirect) slices
-each row out of the family's lanes, and ``_ProductTable`` (direct and
-elementary abelian products) joins each row from one row of each factor.
-The table routes read only the rows of the elements they start from:
-``cyclic_powers`` reads the row of x, ``generated`` the generators' rows.
-Tests and ``verify --paranoid`` send the trusted tables, every row built,
-through the untrusted path.  The untrusted entry points validate and keep
-a dense tuple of row tuples: ``from_permutations`` (group files,
-symmetric, A5) scans for a Latin square with identity, and
-``from_cayley_table`` adds Light's associativity test, O(n^2 log n).
+Trusted family constructors check nothing.  Each keeps itself and its
+arguments in the group's ``family`` slot, which claims read, never the
+label.  Their tables are LazyTables, correct by construction, whose rows
+are built on first read: ``_MetacyclicTable`` (cyclic, dihedral,
+quaternion, semidirect) slices each row out of the family's lanes, and
+``_ProductTable`` (direct and elementary abelian products) joins each
+row from one row of each factor.  The table routes read only the rows of
+the elements they start from: ``cyclic_powers`` reads the row of x,
+``generated`` the generators' rows.  Tests and ``verify --paranoid``
+send the trusted tables, every row built, through the untrusted path.
+The untrusted entry points keep no family, and validate and keep a dense
+tuple of row tuples: ``from_permutations`` (group files, symmetric, A5)
+scans for a Latin square with identity, and ``from_cayley_table`` adds
+Light's associativity test, O(n^2 log n).
 Every constructor checks the order against ``MAX_ORDER`` before it
 allocates anything, so no input can ask for an unbounded table.
 """
@@ -92,15 +94,16 @@ class FiniteGroup(Frozen):
     the order of i, and ``profile`` their OrderProfile.  ``cyclic_walks`` is
     the number of nontrivial cyclic subgroups the build walked.  ``mul`` is
     a tuple of row tuples, or a LazyTable that builds each row on first read.
+    ``family`` is (builder, arguments) for a family builder's group, else None.
     """
 
     __slots__ = ("order", "mul", "inv", "element_orders", "cyclic_walks", "label",
-                 "profile", "__weakref__")
+                 "family", "profile", "__weakref__")
 
     def __init__(self, order: int, mul, inv: tuple, element_orders: tuple,
-                 cyclic_walks: int, label: str):
+                 cyclic_walks: int, label: str, family: tuple | None = None):
         profile = OrderProfile(order, Counter(element_orders))
-        values = (order, mul, inv, element_orders, cyclic_walks, label, profile)
+        values = (order, mul, inv, element_orders, cyclic_walks, label, family, profile)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -215,10 +218,10 @@ def _cyclic_walk(mul) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     return tuple(inv), tuple(orders), subgroups
 
 
-def _build(mul, label: str) -> FiniteGroup:
+def _build(mul, label: str, family: tuple | None = None) -> FiniteGroup:
     """No check: the caller validated the table, a tuple of row tuples, or
-    it is a family's LazyTable, correct by construction."""
-    return FiniteGroup(len(mul), mul, *_cyclic_walk(mul), label)
+    it is the LazyTable of the builder in ``family``, correct by construction."""
+    return FiniteGroup(len(mul), mul, *_cyclic_walk(mul), label, family)
 
 
 def from_cayley_table(table, label: str) -> FiniteGroup:
@@ -397,7 +400,7 @@ def cyclic(n: int) -> FiniteGroup:
     _require_order(n, f"C{n}")
     if n < 1:
         raise GroupConstructionError(f"cyclic group needs order >= 1, got {n}")
-    return _build(_MetacyclicTable(n, 1, 1, 0), f"C{n}")
+    return _build(_MetacyclicTable(n, 1, 1, 0), f"C{n}", (cyclic, (n,)))
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -406,7 +409,7 @@ def dihedral(n: int) -> FiniteGroup:
     _require_order(2 * n, f"D{n} of order {2 * n}")
     if n < 1:
         raise GroupConstructionError(f"dihedral parameter must be >= 1, got {n}")
-    return _build(_MetacyclicTable(n, 2, -1, 0), f"D{n}")
+    return _build(_MetacyclicTable(n, 2, -1, 0), f"D{n}", (dihedral, (n,)))
 
 
 def quaternion_generalized(order: int) -> FiniteGroup:
@@ -417,7 +420,8 @@ def quaternion_generalized(order: int) -> FiniteGroup:
             f"generalized quaternion groups exist for 2-power orders >= 8, got {order}"
         )
     m = order // 2  # index of the cyclic half <a>; b^2 = a^(m/2), b a b^-1 = a^-1
-    return _build(_MetacyclicTable(m, 2, -1, m // 2), f"Q{order}")
+    return _build(_MetacyclicTable(m, 2, -1, m // 2), f"Q{order}",
+                  (quaternion_generalized, (order,)))
 
 
 def symmetric(k: int) -> FiniteGroup:
@@ -436,7 +440,7 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
     _require_order(p ** min(k, _CAP_BITS), f"E{p}^{k}")  # before the primality test
     if not is_prime(p):
         raise GroupConstructionError(f"elementary abelian base {p} is not prime")
-    return _build(_elementary_table(p, k), f"E{p}^{k}")
+    return _build(_elementary_table(p, k), f"E{p}^{k}", (elementary_abelian, (p, k)))
 
 
 def _elementary_table(p: int, k: int) -> LazyTable:
@@ -452,7 +456,7 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """Componentwise product on pairs, indexed as i_a * |b| + i_b."""
     label = f"{a.label}x{b.label}"
     _require_order(a.order * b.order, f"{label} of order {a.order * b.order}")
-    return _build(_ProductTable(a.mul, b.mul), label)
+    return _build(_ProductTable(a.mul, b.mul), label, (direct_product, (a.family, b.family)))
 
 
 def inversion_semidirect(m: int, beta: int, u: int) -> FiniteGroup:
@@ -477,4 +481,5 @@ def inversion_semidirect(m: int, beta: int, u: int) -> FiniteGroup:
         raise ParityViolated(f"m = {m} must be odd")
     if beta % 2 == 0:
         raise ParityViolated(f"beta = {beta} must be odd")
-    return _build(_MetacyclicTable(m, alpha, -1, 0), f"C{m}:C{alpha}")
+    return _build(_MetacyclicTable(m, alpha, -1, 0), f"C{m}:C{alpha}",
+                  (inversion_semidirect, (m, beta, u)))

@@ -18,7 +18,6 @@ from math import gcd
 from typing import NamedTuple
 
 from . import order_stats
-from .catalog import semidirect_label_parts
 from .groups import FiniteGroup, inversion_semidirect
 from .matching import matching_as_json
 from .numtheory import divisor_count, divisor_power_sum, divisors, totient
@@ -292,18 +291,22 @@ def check_order_product_maximal(group: FiniteGroup) -> TheoremVerdict:
     )
 
 
-def check_semidirect_count(
-    m: int, beta: int, u: int, grid: int = DEFAULT_GRID_BOUND, group: FiniteGroup | None = None
-) -> TheoremVerdict:
+def _semidirect_parameters(group: FiniteGroup) -> tuple[int, int, int] | None:
+    """(m, beta, u) when inversion_semidirect(m, beta, u) built the group, else None."""
+    return group.family[1] if group.family and group.family[0] is inversion_semidirect else None
+
+
+def check_semidirect_count(group: FiniteGroup, grid: int = DEFAULT_GRID_BOUND) -> TheoremVerdict:
     """Inversion-type semidirect products hit their predicted invariants.
 
-    Takes the group inversion_semidirect(m, beta, u), built here unless
-    given, counts cyclic subgroups three ways (brute table scan, order
-    profile, closed-form count), and compares the excess table over the
-    integer grid [-grid, grid]^2 with the closed form at each point.
+    Reads (m, beta, u) from the group's ``family`` slot, counts cyclic
+    subgroups three ways (brute table scan, order profile, closed-form
+    count), and compares the excess table over the integer grid
+    [-grid, grid]^2 with the closed form at each point.
     """
-    if group is None:
-        group = inversion_semidirect(m, beta, u)
+    if (parameters := _semidirect_parameters(group)) is None:
+        raise PreconditionViolated(f"{group.label} is not built by inversion_semidirect")
+    m, beta, u = parameters
     profile = order_profile(group)
     brute = count_cyclic_subgroups(group)
     from_profile = cyclic_subgroup_count(profile, group.order)
@@ -387,9 +390,8 @@ CLAIMS = {
     "cyclic-part-equivalence": lambda group, bound, record: [
         check_cyclic_part_equivalence(group, n) for n in _sweep_orders(group)],
     "order-product-max": lambda group, bound, record: [check_order_product_maximal(group)],
-    "inversion-semidirect-count": lambda group, bound, record: [
-        check_semidirect_count(*parts, grid=bound, group=group)
-        for parts in [semidirect_label_parts(group.label)] if parts],
+    "inversion-semidirect-count": lambda group, bound, record: (
+        [check_semidirect_count(group, grid=bound)] if _semidirect_parameters(group) else []),
     "divisibility-matching": lambda group, bound, record: [
         check_divisibility_matching(group, record)],
 }

@@ -206,7 +206,7 @@ def test_criterion_09_semidirect_family():
         ]
         assert len(combos) == 18
         for m, beta, u in combos:
-            verdict = check_semidirect_count(m, beta, u, grid=3)
+            verdict = check_semidirect_count(inversion_semidirect(m, beta, u), grid=3)
             if not verdict.consistent:
                 problems.append(f"(m,beta,u)=({m},{beta},{u}): {verdict.witness}")
         for gamma in (1, 2, 3):

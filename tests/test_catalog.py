@@ -18,7 +18,7 @@ from orderinv.catalog import (
     read_json,
 )
 from orderinv.cli import main
-from orderinv.groups import MAX_ORDER, GroupConstructionError, OrderCapExceeded
+from orderinv.groups import MAX_ORDER, GroupConstructionError, OrderCapExceeded, direct_product
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -191,6 +191,28 @@ def test_every_planned_label_builds_a_group_of_its_planned_order():
         for order, label in planned:
             group = group_from_label(label)
             assert (group.label, group.order) == (label, order), name
+
+
+def _rebuilt(family):
+    """The group a family slot's builder makes from its arguments, called
+    again; a product slot holds its factors' slots, rebuilt first."""
+    builder, arguments = family
+    if builder is direct_product:
+        arguments = tuple(map(_rebuilt, arguments))
+    return builder(*arguments)
+
+
+def test_each_family_slot_rebuilds_its_group():
+    # the slot holds the arguments the builder was called with: called again
+    # they give the same label and table; only S_n and A5 leave it empty
+    unbuilt = []
+    for group in iter_catalog(default_catalog_spec(256)):
+        if group.family is None:
+            unbuilt.append(group.label)
+            continue
+        again = _rebuilt(group.family)
+        assert (again.label, again.family, again.mul) == (group.label, group.family, group.mul)
+    assert unbuilt == ["S1", "S2", "S3", "S4", "S5", "A5"]
 
 
 @pytest.mark.parametrize("families, message", [

@@ -517,15 +517,16 @@ def test_verify_ingested_file_errors(tmp_path, capsys):
         ("b-bad.json", "expected a JSON object at top level"),
         ("c-dup-catalog.json", "duplicate label 'C2'"),
         ("e-dup-file.json", "duplicate label 'k'"),
-        ("f-semidirect.json", "label 'C3:C2' is reserved for the inversion semidirect family"),
     ]
     for paranoid in ((), ("--paranoid",)):
         with time_limit(10):
             assert main(["verify", "--catalog", str(spec), *paranoid]) == 2
         payload = json.loads(capsys.readouterr().out)
-        # C3:C0 names no semidirect group: it is swept like any other label
+        # a label is only a name: a file's C3:C2 (a C6 table) and C3:C0 are
+        # swept like any other label, and no claim reads them
         assert [g["label"] for g in payload["groups"]] == [
-            "C1", "C2", "C3", "C3:C0", "k", "C4"]
+            "C1", "C2", "C3", "C3:C0", "k", "C4", "C3:C2"]
+        assert "inversion-semidirect-count" not in payload["groups"][-1]["verdicts"]
         assert payload["input_errors"] == [
             {"path": str(tmp_path / name), "error": error} for name, error in expected]
 
@@ -651,10 +652,10 @@ def test_verify_family_ranges_stop_at_the_cap(tmp_path):
         assert [g["label"] for g in json.loads(proc.stdout)["groups"]] == labels
 
 
-def test_verify_rejects_ingested_semidirect_labels(tmp_path, capsys):
-    # valid cyclic tables whose labels would make inversion-semidirect-count
-    # read (m, beta, u) from the label: C9:C6 has no such group, and C3:C10
-    # is a different group of the same order
+def test_verify_sweeps_ingested_semidirect_labels(tmp_path, capsys):
+    # valid cyclic tables under labels of the semidirect family's form: C9:C6
+    # names no group of the family, and C3:C10 a different group of order 30.
+    # No claim reads a label, so each file is swept as the cyclic group it is.
     for label, order in (("C9:C6", 54), ("C3:C10", 30)):
         table = [[(i + j) % order for j in range(order)] for i in range(order)]
         (tmp_path / f"c{order}.json").write_text(
@@ -664,13 +665,14 @@ def test_verify_rejects_ingested_semidirect_labels(tmp_path, capsys):
         "families": {"cyclic": [1, 2]}, "ingested": ["c54.json", "c30.json"],
         "order_cap": 64,
     }))
-    assert main(["verify", "--catalog", str(spec)]) == 2
+    assert main(["verify", "--catalog", str(spec)]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert [g["label"] for g in payload["groups"]] == ["C1", "C2"]
-    assert payload["anomalies"] == []
-    errors = payload["input_errors"]
-    assert len(errors) == 2
-    assert all("semidirect" in e["error"] for e in errors)
+    assert [g["label"] for g in payload["groups"]] == ["C1", "C2", "C3:C10", "C9:C6"]
+    assert (payload["anomalies"], payload["input_errors"]) == ([], [])
+    for record, order in zip(payload["groups"][2:], (30, 54)):
+        assert "inversion-semidirect-count" not in record["verdicts"]
+        [twin] = run_sweep([group_from_label(f"C{order}")])["groups"]
+        assert {**record, "label": f"C{order}"} == json.loads(twin)
 
 
 # a label grammar: family letters; digit strings, often small, with leading

@@ -734,15 +734,15 @@ def test_lazy_table_is_the_sequence_of_its_rows():
 
 
 def test_lazy_tables_survive_copy_and_pickle():
-    for g in (cyclic(7), dihedral(5), elementary_abelian(2, 4),
+    for g in (cyclic(7), dihedral(5), elementary_abelian(2, 4), inversion_semidirect(3, 5, 1),
               direct_product(quaternion_generalized(8), cyclic(3)),
               direct_product(symmetric(3), dihedral(4))):
         built = g.mul.rows_built
         for clone in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
             assert type(clone.mul) is type(g.mul) and clone.mul.rows_built == built
             assert (clone.label, clone.inv, clone.element_orders, clone.profile,
-                    clone.cyclic_walks) == (
-                g.label, g.inv, g.element_orders, g.profile, g.cyclic_walks)
+                    clone.cyclic_walks, clone.family) == (
+                g.label, g.inv, g.element_orders, g.profile, g.cyclic_walks, g.family)
             assert clone.mul == g.mul  # rows built after the round trip
         assert copy.copy(g).mul is g.mul
 

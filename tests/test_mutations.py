@@ -74,11 +74,25 @@ def _always_solvable(mp):
     _patch_everywhere(mp, structure_mod.is_solvable, lambda group: True)
 
 
+def _semidirect_slot_off_by_one(mp):
+    # the right table, but u + 1 recorded as the builder's argument
+    real = groups_mod._build
+
+    def mutant(mul, label, family=None):
+        if family and family[0] is groups_mod.inversion_semidirect:
+            m, beta, u = family[1]
+            family = (family[0], (m, beta, u + 1))
+        return real(mul, label, family)
+
+    mp.setattr(groups_mod, "_build", mutant)
+
+
 MUTATIONS = {
     "is_nilpotent false on non-cyclic 2-groups": _deny_nilpotency_to_noncyclic_two_groups,
     "D_m for odd m built abelian": _abelian_odd_dihedral,
     "Q_2^k built without its wrap": _unwrapped_quaternion,
     "is_solvable always true": _always_solvable,
+    "semidirect slot records u + 1": _semidirect_slot_off_by_one,
 }
 
 
@@ -137,6 +151,17 @@ def test_abelian_odd_dihedral_shows_on_the_semidirect_labels(sweeps):
     assert inconsistent_claims(payload) == {"inversion-semidirect-count"}
     twins = {f"C{m}:C2" for m in range(3, CAP // 2 + 1, 2)}
     assert flagged(payload) and flagged(payload) <= twins
+
+
+def test_semidirect_slot_feeds_the_closed_form(sweeps):
+    # the closed form reads (m, beta, u) from the slot, the other routes the table
+    payload = sweeps["semidirect slot records u + 1"]
+    assert payload["exit_status"] == 1 and not payload["anomalies"]
+    assert inconsistent_claims(payload) == {"inversion-semidirect-count"}
+    assert flagged(payload) == {
+        label for text in sweeps[None]["groups"]
+        if ":" in (label := json.loads(text)["label"])}
+    assert len(flagged(payload)) == 12
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 20: no second route for the D_m table")

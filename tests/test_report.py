@@ -24,7 +24,7 @@ from orderinv.catalog import (
     iter_catalog,
     semidirect_label_parts,
 )
-from orderinv.groups import LazyTable, cyclic
+from orderinv.groups import FiniteGroup, LazyTable, cyclic
 from orderinv.matching import verify_matching
 from orderinv.numtheory import divisor_power_sum, divisors
 from orderinv.order_stats import frobenius_table, order_profile, sign_of, weighted_order_sum
@@ -120,6 +120,21 @@ def test_sweep_is_deterministic():
     first = report_text(run_sweep(groups))
     second = report_text(run_sweep(groups))
     assert first == second
+
+
+def test_verdicts_do_not_depend_on_labels(catalog64):
+    # the same groups renamed g0, g1, ...: a claim that read a label would
+    # change its blocks on some group, or lose them
+    renamed = [FiniteGroup(g.order, g.mul, g.inv, g.element_orders, g.cyclic_walks,
+                           label=f"g{i}", family=g.family) for i, g in enumerate(catalog64)]
+    names = {f"g{i}": g.label for i, g in enumerate(catalog64)}
+    as_built, neutral = (
+        {names.get(r["label"], r["label"]): r["verdicts"] for r in records(run_sweep(groups))}
+        for groups in (catalog64, renamed))
+    assert neutral == as_built
+    assert sum("inversion-semidirect-count" in blocks for blocks in neutral.values()) == 12
+    assert sum(len(block["rows"]) for blocks in neutral.values()
+               for block in blocks.values()) == 16683
 
 
 def test_claim_selection_and_order():
@@ -455,5 +470,5 @@ def test_readme_gives_the_routes_of_every_claim():
     rows = dict(re.findall(r"^\| `([a-z]+(?:-[a-z]+)+)` \|(.*)\|$", readme, re.M))
     assert sorted(rows) == sorted(ALL_CLAIMS)
     for claim, routes in rows.items():
-        sources = re.findall(r"\((profile|table|label)\) \|", routes + " |")
+        sources = re.findall(r"\((profile|table|family parameters)\) \|", routes + " |")
         assert len(sources) >= 2, claim

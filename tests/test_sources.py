@@ -158,3 +158,28 @@ def test_private_name_check_finds_what_it_should():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_module_uses_another_modules_private_names(path):
     assert private_names_of_other_modules(path.read_text()) == []
+
+
+def imported_modules(text: str) -> set[str]:
+    """The package modules ``text`` imports from, by their names."""
+    names = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {a.name.rpartition(".")[2] for a in node.names
+                      if a.name.startswith("orderinv")}
+    return names
+
+
+def test_imported_module_check_finds_what_it_should():
+    text = ("import json\nimport orderinv.catalog\nfrom . import groups\n"
+            "from .theorems import CLAIMS\nfrom math import gcd\n")
+    assert imported_modules(text) == {"catalog", "groups", "theorems"}
+
+
+def test_claims_read_no_label_parser():
+    # a claim takes its parameters from the group's family slot, so the
+    # module of the claims imports nothing from the module of the labels
+    text = (ROOT / "src" / "orderinv" / "theorems.py").read_text()
+    assert "catalog" not in imported_modules(text)

@@ -375,23 +375,36 @@ def test_frobenius_divisibility_spots():
 
 
 def test_semidirect_smallest_case_matches_symmetric3():
-    v = check_semidirect_count(3, 1, 1)
+    v = check_semidirect_count(inversion_semidirect(3, 1, 1))
     assert v.consistent
     assert "brute=5" in v.witness
 
 
 def test_semidirect_order_thirty():
-    v = check_semidirect_count(3, 5, 1)
+    v = check_semidirect_count(inversion_semidirect(3, 5, 1))
     assert v.consistent
     assert "predicted=10" in v.witness
 
 
 def test_semidirect_grid():
     for m, beta, u in [(3, 1, 1), (5, 1, 1), (5, 3, 1), (9, 1, 1), (3, 1, 2), (15, 1, 1)]:
-        v = check_semidirect_count(m, beta, u)
+        v = check_semidirect_count(inversion_semidirect(m, beta, u))
         assert v.consistent, v.witness
+        assert v.parameters == (("m", m), ("beta", beta), ("u", u))
         surplus = divisor_count(beta) * (m - divisor_count(m))
         assert v.sign == ("pos" if surplus else "zero")
+
+
+def test_semidirect_count_needs_the_builders_parameters():
+    # the same table under the family's own label, but no family slot
+    built = inversion_semidirect(3, 1, 1)
+    unbuilt = FiniteGroup(6, built.mul, built.inv, built.element_orders,
+                          built.cyclic_walks, "C3:C2")
+    for group in (dihedral(3), symmetric(3), unbuilt,
+                  direct_product(inversion_semidirect(3, 1, 1), cyclic(5))):
+        with pytest.raises(PreconditionViolated, match="not built by inversion_semidirect"):
+            check_semidirect_count(group)
+        assert evaluate_claim(group, "inversion-semidirect-count") == []
 
 
 # the claims of the form "the inequality holds, and the sign is zero exactly
