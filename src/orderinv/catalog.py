@@ -24,6 +24,7 @@ from .groups import (
     OrderCapExceeded,
     PermutationGenSet,
     bounded_int,
+    check_cayley_table,
     cyclic,
     dihedral,
     direct_product,
@@ -181,7 +182,7 @@ def iter_catalog(spec: CatalogSpec, paranoid: bool = False) -> Iterator[FiniteGr
     cells, one largest table, which bounds the build work of a catalog.
     The iterator returned builds one label per step and keeps nothing.
     Family tables are correct by construction and not scanned (S_n and A5
-    get the Latin scan); ``paranoid`` gives every table from_cayley_table's
+    get the Latin scan); ``paranoid`` gives every table check_cayley_table's
     full check, as group files get, which the caller loads one by one.
     """
     cells, labels = 0, {}
@@ -202,8 +203,8 @@ def iter_catalog(spec: CatalogSpec, paranoid: bool = False) -> Iterator[FiniteGr
 def _build_each(labels, paranoid: bool) -> Iterator[FiniteGroup]:
     for label in labels:
         group = group_from_label(label)
-        if paranoid:  # the group itself goes on: the checked copy has no family
-            from_cayley_table(group.mul, label)
+        if paranoid:  # the table is checked; the group itself goes on
+            check_cayley_table(group.mul, label)
         yield group
 
 

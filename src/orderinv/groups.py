@@ -15,11 +15,13 @@ quaternion, semidirect) slices each row out of the family's lanes, and
 row from one row of each factor.  The table routes read only the rows of
 the elements they start from: ``cyclic_powers`` reads the row of x,
 ``generated`` the generators' rows.  Tests and ``verify --paranoid``
-send the trusted tables, every row built, through the untrusted path.
+send the trusted tables, every row built, through the untrusted check.
 The untrusted entry points keep no family, and validate and keep a dense
 tuple of row tuples: ``from_permutations`` (group files, symmetric, A5)
-scans for a Latin square with identity, and ``from_cayley_table`` adds
-Light's associativity test, O(n^2 log n).
+scans for a Latin square with identity, and ``from_cayley_table`` builds
+what ``check_cayley_table`` passes, which adds Light's associativity test,
+O(n^2 log n), run on ``greedy_closure``, the loop that also serves
+``structure``'s closure test and derived series.
 Every constructor checks the order against ``MAX_ORDER`` before it
 allocates anything, so no input can ask for an unbounded table.
 """
@@ -139,17 +141,14 @@ def _check_associative(mul) -> None:
 
     The elements a with (x*a)*y == x*(a*y) for all x, y are closed under
     the product, so the table is associative once such elements generate
-    it.  The smallest element outside the closure of those already passed
-    is tested next.  In a loop these elements form a subgroup, so each pass
-    at least doubles the closure: at most log2(n) elements are tested, at
-    n^2 comparisons each, and the first failure names a witness triple.
+    it.  The greedy closure of the elements in index order tests each
+    element it takes as a generator.  In a loop these elements form a
+    subgroup, so each one at least doubles the closure: at most log2(n)
+    elements are tested, at n^2 comparisons each, and the first failure
+    names a witness triple.
     """
     n = len(mul)
-    closure = {0}
-    generators = []
-    for a in range(1, n):
-        if a in closure:
-            continue
+    for a, _ in greedy_closure(mul, range(1, n)):
         through_a = itemgetter(*mul[a])  # a row read at the entries of row a
         for x in range(1, n):
             row_x = mul[x]
@@ -158,8 +157,6 @@ def _check_associative(mul) -> None:
             if left != right:
                 y = next(y for y in range(n) if left[y] != right[y])
                 raise NotAssociative(f"({x}*{a})*{y} != {x}*({a}*{y})")
-        generators.append(a)
-        closure = generated(mul, generators)
 
 
 def generated(mul, gens, limit: int | None = None) -> frozenset[int]:
@@ -180,6 +177,19 @@ def generated(mul, gens, limit: int | None = None) -> frozenset[int]:
         if limit is not None and len(found) > limit:
             break
     return frozenset(found)
+
+
+def greedy_closure(mul, candidates, limit: int | None = None):
+    """Yield (c, closure) for each candidate c outside the closure so far,
+    in order: c joins the generators and closure is what they generate
+    (``generated``, with ``limit``).  A list of candidates may grow while
+    it is walked; its new candidates are taken after the old."""
+    gens, closure = (), frozenset({0})
+    for c in candidates:
+        if c not in closure:
+            gens += (c,)
+            closure = generated(mul, gens, limit)
+            yield c, closure
 
 
 def cyclic_powers(mul, x: int) -> list[int]:
@@ -224,10 +234,10 @@ def _build(mul, label: str, family: tuple | None = None) -> FiniteGroup:
     return FiniteGroup(len(mul), mul, *_cyclic_walk(mul), label, family)
 
 
-def from_cayley_table(table, label: str) -> FiniteGroup:
-    """Validate an untrusted table: a Latin square with identity 0 that
-    passes Light's associativity test is a group, so every element has a
-    two-sided inverse."""
+def check_cayley_table(table, label: str) -> tuple[tuple[int, ...], ...]:
+    """Validate an untrusted table and return it as a tuple of row tuples:
+    a Latin square with identity 0 that passes Light's associativity test
+    is a group, so every element has a two-sided inverse."""
     _require_order(len(table), f"table {label!r} of order {len(table)}")
     for i, row in enumerate(table):
         if not isinstance(row, (list, tuple)) or any(  # is_int per distinct type
@@ -238,7 +248,12 @@ def from_cayley_table(table, label: str) -> FiniteGroup:
         raise NotClosed("empty multiplication table")
     _check_latin_and_identity(mul)
     _check_associative(mul)
-    return _build(mul, label)
+    return mul
+
+
+def from_cayley_table(table, label: str) -> FiniteGroup:
+    """The group of an untrusted table, once ``check_cayley_table`` passes it."""
+    return _build(check_cayley_table(table, label), label)
 
 
 class PermutationGenSet(Frozen):

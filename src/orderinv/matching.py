@@ -14,7 +14,6 @@ and ``matching_as_json``, the form that records, ``match`` and the claim read.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -35,24 +34,16 @@ class DivisibilityMatching(NamedTuple):
     violator: frozenset[int] | None = None
 
 
-def _shortest_augmenting_path(res, src: int, sink: int) -> list[int] | None:
-    parent = {src: src}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        if u == sink:
-            break
+def _reachable(res, src: int) -> dict[int, int]:
+    """Breadth-first parents of every node reachable from src through spare
+    capacity: the parents trace a shortest augmenting path to any of them."""
+    parent, queue = {src: src}, [src]
+    for u in queue:  # grows while it is walked: BFS order
         for v, spare in res[u].items():
             if spare > 0 and v not in parent:
                 parent[v] = u
                 queue.append(v)
-    if sink not in parent:
-        return None
-    path = [sink]
-    while path[-1] != src:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
+    return parent
 
 
 def find_divisibility_matching(profile: OrderProfile) -> DivisibilityMatching:
@@ -88,10 +79,11 @@ def find_divisibility_matching(profile: OrderProfile) -> DivisibilityMatching:
         add_edge(right[e], sink, totient(e))
 
     pushed = 0
-    while True:
-        path = _shortest_augmenting_path(res, src, sink)
-        if path is None:
-            break
+    while sink in (parent := _reachable(res, src)):
+        path = [sink]
+        while path[-1] != src:
+            path.append(parent[path[-1]])
+        path.reverse()
         bottleneck = min(res[u][v] for u, v in zip(path, path[1:]))
         for u, v in zip(path, path[1:]):
             res[u][v] -= bottleneck
@@ -111,15 +103,8 @@ def find_divisibility_matching(profile: OrderProfile) -> DivisibilityMatching:
     if pushed == n:
         return DivisibilityMatching("found", assignment)
 
-    seen = {src}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for v, spare in res[u].items():
-            if spare > 0 and v not in seen:
-                seen.add(v)
-                queue.append(v)
-    violator = frozenset(d for d in supplies if left[d] in seen)
+    # the last search's reach, which the sink is not in
+    violator = frozenset(d for d in supplies if left[d] in parent)
     return DivisibilityMatching("violated", assignment, violator)
 
 

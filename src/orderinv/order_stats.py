@@ -8,10 +8,12 @@ the weighted order sums
 
     sum over x with o(x) | n  of  o(x)^s / phi(o(x))^r
 
-and their excess over the cyclic group of the same order, which is the
-quantity whose sign detects structure; ``excess_sign`` decides that sign
-exactly for every rational exponent pair.  The product of all element orders
-is kept in factored form; its closed form n^n / prod p^(B_p) is computed
+and their excess over the cyclic group of the same order, the quantity
+whose sign detects structure.  The excess at (profile, n) depends only on
+its terms (c_m - 1, m, phi(m)), which ``excess_terms`` lists; the tables
+(``excess_table``) and signs (``excess_signs``, exact for every rational
+exponent pair) are functions of those terms.  The product of all element
+orders is kept in factored form; its closed form n^n / prod p^(B_p) is computed
 from the solution counts and cross-checked in tests against the direct
 factored product.
 """
@@ -175,21 +177,22 @@ def excess_terms(profile: OrderProfile, n: int) -> tuple[tuple[int, int, int], .
                  for m in divisors(n) if profile.cyclic_count(m) != 1)
 
 
-# the last few groups' tables: at a large grid bound g a (2g+1)^2 table is large
+# the last few term lists' tables: at a large grid bound g a (2g+1)^2 table is large
 @lru_cache(maxsize=128)
-def excess_table(profile: OrderProfile, n: int, rs: range, ss: range) -> tuple[int, tuple]:
-    """cyclic_excess at every integer (r, s) in rs x ss, in integers: a
-    denominator D and rows, with rows[i][j] the numerator at (rs[i], ss[j]).
+def excess_table(terms: tuple, rs: range, ss: range) -> tuple[int, tuple]:
+    """The excess of ``terms`` (as excess_terms returns them) at every
+    integer (r, s) in rs x ss, in integers: a denominator D and rows, with
+    rows[i][j] the numerator at (rs[i], ss[j]).
 
     With a = max(-min ss, 0) and b = max(max rs - 1, 0), every term
     (c_m - 1) m^s / phi(m)^(r-1) of the box has its denominator dividing
     m^a phi(m)^b, so over D = lcm of those the numerator at (r, s) is
     sum (c_m - 1) (D / m^a phi^b) m^(s+a) phi^(b+1-r): one dot product of
-    a vector made once per s with one made once per r.  Keyed by value: the
-    claims of a group at one n read one table, and so does a twin met while
-    it is held.
+    a vector made once per s with one made once per r.  Keyed by the terms,
+    the only thing the excess depends on: every (profile, n) with the same
+    terms, such as every n at which each cyclic subgroup count is 1, reads
+    one table.
     """
-    terms = excess_terms(profile, n)
     a, b = max(-ss[0], 0), max(rs[-1] - 1, 0)
     below = [m**a * phi**b for _, m, phi in terms]
     common = lcm(*below)
@@ -210,11 +213,11 @@ def cyclic_excess(profile: OrderProfile, n: int, r, s) -> Scalar:
     integer r and s it is read off the 1 x 1 excess_table, exactly; else it
     is a float reading.
     """
+    terms = excess_terms(profile, n)
     (a, qa), (b, qb) = r.as_integer_ratio(), s.as_integer_ratio()
     if qa != 1 or qb != 1:
-        return sum((c * weight(m, r - 1, s) for c, m, _ in excess_terms(profile, n)),
-                   Fraction(0))
-    denominator, ((numerator,),) = excess_table(profile, n, range(a, a + 1), range(b, b + 1))
+        return sum((c * weight(m, r - 1, s) for c, m, _ in terms), Fraction(0))
+    denominator, ((numerator,),) = excess_table(terms, range(a, a + 1), range(b, b + 1))
     return Fraction(numerator, denominator)
 
 
@@ -223,39 +226,33 @@ def sign_of(value) -> str:
     return "pos" if value > 0 else "neg" if value < 0 else "zero"
 
 
-# decimal digits at which excess_sign stops doubling its precision from 30
+# decimal digits at which excess_signs stops doubling its precision from 30
 SIGN_DIGITS = 960
 
 
 def excess_sign(profile: OrderProfile, n: int, r, s) -> str:
-    """The exact sign of cyclic_excess for rational r and s (a float is the
+    """The exact sign of cyclic_excess for rational r and s: excess_signs
+    at the one point."""
+    return excess_signs(excess_terms(profile, n), [(r, s)])[0]
+
+
+def excess_signs(terms: tuple, points) -> list[str]:
+    """The exact sign of the excess of ``terms`` (as excess_terms returns
+    them) at each rational (r, s) of points, in order (a float is the
     dyadic rational it is): "neg", "zero", "pos", or "indeterminate" when
-    SIGN_DIGITS digits cannot tell the sum from 0.  At an integer point it
-    is the sign of the numerator in the 1 x 1 excess_table.
-    """
-    require_divisor(profile, n)
-    (a, qa), (b, qb) = r.as_integer_ratio(), s.as_integer_ratio()
-    if qa == qb == 1:
-        _, ((numerator,),) = excess_table(profile, n, range(a, a + 1), range(b, b + 1))
-        return sign_of(numerator)
-    return _radicand_sign(profile, n, a, qa, b, qb)
-
-
-def excess_signs(profile: OrderProfile, n: int, points) -> list[str]:
-    """excess_sign at each (r, s) of points, in order.
+    SIGN_DIGITS digits cannot tell the sum from 0.
 
     The integer points are read off one excess_table over [-g, g]^2, g the
     largest |r| or |s| among them: at grid bound g every claim and the
-    report's excess grid at this (profile, n) read that one table.
+    report's excess grid with these terms read that one table.
     """
-    require_divisor(profile, n)
     ratios = [(r.as_integer_ratio(), s.as_integer_ratio()) for r, s in points]
     g = max((max(abs(a), abs(b)) for (a, qa), (b, qb) in ratios if qa == qb == 1),
             default=None)
     if g is not None:
-        _, rows = excess_table(profile, n, range(-g, g + 1), range(-g, g + 1))
+        _, rows = excess_table(terms, range(-g, g + 1), range(-g, g + 1))
     return [sign_of(rows[a + g][b + g]) if qa == qb == 1
-            else _radicand_sign(profile, n, a, qa, b, qb)
+            else _radicand_sign(terms, a, qa, b, qb)
             for (a, qa), (b, qb) in ratios]
 
 
@@ -267,8 +264,8 @@ def _ln(p: int, digits: int) -> Decimal:
         return Decimal(p).ln()
 
 
-def _radicand_sign(profile: OrderProfile, n: int, a: int, qa: int, b: int, qb: int) -> str:
-    """The sign of cyclic_excess at r = a/qa, s = b/qb, not both integers.
+def _radicand_sign(terms: tuple, a: int, qa: int, b: int, qb: int) -> str:
+    """The sign of the excess of ``terms`` at r = a/qa, s = b/qb, not both integers.
 
     With r - 1 = a/q and s = b/q, each term (c_m - 1) m^s / phi(m)^(r-1) is a
     rational times the q-th root of prod p^rho_p, 0 <= rho_p < q.  Such roots
@@ -279,7 +276,7 @@ def _radicand_sign(profile: OrderProfile, n: int, a: int, qa: int, b: int, qb: i
     q = lcm(qa, qb)
     a, b = (a - qa) * (q // qa), b * (q // qb)
     coefficients: dict[tuple, Fraction] = {}
-    for c, m, phi in excess_terms(profile, n):
+    for c, m, phi in terms:
         in_m, in_phi = dict(factorize(m).factors), dict(factorize(phi).factors)
         coefficient, radicand = Fraction(c), []
         for p in sorted(in_m.keys() | in_phi.keys()):

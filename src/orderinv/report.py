@@ -19,6 +19,7 @@ from .matching import matching_as_json
 from .order_stats import (
     cyclic_profile,
     excess_table,
+    excess_terms,
     frobenius_table,
     order_profile,
     product_of_orders,
@@ -89,7 +90,7 @@ def group_invariants(group: FiniteGroup, profile) -> dict:
 def _excess_grid(profile, bound: int) -> tuple[tuple[int, int, str], ...]:
     # the claims at n = |G| read the same excess table
     span = range(-bound, bound + 1)
-    denominator, rows = excess_table(profile, profile.group_order, span, span)
+    denominator, rows = excess_table(excess_terms(profile, profile.group_order), span, span)
     return tuple((r, s, str(Fraction(numerator, denominator)))
                  for r, row in zip(span, rows) for s, numerator in zip(span, row))
 

@@ -5,11 +5,12 @@ the multiplication table: the derived series by normal closures (Holt, Eick
 and O'Brien, Handbook of Computational Group Theory, 2005).  Whether a
 group has exactly one subgroup of order n, a nilpotent one, is one closure
 test in the table per prime of n: no subgroup is searched for or rebuilt.
+The closure test and the derived series both walk ``groups.greedy_closure``.
 """
 
 from __future__ import annotations
 
-from .groups import FiniteGroup, generated
+from .groups import FiniteGroup, greedy_closure
 from .numtheory import factorize
 from .order_stats import frobenius_table, order_profile
 
@@ -32,21 +33,14 @@ def is_closed(group: FiniteGroup, elements: list[int]) -> bool:
     """Whether every product of two of ``elements`` is one of them.
 
     A nonempty set S closed under the product is the subgroup <S>.  So S
-    is closed iff a greedy closure stays inside it: each element outside
-    the closure so far joins the generators, and the closure, capped at
-    |S| elements, must remain a subset of S.  At most log2 |S| + 1
+    is closed iff its greedy closure stays inside it: each closure, capped
+    at |S| elements, must remain a subset of S.  At most log2 |S| + 1
     generators, so only their rows are read."""
     members = frozenset(elements)
     if len(members) == group.order:  # the whole group
         return True
-    gens, closure = (), frozenset({0})
-    for x in members:
-        if x not in closure:
-            gens += (x,)
-            closure = generated(group.mul, gens, limit=len(members))
-            if not closure <= members:
-                return False
-    return True
+    return all(closure <= members
+               for _, closure in greedy_closure(group.mul, members, len(members)))
 
 
 def is_nilpotent(group: FiniteGroup) -> bool:
@@ -77,32 +71,22 @@ def has_unique_nilpotent_subgroup(group: FiniteGroup, n: int) -> bool:
     return True
 
 
-def _greedy_closure(group: FiniteGroup, pending: list[int], conjugators=()):
-    """Close ``pending`` greedily: a popped candidate outside the closure so
-    far becomes a generator, and its conjugates g^-1 c g by ``conjugators``
-    become candidates.  Returns the generators and their closure."""
-    mul, inv = group.mul, group.inv
-    gens, closure = (), frozenset({0})
-    while pending:
-        c = pending.pop()
-        if c not in closure:
-            gens += (c,)
-            closure = generated(group.mul, gens)
-            pending.extend(mul[mul[inv[g]][c]][g] for g in conjugators)
-    return gens, closure
-
-
 def is_solvable(group: FiniteGroup) -> bool:
     """Derived series, solvable iff it reaches 1: H' is the normal closure in
     H = <S> of the commutators of S, and <C> is normal once each g^-1 c g,
-    c in C, g in S, lies in it (Holt, Eick and O'Brien, 2005); |S| <= log2 |H|."""
+    c in C, g in S, lies in it (Holt, Eick and O'Brien, 2005); |S| <= log2 |H|.
+    Each S is a greedy closure's generators."""
     mul, inv = group.mul, group.inv
-    gens, current = _greedy_closure(group, list(range(group.order - 1, 0, -1)))
+    gens = [c for c, _ in greedy_closure(mul, range(1, group.order))]
+    current = frozenset(range(group.order))
     while len(current) > 1:
         # x^-1 (y^-1 (x y)): only the rows of the generators and their inverses
-        commutators = [mul[inv[x]][mul[inv[y]][mul[x][y]]] for x in gens for y in gens]
-        gens, derived = _greedy_closure(group, commutators, gens)
+        pending = [mul[inv[x]][mul[inv[y]][mul[x][y]]] for x in gens for y in gens]
+        derived_gens, derived = [], frozenset({0})
+        for c, derived in greedy_closure(mul, pending):
+            derived_gens.append(c)
+            pending.extend(mul[mul[inv[g]][c]][g] for g in gens)  # its conjugates
         if derived == current:
             return False
-        current = derived
+        gens, current = derived_gens, derived
     return True

@@ -159,8 +159,9 @@ def check_nonnegative_gap(group: FiniteGroup, n: int, points) -> list[TheoremVer
         if not (s < r and s <= 0):
             raise ParameterDomainViolated(f"need s < r and s <= 0, got r={r}, s={s}")
     profile = order_profile(group)
-    signs = excess_signs(profile, n, points)
-    offending = [m for _, m, _ in excess_terms(profile, n)]
+    signs = excess_signs(excess_terms(profile, n), points)
+    # the condition is read off the profile, not off the terms the sign comes from
+    offending = [m for m in divisors(n) if profile.cyclic_count(m) != 1]
     witness = f"cyclic subgroup count is not 1 at {offending}" if offending else ""
     return [_verdict("gap-nonneg", group, (("n", n), ("r", r), ("s", s)), sign,
                      sign != "neg", not offending, witness)
@@ -182,7 +183,7 @@ def check_diagonal_gap(group: FiniteGroup, n: int, rs) -> list[TheoremVerdict]:
         if not r < 0:
             raise ParameterDomainViolated(f"need r < 0, got r={r}")
     profile = order_profile(group)
-    signs = excess_signs(profile, n, [(r, r) for r in rs])
+    signs = excess_signs(excess_terms(profile, n), [(r, r) for r in rs])
     table = frobenius_table(profile)
     condition = all(table.counts[k] == k for k in divisors(n) if gcd(k, n // k) == 1)
     if (subgroup_route := has_unique_nilpotent_subgroup(group, n)) != condition:
@@ -201,7 +202,7 @@ def check_nonpositive_gap(group: FiniteGroup, points) -> list[TheoremVerdict]:
     for r, s in points:
         if not (r <= s - 1 and s >= 1):
             raise ParameterDomainViolated(f"need r <= s-1 and s >= 1, got r={r}, s={s}")
-    signs = excess_signs(order_profile(group), group.order, points)
+    signs = excess_signs(excess_terms(order_profile(group), group.order), points)
     cyclic = is_cyclic(group)
     return [_verdict("gap-nonpos", group, (("n", group.order), ("r", r), ("s", s)), sign,
                      sign != "pos", cyclic)
@@ -217,7 +218,7 @@ def check_nilpotent_sign(group: FiniteGroup, points) -> list[TheoremVerdict]:
         raise PreconditionViolated(f"{group.label} is not nilpotent")
     if is_cyclic(group):
         raise PreconditionViolated(f"{group.label} is cyclic")
-    signs = excess_signs(order_profile(group), group.order, points)
+    signs = excess_signs(excess_terms(order_profile(group), group.order), points)
     verdicts = []
     for (r, s), sign in zip(points, signs):
         expected = sign_of(r - s)
@@ -315,7 +316,7 @@ def check_semidirect_count(group: FiniteGroup, grid: int = DEFAULT_GRID_BOUND) -
 
     half_order = totient(2**u)
     span = range(-grid, grid + 1)
-    denominator, rows = excess_table(profile, group.order, span, span)
+    denominator, rows = excess_table(excess_terms(profile, group.order), span, span)
     mismatches = []
     for r, row in zip(span, rows):
         for s, numerator in zip(span, row):

@@ -40,6 +40,7 @@ from orderinv.groups import (
     elementary_abelian,
     from_cayley_table,
     from_permutations,
+    greedy_closure,
     inversion_semidirect,
     quaternion_generalized,
     _check_latin_and_identity,
@@ -469,6 +470,33 @@ def test_untrusted_paths_run_the_latin_scan(monkeypatch):
     assert closures == Counter([1, 2, 6, 24])  # S1 to S4
     assert Counter(scanned) == closures + Counter(g.order for g in plain)
     assert [g.label for g in checked] == [g.label for g in plain]
+
+
+def test_paranoid_build_walks_each_table_once(monkeypatch):
+    # the check validates the table; only the group that goes on is walked
+    calls, walk = Counter(), groups_mod._cyclic_walk
+    monkeypatch.setattr(groups_mod, "_cyclic_walk",
+                        lambda mul: calls.update([len(mul)]) or walk(mul))
+    spec = default_catalog_spec(64)
+    plain = [g.label for g in iter_catalog(spec)]
+    walked = calls.copy()
+    calls.clear()
+    assert [g.label for g in iter_catalog(spec, paranoid=True)] == plain
+    assert calls == walked
+
+
+def test_greedy_closure_takes_the_candidates_in_order():
+    e8 = elementary_abelian(2, 3)
+    steps = list(greedy_closure(e8.mul, range(1, 8)))
+    assert [c for c, _ in steps] == [1, 2, 4]
+    assert [len(closure) for _, closure in steps] == [2, 4, 8]
+    # a list grown while it is walked: the new candidates come after the old
+    pending = [3]
+    taken = []
+    for c, _ in greedy_closure(e8.mul, pending):
+        taken.append(c)
+        pending.extend([1, 4] if c == 3 else [])
+    assert taken == [3, 1, 4]
 
 
 # (label, order) of each group a family builds from its label, up to order 512

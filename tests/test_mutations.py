@@ -18,6 +18,7 @@ import sys
 import pytest
 
 import orderinv.groups as groups_mod
+import orderinv.order_stats as order_stats_mod
 import orderinv.structure as structure_mod
 from orderinv.catalog import default_catalog_spec, iter_catalog
 from orderinv.report import run_sweep
@@ -87,12 +88,18 @@ def _semidirect_slot_off_by_one(mp):
     mp.setattr(groups_mod, "_build", mutant)
 
 
+def _excess_terms_drop_the_last(mp):
+    real = order_stats_mod.excess_terms
+    _patch_everywhere(mp, real, lambda profile, n: real(profile, n)[:-1])
+
+
 MUTATIONS = {
     "is_nilpotent false on non-cyclic 2-groups": _deny_nilpotency_to_noncyclic_two_groups,
     "D_m for odd m built abelian": _abelian_odd_dihedral,
     "Q_2^k built without its wrap": _unwrapped_quaternion,
     "is_solvable always true": _always_solvable,
     "semidirect slot records u + 1": _semidirect_slot_off_by_one,
+    "excess_terms drops its last term": _excess_terms_drop_the_last,
 }
 
 
@@ -162,6 +169,13 @@ def test_semidirect_slot_feeds_the_closed_form(sweeps):
         label for text in sweeps[None]["groups"]
         if ":" in (label := json.loads(text)["label"])}
     assert len(flagged(payload)) == 12
+
+
+def test_dropped_excess_term_shows_against_the_profiles_condition(sweeps):
+    # gap-nonneg reads its sign from the terms and its condition off the profile
+    payload = sweeps["excess_terms drops its last term"]
+    assert payload["exit_status"] == 1
+    assert "gap-nonneg" in inconsistent_claims(payload)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 20: no second route for the D_m table")

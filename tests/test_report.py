@@ -27,7 +27,13 @@ from orderinv.catalog import (
 from orderinv.groups import FiniteGroup, LazyTable, cyclic
 from orderinv.matching import verify_matching
 from orderinv.numtheory import divisor_power_sum, divisors
-from orderinv.order_stats import frobenius_table, order_profile, sign_of, weighted_order_sum
+from orderinv.order_stats import (
+    excess_table,
+    frobenius_table,
+    order_profile,
+    sign_of,
+    weighted_order_sum,
+)
 from orderinv.report import group_record, run_sweep, verdict_as_json, write_json, write_report
 from orderinv.theorems import (
     ALL_CLAIMS,
@@ -155,16 +161,19 @@ def test_sweep_order_does_not_matter(catalog64):
 
 @pytest.mark.parametrize("arrival", ["stream", "reversed list"])
 def test_profile_memos_miss_once_per_distinct_profile(catalog64, arrival):
-    # value-keyed: twins such as C6 and C2xC3 share one entry whatever the order
+    # value-keyed: twins such as C6 and C2xC3 share one entry whatever the order;
+    # the excess tables are keyed by their terms, which far fewer (profile, n) have
     groups = (iter_catalog(default_catalog_spec()) if arrival == "stream"
               else catalog64[::-1])
     frobenius_table.cache_clear()
     matching_mod._matching_for.cache_clear()
+    excess_table.cache_clear()
     rep = run_sweep(groups)
     distinct = {json.dumps(record["profile"], sort_keys=True) for record in records(rep)}
     assert len(distinct) == 117
     assert frobenius_table.cache_info().misses == len(distinct)
     assert matching_mod._matching_for.cache_info().misses == len(distinct)
+    assert excess_table.cache_info().misses == 99
 
 
 def test_sweep_computes_solvability_once_per_group(catalog64, monkeypatch):
